@@ -31,6 +31,7 @@ from .coloring import (
     verify_constraint_property,
 )
 from .geometry import (
+    DEFAULT_SGP_ATTEMPTS,
     AbsenceReport,
     PointConfiguration,
     TverbergCertificate,
@@ -505,7 +506,12 @@ def verify_stable_faces(n: int, d: int) -> ExperimentReport:
 def _random_sgp_config(
     rng: random.Random, r: int, d: int, n_points: int
 ) -> PointConfiguration:
-    while True:
+    """Draw random grid points until they are in strong general position.
+
+    Fails closed: after DEFAULT_SGP_ATTEMPTS draws without success it
+    raises ValueError rather than looping on.
+    """
+    for _ in range(DEFAULT_SGP_ATTEMPTS):
         P = PointConfiguration(
             d,
             {
@@ -515,6 +521,10 @@ def _random_sgp_config(
         )
         if is_strong_general_position(P, r):
             return P
+    raise ValueError(
+        f"no strong general position configuration of {n_points} points in R^{d}"
+        f" found in {DEFAULT_SGP_ATTEMPTS} attempts"
+    )
 
 
 def verify_tverberg_random(r: int, d: int, count: int = 25, seed: int = 0) -> ExperimentReport:

@@ -10,9 +10,11 @@ Contents: moment-curve configurations, cyclic polytope facets by the
 evenness rule (with a brute-force half-space oracle to check them
 against), convex hull intersection by phase-1 simplex, the partition
 search with its verified-absence report, minimal intertwined pairs on
-the moment curve, the strong general position test via ranks of exact
-linear systems, and the seeded placement routine for average-stability
-instances.
+the moment curve, the strong general position test (one small integer
+elimination per tuple of subsets, in homogeneous coordinates: stacked
+annihilators of the lifted points, with a pivot in the last column
+meaning empty hulls), and the seeded placement routine for
+average-stability instances.
 """
 
 from __future__ import annotations
@@ -24,16 +26,11 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .linalg import det, feasible_nonneg, rank
+from .linalg import det, feasible_nonneg, nullspace, pivot_columns
+from .linalg import rank  # noqa: F401  re-exported: perfbench wraps geometry.rank
 from .simplicial import SimplicialComplex, Simplex, complex_from_forbidden
 
 Point = tuple[Fraction, ...]
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
 
 
 class PointConfiguration:
@@ -56,7 +53,7 @@ class PointConfiguration:
             raise ValueError("labels must be positive")
         coords = []
         for _, c in items:
-            c = tuple(_frac(x) for x in c)
+            c = tuple(Fraction(x) for x in c)
             if len(c) != d:
                 raise ValueError(f"point of dimension {len(c)}, expected {d}")
             coords.append(c)
@@ -110,7 +107,7 @@ def moment_points(params: Sequence[Fraction | int | str], d: int) -> PointConfig
 
     Labels are 1..len(params) in parameter order.
     """
-    ts = [_frac(t) for t in params]
+    ts = [Fraction(t) for t in params]
     if any(a >= b for a, b in zip(ts, ts[1:])):
         raise ValueError("parameters must be strictly increasing")
     return PointConfiguration(
@@ -222,7 +219,7 @@ def conv_intersect(parts: Sequence[Sequence[Sequence]]) -> Optional[ConvexWitnes
     for part in parts:
         if not part:
             raise ValueError("empty part")
-        cur = [tuple(_frac(x) for x in p) for p in part]
+        cur = [tuple(Fraction(x) for x in p) for p in part]
         if d is None:
             d = len(cur[0])
         if any(len(p) != d for p in cur):
@@ -367,6 +364,10 @@ class AbsenceReport:
 
 DEFAULT_SEARCH_CAP = 1 << 22
 
+# Draws before a seeded search for a strong general position
+# configuration gives up with an error instead of looping on.
+DEFAULT_SGP_ATTEMPTS = 24
+
 
 def tverberg_search(
     P: PointConfiguration,
@@ -445,7 +446,10 @@ def tverberg_search(
                 rec(i + 1, union | masks[i], total + sizes[i])
                 chosen.pop()
 
-    rec(0, 0, 0)
+    try:
+        rec(0, 0, 0)
+    finally:
+        del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
     admitted = [t for t in admitted if sum(sizes[i] for i in t) >= threshold]
     admitted.sort(key=lambda t: (sum(sizes[i] for i in t), t))
 
@@ -646,42 +650,6 @@ def _scaled_integer_points(P: PointConfiguration) -> dict[int, tuple[int, ...]]:
     }
 
 
-def _affine_dim(pts: Sequence[tuple[int, ...]]) -> int:
-    if len(pts) <= 1:
-        return 0
-    base = pts[0]
-    return rank([[x - y for x, y in zip(p, base)] for p in pts[1:]])
-
-
-def _mu_system(parts_pts: list[list[tuple[int, ...]]], d: int) -> tuple[int, int]:
-    """Ranks of the combined barycentric system, without and with its rhs."""
-    sizes = [len(p) for p in parts_pts]
-    nvar = sum(sizes)
-    offs = [0] * len(parts_pts)
-    for i in range(1, len(parts_pts)):
-        offs[i] = offs[i - 1] + sizes[i - 1]
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for i in range(1, len(parts_pts)):
-        for j in range(d):
-            row = [0] * nvar
-            for p_idx, p in enumerate(parts_pts[0]):
-                row[offs[0] + p_idx] = p[j]
-            for p_idx, p in enumerate(parts_pts[i]):
-                row[offs[i] + p_idx] = -p[j]
-            rows.append(row)
-            rhs.append(0)
-    for i in range(len(parts_pts)):
-        row = [0] * nvar
-        for p_idx in range(sizes[i]):
-            row[offs[i] + p_idx] = 1
-        rows.append(row)
-        rhs.append(1)
-    r_plain = rank(rows)
-    r_aug = rank([row + [b] for row, b in zip(rows, rhs)])
-    return r_plain, r_aug
-
-
 def strong_general_position_report(
     P: PointConfiguration, r: int, *, cap: int = DEFAULT_SEARCH_CAP
 ) -> tuple[bool, Optional[tuple[Simplex, ...]], int]:
@@ -694,6 +662,16 @@ def strong_general_position_report(
     hull, and sums beyond d+1 are unconstrained by definition). For each
     such tuple the affine hulls must intersect in the expected dimension,
     or be empty exactly when the codimension sum reaches d+1.
+
+    The test runs in homogeneous coordinates. Each point p is lifted to
+    (p, 1), and each subset gets, once, an integer basis of the
+    annihilator of the lifted points' span; its d - dim aff rows give
+    the subset's codimension. The affine hulls of a tuple meet in the
+    solutions of the stacked annihilators with last coordinate 1. One
+    elimination of that stack, at most (d+1) x (d+1), decides the tuple:
+    a pivot in the last column puts e_(d+1) in the row space, so the
+    hulls are empty (codimension d+1); otherwise the actual codimension
+    is the rank.
 
     Returns (holds, violating tuple or None, tuples checked).
     """
@@ -711,8 +689,8 @@ def strong_general_position_report(
     ]
     subsets.sort(key=lambda f: (len(f), tuple(sorted(f))))
     smasks = [sum(1 << pos[lab] for lab in f) for f in subsets]
-    sdims = [_affine_dim([ipts[lab] for lab in sorted(f)]) for f in subsets]
-    scodims = [d - dim for dim in sdims]
+    annihilators = [nullspace([ipts[lab] + (1,) for lab in sorted(f)]) for f in subsets]
+    scodims = [len(rows) for rows in annihilators]
 
     checked = 0
     chosen: list[int] = []
@@ -725,17 +703,10 @@ def strong_general_position_report(
                 raise SearchSpaceError(
                     f"strong general position scan exceeded the cap {cap}", checked, cap
                 )
-            parts = [subsets[i] for i in chosen]
-            parts_pts = [[ipts[lab] for lab in sorted(pt)] for pt in parts]
-            r_plain, r_aug = _mu_system(parts_pts, d)
-            sizes = [len(p) for p in parts]
-            fiber = sum(m - 1 - sdims[i] for m, i in zip(sizes, chosen))
-            if r_aug > r_plain:
-                actual_codim = d + 1
-            else:
-                actual_codim = d - ((sum(sizes) - r_plain) - fiber)
+            pivots = pivot_columns([row for i in chosen for row in annihilators[i]])
+            actual_codim = d + 1 if pivots and pivots[-1] == d else len(pivots)
             if actual_codim != codim_sum:
-                return tuple(parts)
+                return tuple(subsets[i] for i in chosen)
         if len(chosen) == r:
             return None
         for i in range(start, len(subsets)):
@@ -751,7 +722,10 @@ def strong_general_position_report(
             chosen.pop()
         return None
 
-    bad = rec(0, 0, 0)
+    try:
+        bad = rec(0, 0, 0)
+    finally:
+        del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
     return bad is None, bad, checked
 
 
@@ -773,7 +747,7 @@ def avg_stable_placement(
     n: int,
     *,
     seed: int = 0,
-    attempts: int = 24,
+    attempts: int = DEFAULT_SGP_ATTEMPTS,
 ) -> tuple[SimplicialComplex, PointConfiguration]:
     """Complex plus moment-curve placement for the average-stability bound.
 

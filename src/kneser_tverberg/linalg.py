@@ -3,15 +3,16 @@
 Everything here works on fractions.Fraction (or int) entries and returns
 exact results. The matrices that show up in this package are small and
 dense, typically fewer than fifteen rows, so the implementations favor
-clarity and exactness over asymptotics: fraction-free elimination on
-integers for ranks, Fraction Gaussian elimination for determinants, and
-a phase-1 simplex with Bland's rule for nonnegative feasibility.
+clarity and exactness over asymptotics: one fraction-free elimination
+on integers behind ranks, pivot columns and integer null spaces,
+Fraction Gaussian elimination for determinants, and a phase-1 simplex
+with Bland's rule for nonnegative feasibility.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Number = Fraction | int
@@ -19,67 +20,117 @@ Row = Sequence[Number]
 
 
 def _integer_rows(rows: Sequence[Row]) -> list[list[int]]:
-    """Clear denominators row by row.
+    """Fresh integer copies of the rows, denominators cleared row by row.
 
-    Scaling a row by a positive integer changes neither the rank nor the
-    sign pattern questions we ask downstream.
+    Scaling a row by a positive integer changes neither the rank, the
+    pivot columns, the null space nor the sign pattern questions we ask
+    downstream. Rows that are already integers are copied as they are.
     """
     out: list[list[int]] = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
+        fracs = [Fraction(x) for x in row]
         mult = 1
-        for x in row:
-            mult = lcm(mult, Fraction(x).denominator)
-        scaled = []
-        for x in row:
-            f = Fraction(x)
-            scaled.append(int(f.numerator) * (mult // f.denominator))
-        out.append(scaled)
+        for f in fracs:
+            mult = lcm(mult, f.denominator)
+        out.append([f.numerator * (mult // f.denominator) for f in fracs])
     return out
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, rem = divmod(a, b)
-    if rem:
-        raise ArithmeticError("fraction-free elimination produced a non-integer")
-    return q
+def _echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form, eliminating column by column.
 
-
-def rank(rows: Sequence[Row]) -> int:
-    """Rank of a matrix given as a sequence of equal-length rows.
-
-    Denominators are cleared per row, after which a Bareiss-style
-    fraction-free elimination runs on plain Python integers. All
-    divisions are exact by the Sylvester determinant identity; the
-    helper raises rather than silently flooring if that is ever not
-    the case.
+    Returns the integer matrix and its pivot columns in order.
+    Row i < len(pivots) has its leading entry in column pivots[i]; the
+    rows below the pivot rows are zero. Denominators are cleared per row,
+    after which a Bareiss elimination (Bareiss 1968) runs on plain Python
+    integers. Every division is exact by the Sylvester determinant
+    identity; a nonzero remainder raises rather than silently flooring.
     """
     if not rows:
-        return 0
+        return [], []
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged matrix")
-    if width == 0:
-        return 0
     mat = _integer_rows(rows)
     m = len(mat)
-    r = 0
+    pivots: list[int] = []
     prev = 1
     for c in range(width):
+        r = len(pivots)
         piv = next((i for i in range(r, m) if mat[i][c]), -1)
         if piv < 0:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         lead = mat[r]
+        p = lead[c]
         for i in range(r + 1, m):
             cur = mat[i]
             f = cur[c]
             for j in range(c, width):
-                cur[j] = _exact_div(lead[c] * cur[j] - f * lead[j], prev)
-        prev = lead[c]
-        r += 1
-        if r == m:
+                q, rem = divmod(p * cur[j] - f * lead[j], prev)
+                if rem:
+                    raise ArithmeticError("fraction-free elimination produced a non-integer")
+                cur[j] = q
+        prev = p
+        pivots.append(c)
+        if r + 1 == m:
             break
-    return r
+    return mat, pivots
+
+
+def rank(rows: Sequence[Row]) -> int:
+    """Rank of a matrix given as a sequence of equal-length rows."""
+    return len(_echelon(rows)[1])
+
+
+def pivot_columns(rows: Sequence[Row]) -> list[int]:
+    """Indices of the columns that are not combinations of earlier columns.
+
+    These are the pivot columns of the row echelon form; there are
+    rank(rows) of them. A pivot in the last column says that the last
+    unit vector lies in the row space.
+    """
+    return _echelon(rows)[1]
+
+
+def nullspace(rows: Sequence[Row]) -> list[list[int]]:
+    """Integer basis of {x : A x = 0}, one primitive vector per free column.
+
+    The basis vector for free column f has a positive entry at f, zeros
+    at the other free columns and gcd 1; together they number width -
+    rank(rows). Each is found by integer back substitution through the
+    echelon form of rank().
+    """
+    if not rows:
+        raise ValueError("a null space needs at least one row to fix its width")
+    mat, pivots = _echelon(rows)
+    width = len(rows[0])
+    pivot_set = set(pivots)
+    basis: list[list[int]] = []
+    for f in range(width):
+        if f in pivot_set:
+            continue
+        x = [0] * width
+        x[f] = 1
+        for i in range(len(pivots) - 1, -1, -1):
+            c = pivots[i]
+            row = mat[i]
+            s = sum(row[j] * x[j] for j in range(c + 1, width))
+            if s:
+                # scale x so that row[c] * x[c] = -s has an integer solution
+                g = gcd(s, row[c])
+                scale = row[c] // g
+                if scale != 1:
+                    x = [v * scale for v in x]
+                x[c] = -s // g
+        g = gcd(*x)
+        if x[f] < 0:
+            g = -g
+        basis.append([v // g for v in x])
+    return basis
 
 
 def det(rows: Sequence[Row]) -> Fraction:

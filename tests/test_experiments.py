@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from kneser_tverberg.experiments import (
@@ -16,6 +18,7 @@ from kneser_tverberg.experiments import (
     verify_stable_faces,
     verify_tverberg_random,
 )
+from kneser_tverberg.geometry import DEFAULT_SGP_ATTEMPTS, PointConfiguration
 
 
 def test_report_json_shape():
@@ -93,6 +96,33 @@ def test_tverberg_random_small():
     rep = verify_tverberg_random(2, 1, count=5, seed=2)
     assert rep.verdict == "match"
     assert rep.computed["certificates"] == 5
+
+
+def test_random_sgp_resampling_is_bounded(monkeypatch):
+    import random
+
+    from kneser_tverberg import experiments
+
+    draws = []
+
+    def never(P, r):
+        draws.append(P)
+        return False
+
+    monkeypatch.setattr(experiments, "is_strong_general_position", never)
+    with pytest.raises(ValueError, match=f"in {DEFAULT_SGP_ATTEMPTS} attempts"):
+        experiments._random_sgp_config(random.Random(0), 2, 2, 4)
+    assert len(draws) == DEFAULT_SGP_ATTEMPTS
+    with pytest.raises(ValueError):
+        verify_tverberg_random(2, 1, count=1)
+    # the draws themselves are unchanged: the first one is what an
+    # unbounded loop would have tested first
+    rng = random.Random(0)
+    first = {
+        lab: tuple(Fraction(rng.randrange(-4096, 4097), 64) for _ in range(2))
+        for lab in range(1, 5)
+    }
+    assert draws[0] == PointConfiguration(2, first)
 
 
 def test_pipeline_instances_match():

@@ -283,6 +283,25 @@ def test_sgp_frozen_counterexample():
     assert not is_strong_general_position(P, 2)
 
 
+def test_searches_leave_no_reference_cycles():
+    """The nested DFS helpers must not keep their working sets alive.
+
+    A nested function that calls itself forms a function <-> cell cycle,
+    which holds everything it closes over until a full gc pass.
+    """
+    import gc
+
+    P = moment_points(range(1, 7), 4)
+    gc.collect()
+    gc.disable()
+    try:
+        strong_general_position_report(P, 2)
+        tverberg_search(P, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_sgp_generic_rational_points():
     P = PointConfiguration(
         2,

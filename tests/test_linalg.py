@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kneser_tverberg.linalg import det, feasible_nonneg, rank
+from kneser_tverberg.linalg import det, feasible_nonneg, nullspace, pivot_columns, rank
 
 
 def test_rank_hand_cases():
@@ -13,6 +13,60 @@ def test_rank_hand_cases():
     assert rank([[1, 0], [0, 1]]) == 2
     assert rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
     assert rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
+
+
+def test_pivot_columns_hand_cases():
+    assert pivot_columns([]) == []
+    assert pivot_columns([[0, 1, 2], [0, 2, 4]]) == [1]
+    assert pivot_columns([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == [0, 1]
+    # e_3 lies in the row space exactly when a pivot lands in the last column
+    assert pivot_columns([[1, 1, 0], [1, 1, 1]]) == [0, 2]
+    assert pivot_columns([[1, 1, 1], [2, 2, 2]]) == [0]
+
+
+def test_nullspace_hand_cases():
+    assert nullspace([[1, 2], [2, 4]]) == [[-2, 1]]
+    assert nullspace([[1, 0], [0, 1]]) == []
+    assert nullspace([[0, 0, 0]]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert nullspace([[Fraction(1, 2), Fraction(1, 3), 1]]) == [[-2, 3, 0], [-2, 0, 1]]
+    with pytest.raises(ValueError):
+        nullspace([])
+
+
+def test_nullspace_is_a_primitive_integer_basis():
+    """width = rank + basis size, and every basis row kills every input row."""
+    from math import gcd
+
+    rng = random.Random(5)
+    for _ in range(200):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        if rng.random() < 0.5:
+            A = _random_matrix(rng, m, n)
+        else:
+            # low rank: combinations of a few random rows
+            base = _random_matrix(rng, rng.randint(1, 2), n)
+            A = [
+                [sum(c * row[j] for c, row in zip(coefs, base)) for j in range(n)]
+                for coefs in ([rng.randint(-2, 2) for _ in base] for _ in range(m))
+            ]
+        basis = nullspace(A)
+        assert rank(A) + len(basis) == n
+        assert rank(basis) == len(basis)
+        for v in basis:
+            assert all(type(x) is int for x in v)
+            assert gcd(*v) == 1
+            for row in A:
+                assert sum(a * x for a, x in zip(row, v)) == 0
+
+
+def test_pivot_columns_match_prefix_ranks():
+    """Column c is a pivot iff it raises the rank of the columns before it."""
+    rng = random.Random(6)
+    for _ in range(100):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        A = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(m)]
+        prefix = [rank([row[:c] for row in A]) for c in range(n + 1)]
+        assert pivot_columns(A) == [c for c in range(n) if prefix[c + 1] > prefix[c]]
 
 
 def test_det_hand_cases():
