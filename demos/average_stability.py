@@ -38,7 +38,7 @@ print(f"absence of {r} disjoint intersecting faces: {absence} "
 
 floor = bound_floor_formula(n - 1, r, d)
 target = -(-(n - r * (k - 1)) // (r - 1))
-greedy = greedy_least_label(H, r, n - 1, d, max_colors=target)
+greedy = greedy_least_label(H, r, n - 1, max_colors=target)
 print(f"floor bound: {floor}")
 print(f"greedy upper bound: {greedy.colors_used} colors, proper = {greedy.proper}")
 print(f"so chi = {floor} exactly, matching the ceiling formula value {target}")

@@ -48,7 +48,7 @@ print(f"exact chromatic number of the disjointness graph: {res.chi}")
 kb = kriz_bound(cone, 2)
 print(f"fractional width bound: {kb} (width {width(cone, 2)} over r-1={r - 1}), far below")
 
-greedy = greedy_least_label(H, 2, 6, 2)
+greedy = greedy_least_label(H, 2, 6)
 print(f"least-label greedy: {greedy.colors_used} colors, proper = {greedy.proper}")
 print()
 print(f"sandwich: {floor} <= chi = {res.chi} <= {greedy.colors_used}, all equal")

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .coloring import (
+    DEFAULT_VERTEX_LIMIT,
     bound_floor_formula,
     chromatic_number,
     greedy_least_label,
@@ -27,8 +28,8 @@ from .coloring import (
 )
 from .experiments import ALL_EXPERIMENTS, experiment_tasks, run_tasks
 from .geometry import (
+    DEFAULT_SEARCH_CAP,
     PointConfiguration,
-    SearchSpaceError,
     TverbergCertificate,
     gale_facets,
     hull_facets_oracle,
@@ -44,8 +45,6 @@ from .hypergraphs import (
     width,
 )
 from .simplicial import SimplicialComplex, complex_from_forbidden, simplex_complex
-
-DEFAULT_CAP = 1 << 22
 
 
 # -- input parsing -------------------------------------------------------
@@ -237,7 +236,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         out["floor_formula"] = bound_floor_formula(N, r, args.dimension)
     if args.greedy:
         H = generalized_kneser(K, simplex_complex(N), r)
-        g = greedy_least_label(H, r, N, args.dimension)
+        g = greedy_least_label(H, r, N)
         out["greedy_colors"] = g.colors_used
         out["greedy_proper"] = g.proper
     _emit(out, args.format)
@@ -279,7 +278,6 @@ def _cmd_tverberg(args: argparse.Namespace) -> int:
     restrict = None
     if args.forbidden is not None or args.facets is not None or args.simplex is not None:
         restrict = _complex_from_args(args)
-    out: dict
     if args.sgp:
         holds, violating, checked = strong_general_position_report(P, args.parts, cap=args.cap)
         out = {
@@ -291,36 +289,24 @@ def _cmd_tverberg(args: argparse.Namespace) -> int:
         _emit(out, args.format)
         return 0
     result = tverberg_search(P, args.parts, restrict_to=restrict, cap=args.cap)
+    out = result.to_json_dict()
     if isinstance(result, TverbergCertificate):
-        out = result.to_json_dict()
         out["verified"] = result.verify(P)
-    else:
-        out = result.to_json_dict()
     _emit(out, args.format)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    names = args.names or ["all"]
-    family, params = names[0], names[1:]
-    if family == "all":
-        if params:
-            raise ValueError("'all' takes no instance parameters")
-        families = list(ALL_EXPERIMENTS)
-    else:
-        families = [family]
-    tasks = []
-    for fam in families:
-        tasks.extend(
-            experiment_tasks(
-                fam,
-                seed=args.seed,
-                cap=args.cap,
-                max_vertices=args.max_vertices,
-                params=params if fam == family and params else None,
-            )
-        )
-    reports = run_tasks(tasks, jobs=args.jobs)
+    family, *params = args.names or ["all"]
+    if family == "all" and params:
+        raise ValueError("'all' takes no instance parameters")
+    families = ALL_EXPERIMENTS if family == "all" else [family]
+    tasks = [  # scheduling checks every instance before any task runs
+        task
+        for fam in families
+        for task in experiment_tasks(fam, args.seed, args.cap, args.max_vertices, params)
+    ]
+    reports = run_tasks(tasks)
     _emit_reports([rep.to_json_dict() for rep in reports], args.format)
     return 0 if all(rep.verdict == "match" for rep in reports) else 1
 
@@ -340,13 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
         const="table",
         help="shorthand for --format table",
     )
-    common.add_argument("--jobs", type=int, default=1, help="concurrent experiment workers")
+    common.add_argument("--jobs", type=int, default=1, help="ignored: experiments run serially")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized instances")
     common.add_argument(
-        "--cap", type=int, default=DEFAULT_CAP, help="search-space size cap"
+        "--cap", type=int, default=DEFAULT_SEARCH_CAP, help="search-space size cap"
     )
     common.add_argument(
-        "--max-vertices", type=int, default=64, help="exact-solver vertex cap"
+        "--max-vertices", type=int, default=DEFAULT_VERTEX_LIMIT, help="exact-solver vertex cap"
     )
 
     parser = argparse.ArgumentParser(
@@ -408,10 +394,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SearchSpaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # usage errors and refused sizes (SearchSpaceError included)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .hypergraphs import Hypergraph, generalized_kneser, width
 from .simplicial import SimplicialComplex, Simplex, _mask, _unmask
@@ -156,7 +156,10 @@ def _feasible_graph(adj: list[int], degrees: list[int], k: int, budget: _Budget)
             colors[v] = 0
         return False
 
-    return colors if rec(0, 0) else None
+    try:
+        return colors if rec(0, 0) else None
+    finally:
+        del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
 
 
 def _feasible_uniform(H: Hypergraph, k: int, budget: _Budget) -> Optional[list[int]]:
@@ -187,7 +190,10 @@ def _feasible_uniform(H: Hypergraph, k: int, budget: _Budget) -> Optional[list[i
             colors[v] = 0
         return False
 
-    return colors if rec(0, 0) else None
+    try:
+        return colors if rec(0, 0) else None
+    finally:
+        del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
 
 
 def _lex_least_coloring(H: Hypergraph, k: int) -> list[int]:
@@ -222,28 +228,33 @@ def _lex_least_coloring(H: Hypergraph, k: int) -> list[int]:
             colors[v] = 0
             return False
 
-        if not rec2(0, 0):
-            raise ArithmeticError("witness search failed at the established chromatic number")
-        return colors
+        try:
+            found = rec2(0, 0)
+        finally:
+            del rec2  # rec2 refers to itself; break the cycle
+    else:
+        incident: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+        for e in H.edges:
+            top = max(e)
+            incident[top].append(tuple(u for u in e if u != top))
 
-    incident: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for e in H.edges:
-        top = max(e)
-        incident[top].append(tuple(u for u in e if u != top))
-
-    def rec(v: int, used: int) -> bool:
-        if v == n:
-            return True
-        for c in range(1, min(used + 1, k) + 1):
-            if any(all(colors[u] == c for u in rest) for rest in incident[v]):
-                continue
-            colors[v] = c
-            if rec(v + 1, max(used, c)):
+        def rec(v: int, used: int) -> bool:
+            if v == n:
                 return True
-        colors[v] = 0
-        return False
+            for c in range(1, min(used + 1, k) + 1):
+                if any(all(colors[u] == c for u in rest) for rest in incident[v]):
+                    continue
+                colors[v] = c
+                if rec(v + 1, max(used, c)):
+                    return True
+            colors[v] = 0
+            return False
 
-    if not rec(0, 0):
+        try:
+            found = rec(0, 0)
+        finally:
+            del rec  # rec refers to itself; break the cycle
+    if not found:
         raise ArithmeticError("witness search failed at the established chromatic number")
     return colors
 
@@ -313,7 +324,7 @@ def greedy_least_label(
     H: Hypergraph,
     r: int,
     N: int,
-    d: int | None = None,
+    *,
     max_colors: int | None = None,
 ) -> GreedyColoring:
     """Color each vertex by the block of its least label.
@@ -321,8 +332,7 @@ def greedy_least_label(
     Vertex sets live over 1..N+1; the color of a set with least element
     m is ceil(m / (r-1)), optionally clamped to max_colors. Whether the
     result is proper depends on the instance, so it is checked and
-    reported rather than assumed. The d argument only feeds the caller's
-    bookkeeping (the floor-formula target) and is not used here.
+    reported rather than assumed.
     """
     if r != H.r:
         raise ValueError("arity mismatch between hypergraph and bound parameters")
@@ -464,7 +474,10 @@ def verify_constraint_property(
             chosen.pop()
         return None
 
-    bad = rec(0, 0, 0)
+    try:
+        bad = rec(0, 0, 0)
+    finally:
+        del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
     if bad is None:
         return True, None
     masks, common = bad

@@ -9,21 +9,26 @@ exact rationals rendered as strings, so matching is literal equality
 with no tolerances.
 
 Experiments are pure given their parameters: fixed seeds, canonical
-enumeration orders, exact arithmetic. Running them in a thread pool
-changes nothing but wall time, which is reported but never compared.
+enumeration orders, exact arithmetic. Wall time is reported but never
+compared.
+
+Each experiment family is one entry of the FAMILIES table: its default
+instances, how its instance parameters are read, and how one instance
+runs.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import ceil, comb
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .coloring import (
+    DEFAULT_VERTEX_LIMIT,
     bound_floor_formula,
     chromatic_number,
     greedy_least_label,
@@ -31,6 +36,7 @@ from .coloring import (
     verify_constraint_property,
 )
 from .geometry import (
+    DEFAULT_SEARCH_CAP,
     DEFAULT_SGP_ATTEMPTS,
     AbsenceReport,
     PointConfiguration,
@@ -109,7 +115,7 @@ def _finish(
 # -- exact chromatic numbers of Kneser graphs --------------------------
 
 
-def verify_kneser(k: int, n: int, max_vertices: int = 64) -> ExperimentReport:
+def verify_kneser(k: int, n: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> ExperimentReport:
     """Exact chromatic number of the Kneser graph of k-subsets of 1..n.
 
     Claim: n - 2k + 2 colors (n >= 2k). The matching upper bound comes
@@ -123,7 +129,7 @@ def verify_kneser(k: int, n: int, max_vertices: int = 64) -> ExperimentReport:
     target = n - 2 * k + 2
     H = kneser_hypergraph(2, k, n)
     res = chromatic_number(H, max_vertices=max_vertices)
-    greedy = greedy_least_label(H, 2, n - 1, None, max_colors=target)
+    greedy = greedy_least_label(H, 2, n - 1, max_colors=target)
     claimed = {"chi": target, "greedy_colors": target, "greedy_proper": True}
     computed = {
         "chi": res.chi,
@@ -144,7 +150,7 @@ def verify_kneser(k: int, n: int, max_vertices: int = 64) -> ExperimentReport:
 
 
 def verify_schrijver(
-    k: int, n: int, check_critical: bool = False, max_vertices: int = 64
+    k: int, n: int, check_critical: bool = False, max_vertices: int = DEFAULT_VERTEX_LIMIT
 ) -> ExperimentReport:
     """Chromatic number of the subgraph induced on 2-stable k-subsets.
 
@@ -182,15 +188,10 @@ def verify_schrijver(
 
 
 def _random_antichain(rng: random.Random, n: int) -> list[frozenset[int]]:
-    while True:
-        m = rng.randint(1, 2 * n)
-        fam = []
-        for _ in range(m):
-            size = rng.randint(1, n)
-            fam.append(frozenset(rng.sample(range(1, n + 1), size)))
-        anti = list(minimize_system(fam))
-        if anti:
-            return anti
+    """Inclusion-minimal members of 1..2n random nonempty subsets of 1..n (never empty)."""
+    m = rng.randint(1, 2 * n)
+    fam = [frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(m)]
+    return list(minimize_system(fam))
 
 
 def verify_roundtrip(count: int = 200, max_ground: int = 8, seed: int = 0) -> ExperimentReport:
@@ -261,18 +262,7 @@ def verify_dismantle(count: int = 100, max_ground: int = 7, seed: int = 0) -> Ex
 # -- constraint property of extended colorings -------------------------
 
 
-def _kneser_pair(k: int, n: int) -> tuple[SimplicialComplex, SimplicialComplex]:
-    return simplex_complex(n - 1).skeleton(k - 2), simplex_complex(n - 1)
-
-
-def _schrijver_pair(k: int, n: int) -> tuple[SimplicialComplex, SimplicialComplex]:
-    return (
-        complex_from_forbidden(s_stable_subsets(k, n, 2), n),
-        simplex_complex(n - 1),
-    )
-
-
-def verify_constraint(max_vertices: int = 64) -> list[ExperimentReport]:
+def verify_constraint(max_vertices: int = DEFAULT_VERTEX_LIMIT) -> list[ExperimentReport]:
     """Color-set disjointness for the optimal colorings of the test graphs.
 
     For each instance the exact solver's witness coloring is extended
@@ -280,16 +270,17 @@ def verify_constraint(max_vertices: int = 64) -> list[ExperimentReport]:
     extension must give r pairwise disjoint faces color sets with empty
     intersection, exhaustively over all disjoint tuples.
     """
-    instances: list[tuple[str, SimplicialComplex, SimplicialComplex]] = []
-    for k, n in ((2, 5), (2, 6), (2, 7), (3, 7)):
-        K, L = _kneser_pair(k, n)
-        instances.append((f"constraint-kneser-{k}-{n}", K, L))
-    for k, n in ((2, 5), (2, 6), (3, 7)):
-        K, L = _schrijver_pair(k, n)
-        instances.append((f"constraint-schrijver-{k}-{n}", K, L))
+    instances = [
+        (f"constraint-kneser-{k}-{n}", simplex_complex(n - 1).skeleton(k - 2), n)
+        for k, n in ((2, 5), (2, 6), (2, 7), (3, 7))
+    ] + [
+        (f"constraint-schrijver-{k}-{n}", complex_from_forbidden(s_stable_subsets(k, n, 2), n), n)
+        for k, n in ((2, 5), (2, 6), (3, 7))
+    ]
     out = []
-    for name, K, L in instances:
+    for name, K, n in instances:
         t0 = time.perf_counter()
+        L = simplex_complex(n - 1)
         H = generalized_kneser(K, L, 2)
         res = chromatic_number(H, max_vertices=max_vertices)
         ok, witness = verify_constraint_property(K, L, 2, res.coloring)
@@ -310,109 +301,14 @@ def verify_constraint(max_vertices: int = 64) -> list[ExperimentReport]:
     return out
 
 
-# -- width and formula bounds ------------------------------------------
-
-
-def verify_kriz_example() -> ExperimentReport:
-    """The four numbers of the width-comparison example.
-
-    Vertex set of six points, zero-dimensional complex, three parts:
-    width 3, fractional bound 3/2, floor-formula bound 1 (line
-    placement), and exact chromatic number 2.
-    """
-    t0 = time.perf_counter()
-    K = simplex_complex(5).skeleton(0)
-    w = width(K, 3)
-    kb = kriz_bound(K, 3)
-    fb = bound_floor_formula(5, 3, 1)
-    H = generalized_kneser(K, simplex_complex(5), 3)
-    res = chromatic_number(H)
-    claimed = {"width": 3, "kriz": "3/2", "floor_formula": 1, "chi": 2}
-    computed = {
-        "width": w,
-        "kriz": str(kb),
-        "floor_formula": fb,
-        "chi": res.chi,
-        "vertices": H.n_vertices,
-        "edges": H.n_edges,
-    }
-    return _finish(
-        "kriz-example",
-        {"r": 3, "N": 5},
-        claimed,
-        computed,
-        t0,
-        provenance="fractional width comparison example",
-    )
-
-
-_HEXAGON_CONE = {
-    1: (2, 0),
-    2: (1, 2),
-    3: (-1, 2),
-    4: (-2, 0),
-    5: (-1, -2),
-    6: (1, -2),
-    7: (0, 0),
-}
-
-
-def verify_cyclic_shift(cap: int = 1 << 22) -> ExperimentReport:
-    """Full bound pipeline on the coned six-cycle.
-
-    The six-cycle's minimal nonfaces are its nine chords; coning adds an
-    apex to every facet without changing them. Placing the cone in the
-    plane (hexagon plus center) admits no two disjoint faces with
-    intersecting hulls, so the floor-formula bound 6 - 2 = 4 applies,
-    and it is tight: the exact chromatic number is 4, while the
-    fractional width bound only reaches 2. The least-label greedy
-    coloring is proper with 4 colors, matching the optimum.
-    """
-    t0 = time.perf_counter()
-    six_cycle = SimplicialComplex(6, [(i, i % 6 + 1) for i in range(1, 7)])
-    cone = six_cycle.cone()
-    P = PointConfiguration(2, _HEXAGON_CONE)
-    search = tverberg_search(P, 2, restrict_to=cone, cap=cap)
-    absence = isinstance(search, AbsenceReport)
-    H = generalized_kneser(cone, simplex_complex(6), 2)
-    res = chromatic_number(H)
-    greedy = greedy_least_label(H, 2, 6, 2)
-    kb = kriz_bound(cone, 2)
-    fb = bound_floor_formula(6, 2, 2)
-    claimed = {
-        "absence_verified": True,
-        "floor_formula": 4,
-        "chi": 4,
-        "kriz_ceiling": 2,
-        "greedy_colors": 4,
-        "greedy_proper": True,
-    }
-    computed = {
-        "absence_verified": absence,
-        "floor_formula": fb,
-        "chi": res.chi,
-        "kriz": str(kb),
-        "kriz_ceiling": ceil(kb),
-        "greedy_colors": greedy.colors_used,
-        "greedy_proper": greedy.proper,
-        "vertices": H.n_vertices,
-        "tuples_examined": search.tuples_examined if absence else None,
-    }
-    return _finish(
-        "cyclic-shift",
-        {"cycle_length": 6, "d": 2},
-        claimed,
-        computed,
-        t0,
-        provenance="tight floor formula example",
-    )
-
-
 # -- sphere boundary complexes ------------------------------------------
 
 
 def verify_spherical(
-    K: SimplicialComplex, d: int, sphere: str = "caller-asserted", max_vertices: int = 64
+    K: SimplicialComplex,
+    d: int,
+    sphere: str = "caller-asserted",
+    max_vertices: int = DEFAULT_VERTEX_LIMIT,
 ) -> ExperimentReport:
     """Chromatic number of the disjointness graph of a sphere's missing faces.
 
@@ -595,12 +491,8 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
                         continue
                     intersecting += 1
                     pair = intertwined_pair(P, A, B)
-                    sizes = {len(pair.part1), len(pair.part2)}
-                    if d % 2 == 0:
-                        size_ok = sizes == want and len(pair.part1) + len(pair.part2) == d + 2
-                    else:
-                        size_ok = sizes == want
-                    if size_ok:
+                    # the two sizes in want sum to d + 2; for even d both parts take the one size
+                    if {len(pair.part1), len(pair.part2)} == want:
                         good_sizes += 1
                     if pair.alternating:
                         alternating += 1
@@ -652,8 +544,8 @@ def verify_avg_stable(
     k: int,
     n: int,
     seed: int = 0,
-    max_vertices: int = 64,
-    cap: int = 1 << 22,
+    max_vertices: int = DEFAULT_VERTEX_LIMIT,
+    cap: int = DEFAULT_SEARCH_CAP,
 ) -> ExperimentReport:
     """Ceiling formula for the average-stability Kneser hypergraph.
 
@@ -704,7 +596,7 @@ def verify_avg_stable(
         chi = chromatic_number(H, max_vertices=max_vertices).chi
         computed["chi_source"] = "solver"
     else:
-        greedy = greedy_least_label(H, r, n - 1, d, max_colors=target)
+        greedy = greedy_least_label(H, r, n - 1, max_colors=target)
         computed["greedy_colors"] = greedy.colors_used
         computed["greedy_proper"] = greedy.proper
         upper = greedy.colors_used if greedy.proper else None
@@ -786,8 +678,8 @@ def verify_bound_pipeline(
     placement: PointConfiguration,
     claimed: Optional[dict] = None,
     name: str = "bound-pipeline",
-    max_vertices: int = 64,
-    cap: int = 1 << 22,
+    max_vertices: int = DEFAULT_VERTEX_LIMIT,
+    cap: int = DEFAULT_SEARCH_CAP,
 ) -> ExperimentReport:
     """Absence search plus all three bounds for one complex and placement.
 
@@ -805,7 +697,7 @@ def verify_bound_pipeline(
     N = K.n - 1
     H = generalized_kneser(K, simplex_complex(N), r)
     res = chromatic_number(H, max_vertices=max_vertices)
-    greedy = greedy_least_label(H, r, N, d)
+    greedy = greedy_least_label(H, r, N)
     kb = kriz_bound(K, r)
     fb = bound_floor_formula(N, r, d)
     computed = {
@@ -814,6 +706,7 @@ def verify_bound_pipeline(
         "floor_formula": fb,
         "chi": res.chi,
         "bound_respected": (res.chi >= fb) if absence else None,
+        "width": width(K, r),
         "kriz": str(kb),
         "kriz_ceiling": ceil(kb),
         "greedy_colors": greedy.colors_used,
@@ -836,18 +729,35 @@ def verify_bound_pipeline(
 
 
 def pipeline_instance(name: str) -> tuple[SimplicialComplex, int, int, PointConfiguration, dict]:
-    """Built-in instances for the bound pipeline, by name."""
+    """Built-in instances for the bound pipeline, by name.
+
+    cyclic-shift-cone, the coned six-cycle on hexagon plus center, is the
+    tight floor bound: floor formula, chi and greedy colors are all 4,
+    while the fractional width bound only reaches 2. kriz-line is the
+    width-comparison example: width 3, fractional bound 3/2, floor
+    formula 1, chi 2.
+    """
     if name == "cyclic-shift-cone":
-        six_cycle = SimplicialComplex(6, [(i, i % 6 + 1) for i in range(1, 7)])
-        K = six_cycle.cone()
-        P = PointConfiguration(2, _HEXAGON_CONE)
-        claimed = {"bound_respected": True, "floor_formula": 4, "chi": 4, "kriz_ceiling": 2}
+        K = spherical_instance("hexagon")[0].cone()
+        P = PointConfiguration(
+            2, {1: (2, 0), 2: (1, 2), 3: (-1, 2), 4: (-2, 0), 5: (-1, -2), 6: (1, -2), 7: (0, 0)}
+        )
+        claimed = {
+            "bound_respected": True,
+            "floor_formula": 4,
+            "chi": 4,
+            "kriz_ceiling": 2,
+            "greedy_colors": 4,
+            "greedy_proper": True,
+        }
         return K, 2, 2, P, claimed
     if name == "kriz-line":
         K = simplex_complex(5).skeleton(0)
         P = moment_points([1, 2, 3, 4, 5, 6], 1)
         claimed = {
             "bound_respected": True,
+            "width": 3,
+            "kriz": "3/2",
             "floor_formula": 1,
             "chi": 2,
             "kriz_ceiling": 2,
@@ -865,196 +775,133 @@ def pipeline_instance(name: str) -> tuple[SimplicialComplex, int, int, PointConf
     raise ValueError(f"unknown pipeline instance {name!r}")
 
 
-def verify_pipeline(instance: str, max_vertices: int = 64, cap: int = 1 << 22) -> ExperimentReport:
+def verify_pipeline(
+    instance: str, max_vertices: int = DEFAULT_VERTEX_LIMIT, cap: int = DEFAULT_SEARCH_CAP
+) -> ExperimentReport:
     K, r, d, P, claimed = pipeline_instance(instance)
     return verify_bound_pipeline(
         K, r, d, P, claimed, name=f"pipeline-{instance}", max_vertices=max_vertices, cap=cap
     )
 
 
-# -- batteries and the runner -------------------------------------------
+def verify_kriz_example() -> ExperimentReport:
+    """The width-comparison example, run as the kriz-line pipeline instance."""
+    return verify_pipeline("kriz-line")
 
+
+def verify_cyclic_shift(cap: int = DEFAULT_SEARCH_CAP) -> ExperimentReport:
+    """The tight floor bound, run as the cyclic-shift-cone pipeline instance."""
+    return verify_pipeline("cyclic-shift-cone", cap=cap)
+
+
+# -- the experiment table and the runner ----------------------------------
+
+# Default instances, each a tuple of instance parameters.
 KNESER_INSTANCES = ((2, 5), (2, 6), (2, 7), (3, 7))
-SCHRIJVER_INSTANCES = ((2, 5, True), (2, 6, False), (3, 7, False))
+SCHRIJVER_INSTANCES = ((2, 5, 1), (2, 6, 0), (3, 7, 0))
 GALE_INSTANCES = ((5, 2), (6, 2), (6, 4), (7, 4), (8, 4), (8, 6))
 STABLE_FACE_INSTANCES = ((6, 1), (7, 2), (8, 2), (9, 3))
 TVERBERG_INSTANCES = ((2, 1), (2, 2), (3, 1), (3, 2))
 AVG_STABLE_INSTANCES = ((2, 4, 10), (2, 4, 11), (3, 4, 7))
-PIPELINE_INSTANCES = ("cyclic-shift-cone", "kriz-line", "k5-plane")
-SPHERICAL_INSTANCES = ("hexagon", "cyclic-4-7", "tetrahedron")
+PIPELINE_INSTANCES = (("cyclic-shift-cone",), ("kriz-line",), ("k5-plane",))
+SPHERICAL_INSTANCES = (("hexagon",), ("cyclic-4-7",), ("tetrahedron",))
 
 Task = Callable[[], list[ExperimentReport]]
 
 
-def _as_list(fn: Callable[[], ExperimentReport]) -> Task:
-    return lambda: [fn()]
+class RunOptions(NamedTuple):
+    seed: int
+    cap: int
+    max_vertices: int
+
+
+class Family(NamedTuple):
+    """Default instances, type and allowed counts of instance parameters, runner.
+
+    run(options, *instance) returns the reports of one instance. It looks
+    its verify function up by module-global name when it runs. Instances
+    of str type are names, and the default instances are all of them.
+    """
+
+    instances: tuple[tuple, ...]
+    kind: type
+    counts: tuple[int, ...]
+    run: Callable[..., list[ExperimentReport]]
+
+
+FAMILIES = {
+    "kneser": Family(
+        KNESER_INSTANCES, int, (2,), lambda o, k, n: [verify_kneser(k, n, o.max_vertices)]
+    ),
+    "schrijver": Family(
+        SCHRIJVER_INSTANCES, int, (2, 3),
+        lambda o, k, n, crit=0: [verify_schrijver(k, n, bool(crit), o.max_vertices)],
+    ),
+    "roundtrip": Family(((200,),), int, (1,), lambda o, m: [verify_roundtrip(m, seed=o.seed)]),
+    "dismantle": Family(((100,),), int, (1,), lambda o, m: [verify_dismantle(m, seed=o.seed)]),
+    "constraint": Family(((),), int, (0,), lambda o: verify_constraint(o.max_vertices)),
+    "spherical": Family(
+        SPHERICAL_INSTANCES, str, (1,),
+        lambda o, name: [verify_spherical(*spherical_instance(name), name, o.max_vertices)],
+    ),
+    "gale": Family(GALE_INSTANCES, int, (2,), lambda o, n, d: [verify_gale(n, d)]),
+    "stable-faces": Family(
+        STABLE_FACE_INSTANCES, int, (2,), lambda o, n, d: [verify_stable_faces(n, d)]
+    ),
+    "tverberg-random": Family(
+        TVERBERG_INSTANCES, int, (2,), lambda o, r, d: [verify_tverberg_random(r, d, seed=o.seed)]
+    ),
+    "intertwined": Family(((),), int, (0,), lambda o: verify_intertwined()),
+    "avg-stable": Family(
+        AVG_STABLE_INSTANCES, int, (3,),
+        lambda o, r, k, n: [verify_avg_stable(r, k, n, o.seed, o.max_vertices, o.cap)],
+    ),
+    "nonprimepower": Family(((6, 2),), int, (2,), lambda o, r, k: [verify_nonprimepower(r, k)]),
+    "pipeline": Family(
+        PIPELINE_INSTANCES, str, (1,),
+        lambda o, name: [verify_pipeline(name, o.max_vertices, o.cap)],
+    ),
+}
+
+ALL_EXPERIMENTS = tuple(FAMILIES)
+
+
+def _read_instance(name: str, family: Family, params: Sequence) -> tuple:
+    """Check one instance's parameters against its family; ValueError says what is wrong."""
+    if len(params) not in family.counts:
+        if family.counts == (0,):
+            raise ValueError(f"{name} takes no instance parameters")
+        allowed = " or ".join(map(str, family.counts))
+        raise ValueError(f"{name} takes {allowed} instance parameter(s), got {len(params)}")
+    if family.kind is str and tuple(params) not in family.instances:
+        raise ValueError(f"unknown {name} instance {params[0]!r}")
+    try:
+        return tuple(map(family.kind, params))
+    except ValueError:
+        raise ValueError(f"{name} instance parameters must be integers: {list(params)}") from None
 
 
 def experiment_tasks(
     name: str,
     seed: int = 0,
-    cap: int = 1 << 22,
-    max_vertices: int = 64,
+    cap: int = DEFAULT_SEARCH_CAP,
+    max_vertices: int = DEFAULT_VERTEX_LIMIT,
     params: Optional[Sequence[str]] = None,
 ) -> list[Task]:
     """Zero-argument tasks for one experiment family.
 
     Without params, every default instance of the family is scheduled;
-    with params, the single requested instance. Families that take no
-    instance parameters reject any.
+    with params, the single requested instance. Parameters are checked
+    here, before any task runs.
     """
-    if params:
-        return [_single_task(name, list(params), seed, cap, max_vertices)]
-    if name == "kneser":
-        return [
-            _as_list(lambda k=k, n=n: verify_kneser(k, n, max_vertices))
-            for k, n in KNESER_INSTANCES
-        ]
-    if name == "schrijver":
-        return [
-            _as_list(lambda k=k, n=n, c=c: verify_schrijver(k, n, c, max_vertices))
-            for k, n, c in SCHRIJVER_INSTANCES
-        ]
-    if name == "roundtrip":
-        return [_as_list(lambda: verify_roundtrip(seed=seed))]
-    if name == "dismantle":
-        return [_as_list(lambda: verify_dismantle(seed=seed))]
-    if name == "constraint":
-        return [lambda: verify_constraint(max_vertices)]
-    if name == "kriz-example":
-        return [_as_list(verify_kriz_example)]
-    if name == "cyclic-shift":
-        return [_as_list(lambda: verify_cyclic_shift(cap))]
-    if name == "gale":
-        return [
-            _as_list(lambda n=n, d=d: verify_gale(n, d)) for n, d in GALE_INSTANCES
-        ]
-    if name == "stable-faces":
-        return [
-            _as_list(lambda n=n, d=d: verify_stable_faces(n, d))
-            for n, d in STABLE_FACE_INSTANCES
-        ]
-    if name == "tverberg-random":
-        return [
-            _as_list(lambda r=r, d=d: verify_tverberg_random(r, d, seed=seed))
-            for r, d in TVERBERG_INSTANCES
-        ]
-    if name == "intertwined":
-        return [verify_intertwined]
-    if name == "avg-stable":
-        return [
-            _as_list(
-                lambda r=r, k=k, n=n: verify_avg_stable(
-                    r, k, n, seed=seed, max_vertices=max_vertices, cap=cap
-                )
-            )
-            for r, k, n in AVG_STABLE_INSTANCES
-        ]
-    if name == "nonprimepower":
-        return [_as_list(verify_nonprimepower)]
-    if name == "pipeline":
-        return [
-            _as_list(lambda inst=inst: verify_pipeline(inst, max_vertices, cap))
-            for inst in PIPELINE_INSTANCES
-        ]
-    if name == "spherical":
-        return [
-            _as_list(
-                lambda inst=inst: verify_spherical(*spherical_instance(inst), inst, max_vertices)
-            )
-            for inst in SPHERICAL_INSTANCES
-        ]
-    raise ValueError(f"unknown experiment {name!r}")
+    family = FAMILIES.get(name)
+    if family is None:
+        raise ValueError(f"unknown experiment {name!r}")
+    options = RunOptions(seed, cap, max_vertices)
+    instances = [params] if params else family.instances
+    return [partial(family.run, options, *_read_instance(name, family, p)) for p in instances]
 
 
-def _single_task(
-    name: str, params: list[str], seed: int, cap: int, max_vertices: int
-) -> Task:
-    def ints(n: int) -> list[int]:
-        if len(params) != n:
-            raise ValueError(f"{name} takes {n} instance parameter(s), got {len(params)}")
-        try:
-            return [int(p) for p in params]
-        except ValueError:
-            raise ValueError(f"{name} instance parameters must be integers: {params}")
-
-    if name == "kneser":
-        k, n = ints(2)
-        return _as_list(lambda: verify_kneser(k, n, max_vertices))
-    if name == "schrijver":
-        if len(params) == 3:
-            k, n, crit = ints(3)
-        else:
-            (k, n), crit = ints(2), 0
-        return _as_list(lambda: verify_schrijver(k, n, bool(crit), max_vertices))
-    if name == "roundtrip":
-        (count,) = ints(1)
-        return _as_list(lambda: verify_roundtrip(count, seed=seed))
-    if name == "dismantle":
-        (count,) = ints(1)
-        return _as_list(lambda: verify_dismantle(count, seed=seed))
-    if name == "gale":
-        n, d = ints(2)
-        return _as_list(lambda: verify_gale(n, d))
-    if name == "stable-faces":
-        n, d = ints(2)
-        return _as_list(lambda: verify_stable_faces(n, d))
-    if name == "tverberg-random":
-        r, d = ints(2)
-        return _as_list(lambda: verify_tverberg_random(r, d, seed=seed))
-    if name == "avg-stable":
-        r, k, n = ints(3)
-        return _as_list(
-            lambda: verify_avg_stable(r, k, n, seed=seed, max_vertices=max_vertices, cap=cap)
-        )
-    if name == "nonprimepower":
-        r, k = ints(2)
-        return _as_list(lambda: verify_nonprimepower(r, k))
-    if name == "pipeline":
-        if len(params) != 1:
-            raise ValueError("pipeline takes one instance name")
-        inst = params[0]
-        pipeline_instance(inst)
-        return _as_list(lambda: verify_pipeline(inst, max_vertices, cap))
-    if name == "spherical":
-        if len(params) != 1:
-            raise ValueError("spherical takes one instance name")
-        inst = params[0]
-        spherical_instance(inst)
-        return _as_list(lambda: verify_spherical(*spherical_instance(inst), inst, max_vertices))
-    if name in ("constraint", "kriz-example", "cyclic-shift", "intertwined"):
-        raise ValueError(f"{name} takes no instance parameters")
-    raise ValueError(f"unknown experiment {name!r}")
-
-
-ALL_EXPERIMENTS = (
-    "kneser",
-    "schrijver",
-    "roundtrip",
-    "dismantle",
-    "constraint",
-    "kriz-example",
-    "cyclic-shift",
-    "spherical",
-    "gale",
-    "stable-faces",
-    "tverberg-random",
-    "intertwined",
-    "avg-stable",
-    "nonprimepower",
-    "pipeline",
-)
-
-
-def run_tasks(tasks: Sequence[Task], jobs: int = 1) -> list[ExperimentReport]:
-    """Run experiment tasks, possibly concurrently, in deterministic order.
-
-    Results are flattened in task-submission order regardless of the
-    worker count, so the report stream is identical for any jobs value.
-    """
-    if jobs <= 1:
-        chunks = [task() for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda task: task(), tasks))
-    return [rep for chunk in chunks for rep in chunk]
+def run_tasks(tasks: Iterable[Task]) -> list[ExperimentReport]:
+    """Run experiment tasks one after another, reports flattened in task order."""
+    return [rep for task in tasks for rep in task()]

@@ -112,7 +112,10 @@ def _disjoint_tuples(masks: Sequence[int], r: int) -> tuple[tuple[int, ...], ...
                 rec(i + 1, union | masks[i])
                 chosen.pop()
 
-    rec(0, 0)
+    try:
+        rec(0, 0)
+    finally:
+        del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
     return tuple(out)
 
 
@@ -265,5 +268,8 @@ def width(K: SimplicialComplex, r: int) -> int:
             if masks[i] & union == 0:
                 rec(i + 1, parts_left - 1, union | masks[i], total + sizes[i])
 
-    rec(0, r, 0, 0)
+    try:
+        rec(0, r, 0, 0)
+    finally:
+        del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
     return K.n - best

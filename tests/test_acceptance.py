@@ -5,10 +5,12 @@ PASS/FAIL line with the measured wall time, and enforces the stated
 budget. All comparisons are exact; there are no tolerances anywhere.
 """
 
+import json
 import time
 
 import pytest
 
+from kneser_tverberg.cli import main
 from kneser_tverberg.experiments import (
     AVG_STABLE_INSTANCES,
     GALE_INSTANCES,
@@ -16,8 +18,6 @@ from kneser_tverberg.experiments import (
     SCHRIJVER_INSTANCES,
     STABLE_FACE_INSTANCES,
     TVERBERG_INSTANCES,
-    experiment_tasks,
-    run_tasks,
     verify_avg_stable,
     verify_constraint,
     verify_cyclic_shift,
@@ -193,17 +193,18 @@ def test_criterion_13_nonprimepower_edgeless():
     _conclude(13, ok, rep.runtime_s, 5, "chi=1 below formula=2, zero hyperedges")
 
 
-def test_criterion_14_determinism_across_workers():
+def test_criterion_14_determinism_across_workers(capsys):
     t0 = time.perf_counter()
     streams = []
-    for jobs in (1, 8):
-        tasks = (
-            experiment_tasks("kneser")
-            + experiment_tasks("tverberg-random")
-            + experiment_tasks("avg-stable")
-        )
-        reports = run_tasks(tasks, jobs=jobs)
-        streams.append([rep.to_json_dict(include_runtime=False) for rep in reports])
+    for jobs in ("1", "8"):
+        stream = []
+        for family in ("kneser", "tverberg-random", "avg-stable"):
+            assert main(["verify", family, "--jobs", jobs]) == 0
+            for line in capsys.readouterr().out.splitlines():
+                rep = json.loads(line)
+                del rep["runtime_s"]
+                stream.append(rep)
+        streams.append(stream)
     elapsed = time.perf_counter() - t0
     ok = streams[0] == streams[1] and len(streams[0]) == len(
         KNESER_INSTANCES + TVERBERG_INSTANCES + AVG_STABLE_INSTANCES

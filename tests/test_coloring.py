@@ -21,6 +21,7 @@ from kneser_tverberg.hypergraphs import (
     intersection_hypergraph,
     kneser_hypergraph,
     s_stable_subsets,
+    width,
 )
 from kneser_tverberg.simplicial import SimplicialComplex, complex_from_forbidden, simplex_complex
 
@@ -239,3 +240,30 @@ def test_coloring_json_roundtrip():
     d = res.to_json_dict()
     assert d["chi"] == 3
     assert set(d["coloring"]["assignment"]) == {str(v) for v in range(10)}
+
+
+def test_searches_leave_no_reference_cycles():
+    """The nested DFS helpers of coloring and hypergraphs must not keep their working sets alive.
+
+    Twin of the geometry test: a nested function that calls itself forms a
+    function <-> cell cycle, which holds everything it closes over until a
+    full gc pass.
+    """
+    import gc
+
+    K, L = simplex_complex(4).skeleton(0), simplex_complex(4)
+    gc.collect()
+    gc.disable()
+    try:
+        chromatic_number(kneser_hypergraph(2, 2, 5))
+        assert gc.collect() == 0
+        width(simplex_complex(5).skeleton(0), 3)
+        assert gc.collect() == 0
+        kneser_hypergraph(3, 2, 7)
+        assert gc.collect() == 0
+        chromatic_number(kneser_hypergraph(3, 2, 6))  # arity 3: the uniform searches
+        assert gc.collect() == 0
+        verify_constraint_property(K, L, 2, chromatic_number(generalized_kneser(K, L, 2)).coloring)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -4,6 +4,7 @@ import pytest
 
 from kneser_tverberg.experiments import (
     ALL_EXPERIMENTS,
+    FAMILIES,
     ExperimentReport,
     experiment_tasks,
     run_tasks,
@@ -170,6 +171,30 @@ def test_run_tasks_order_is_worker_independent():
         + experiment_tasks("stable-faces", params=["7", "2"])
         + experiment_tasks("nonprimepower", params=["6", "2"])
     )
-    solo = [r.to_json_dict(include_runtime=False) for r in run_tasks(tasks, jobs=1)]
-    pooled = [r.to_json_dict(include_runtime=False) for r in run_tasks(tasks, jobs=4)]
-    assert solo == pooled
+    reports = run_tasks(tasks)
+    assert [r.name for r in reports] == [
+        "kneser-2-5",
+        "gale-6-2",
+        "stable-faces-7-2",
+        "nonprimepower-6-2",
+    ]
+    one_by_one = [r for task in tasks for r in task()]
+    assert [r.to_json_dict(include_runtime=False) for r in reports] == [
+        r.to_json_dict(include_runtime=False) for r in one_by_one
+    ]
+
+
+def test_every_default_instance_is_addressable():
+    """Each default instance, given as strings, schedules exactly one task.
+
+    Covers the name-typed families (spherical, pipeline), schrijver's
+    optional third parameter and the parameterless families (constraint,
+    intertwined). Nothing is run.
+    """
+    assert ALL_EXPERIMENTS == tuple(FAMILIES)
+    assert "kriz-example" not in ALL_EXPERIMENTS and "cyclic-shift" not in ALL_EXPERIMENTS
+    for name, family in FAMILIES.items():
+        assert len(experiment_tasks(name)) == len(family.instances), name
+        for inst in family.instances:
+            tasks = experiment_tasks(name, params=[str(x) for x in inst])
+            assert len(tasks) == 1, (name, inst)
