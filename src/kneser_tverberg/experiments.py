@@ -32,7 +32,6 @@ from .coloring import (
     bound_floor_formula,
     chromatic_number,
     greedy_least_label,
-    kriz_bound,
     verify_constraint_property,
 )
 from .geometry import (
@@ -698,7 +697,8 @@ def verify_bound_pipeline(
     H = generalized_kneser(K, simplex_complex(N), r)
     res = chromatic_number(H, max_vertices=max_vertices)
     greedy = greedy_least_label(H, r, N)
-    kb = kriz_bound(K, r)
+    w = width(K, r)
+    kb = Fraction(w, r - 1)
     fb = bound_floor_formula(N, r, d)
     computed = {
         "absence_verified": absence,
@@ -706,7 +706,7 @@ def verify_bound_pipeline(
         "floor_formula": fb,
         "chi": res.chi,
         "bound_respected": (res.chi >= fb) if absence else None,
-        "width": width(K, r),
+        "width": w,
         "kriz": str(kb),
         "kriz_ceiling": ceil(kb),
         "greedy_colors": greedy.colors_used,

@@ -8,12 +8,13 @@ over the stated face tuples found none.
 
 Contents: moment-curve configurations, cyclic polytope facets by the
 evenness rule (with a brute-force half-space oracle to check them
-against), convex hull intersection by phase-1 simplex, the partition
-search with its verified-absence report, minimal intertwined pairs on
-the moment curve, the strong general position test (one small integer
-elimination per tuple of subsets, in homogeneous coordinates: stacked
-annihilators of the lifted points, with a pivot in the last column
-meaning empty hulls), and the seeded placement routine for
+against), convex hull intersection by phase-1 simplex on the
+barycentric system scaled to integers by one common denominator, the
+partition search with its verified-absence report, minimal intertwined
+pairs on the moment curve, the strong general position test (one small
+integer elimination per tuple of subsets, in homogeneous coordinates:
+stacked annihilators of the lifted points, with a pivot in the last
+column meaning empty hulls), and the seeded placement routine for
 average-stability instances.
 """
 
@@ -116,11 +117,11 @@ def moment_points(params: Sequence[Fraction | int | str], d: int) -> PointConfig
 
 
 def _on_moment_curve(P: PointConfiguration) -> bool:
-    for lab in P.labels:
-        c = P.point(lab)
+    for c in P._coords:
         t = c[0]
-        if any(c[j] != t ** (j + 1) for j in range(1, P.d)):
-            return False
+        for j in range(1, P.d):
+            if c[j] != c[j - 1] * t:
+                return False
     return True
 
 
@@ -208,18 +209,27 @@ class ConvexWitness:
 def conv_intersect(parts: Sequence[Sequence[Sequence]]) -> Optional[ConvexWitness]:
     """A point in the intersection of the convex hulls, or None.
 
-    Exact phase-1 simplex on the combined barycentric system. A cheap
-    per-coordinate check runs first: the bounding intervals of the parts
-    must overlap in every coordinate for an intersection to exist.
+    Exact phase-1 simplex on the combined barycentric system. All
+    coordinates are scaled by one common multiple L of their
+    denominators, so the system is built in integers: coordinate rows
+    L*p with right-hand side 0 and one barycentric row of L's per part
+    with right-hand side L, which is L times the rational system and
+    takes the same pivots. A cheap per-coordinate check runs first: the
+    bounding intervals of the parts must overlap in every coordinate for
+    an intersection to exist.
     """
     if len(parts) < 2:
         raise ValueError("need at least two parts")
-    pts: list[list[Point]] = []
+    pts: list[list[Sequence[Fraction | int]]] = []
     d = None
     for part in parts:
         if not part:
             raise ValueError("empty part")
-        cur = [tuple(Fraction(x) for x in p) for p in part]
+        cur = [
+            p if all(type(x) is Fraction or type(x) is int for x in p)
+            else tuple(Fraction(x) for x in p)
+            for p in part
+        ]
         if d is None:
             d = len(cur[0])
         if any(len(p) != d for p in cur):
@@ -227,36 +237,42 @@ def conv_intersect(parts: Sequence[Sequence[Sequence]]) -> Optional[ConvexWitnes
         pts.append(cur)
     assert d is not None
 
+    # A list, not a generator: a generator's argument tuple is grown by
+    # reallocation, and that left the heap fragmented, peak memory
+    # creeping up call after call.
+    scale = lcm(*[x.denominator for part in pts for p in part for x in p])
+    ipts = [
+        [[x.numerator * (scale // x.denominator) for x in p] for p in part] for part in pts
+    ]
     for j in range(d):
-        lo = max(min(p[j] for p in part) for part in pts)
-        hi = min(max(p[j] for p in part) for part in pts)
+        lo = max(min(p[j] for p in part) for part in ipts)
+        hi = min(max(p[j] for p in part) for part in ipts)
         if lo > hi:
             return None
 
-    sizes = [len(part) for part in pts]
+    sizes = [len(part) for part in ipts]
     nvar = sum(sizes)
-    offs = [0] * len(pts)
-    for i in range(1, len(pts)):
+    offs = [0] * len(ipts)
+    for i in range(1, len(ipts)):
         offs[i] = offs[i - 1] + sizes[i - 1]
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    zero = Fraction(0)
-    for i in range(1, len(pts)):
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for i in range(1, len(ipts)):
         for j in range(d):
-            row = [zero] * nvar
-            for p_idx, p in enumerate(pts[0]):
+            row = [0] * nvar
+            for p_idx, p in enumerate(ipts[0]):
                 row[offs[0] + p_idx] = p[j]
-            for p_idx, p in enumerate(pts[i]):
+            for p_idx, p in enumerate(ipts[i]):
                 row[offs[i] + p_idx] = -p[j]
             rows.append(row)
-            rhs.append(zero)
-    for i in range(len(pts)):
-        row = [zero] * nvar
+            rhs.append(0)
+    for i in range(len(ipts)):
+        row = [0] * nvar
         for p_idx in range(sizes[i]):
-            row[offs[i] + p_idx] = Fraction(1)
+            row[offs[i] + p_idx] = scale
         rows.append(row)
-        rhs.append(Fraction(1))
+        rhs.append(scale)
 
     x = feasible_nonneg(rows, rhs)
     if x is None:
@@ -265,7 +281,7 @@ def conv_intersect(parts: Sequence[Sequence[Sequence]]) -> Optional[ConvexWitnes
         tuple(x[offs[i] + p_idx] for p_idx in range(sizes[i])) for i in range(len(pts))
     )
     point = tuple(
-        sum((w * p[j] for w, p in zip(weights[0], pts[0])), zero) for j in range(d)
+        sum((w * p[j] for w, p in zip(weights[0], pts[0])), Fraction(0)) for j in range(d)
     )
     return ConvexWitness(point, weights)
 
@@ -611,7 +627,10 @@ def separating_polynomial(
 
     def value(lab: int) -> Fraction:
         t = P.point(lab)[0]
-        return sum((c * t**i for i, c in enumerate(coeffs)), Fraction(0))
+        v = Fraction(0)
+        for c in reversed(coeffs):
+            v = v * t + c
+        return v
 
     # The product of (t - root) factors is positive beyond its largest
     # root, so the last block sits on the positive side; flip if that

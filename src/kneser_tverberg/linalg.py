@@ -4,9 +4,10 @@ Everything here works on fractions.Fraction (or int) entries and returns
 exact results. The matrices that show up in this package are small and
 dense, typically fewer than fifteen rows, so the implementations favor
 clarity and exactness over asymptotics: one fraction-free elimination
-on integers behind ranks, pivot columns and integer null spaces,
-Fraction Gaussian elimination for determinants, and a phase-1 simplex
-with Bland's rule for nonnegative feasibility.
+on integers behind ranks, pivot columns, integer null spaces and
+determinants, and a phase-1 simplex with Bland's rule for nonnegative
+feasibility, pivoting on an integer tableau. Denominators are cleared
+before either loop runs; Fractions appear only in what is returned.
 """
 
 from __future__ import annotations
@@ -19,51 +20,55 @@ Number = Fraction | int
 Row = Sequence[Number]
 
 
-def _integer_rows(rows: Sequence[Row]) -> list[list[int]]:
+def _integer_rows(rows: Sequence[Row]) -> tuple[list[list[int]], int]:
     """Fresh integer copies of the rows, denominators cleared row by row.
 
     Scaling a row by a positive integer changes neither the rank, the
     pivot columns, the null space nor the sign pattern questions we ask
     downstream. Rows that are already integers are copied as they are.
+    Also returns the product of the row multipliers, by which the
+    determinant of a square matrix grows.
     """
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
     out: list[list[int]] = []
+    scale = 1
     for row in rows:
         if all(type(x) is int for x in row):
             out.append(list(row))
             continue
         fracs = [Fraction(x) for x in row]
-        mult = 1
-        for f in fracs:
-            mult = lcm(mult, f.denominator)
+        mult = lcm(*[f.denominator for f in fracs])
+        scale *= mult
         out.append([f.numerator * (mult // f.denominator) for f in fracs])
-    return out
+    return out, scale
 
 
-def _echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form, eliminating column by column.
+def _echelon(mat: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free row echelon form of an integer matrix, in place.
 
-    Returns the integer matrix and its pivot columns in order.
-    Row i < len(pivots) has its leading entry in column pivots[i]; the
-    rows below the pivot rows are zero. Denominators are cleared per row,
-    after which a Bareiss elimination (Bareiss 1968) runs on plain Python
-    integers. Every division is exact by the Sylvester determinant
-    identity; a nonzero remainder raises rather than silently flooring.
+    Eliminates column by column and returns the pivot columns in order
+    and the sign of the row permutation the pivoting applied. Afterwards
+    row i < len(pivots) has its leading entry in column pivots[i]; the
+    rows below the pivot rows are zero. This is Bareiss's elimination
+    (Bareiss 1968) on plain Python integers: every division is exact by
+    the Sylvester determinant identity, and the last pivot of a square
+    matrix of full rank is its determinant up to that sign. A nonzero
+    remainder raises rather than silently flooring.
     """
-    if not rows:
-        return [], []
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged matrix")
-    mat = _integer_rows(rows)
     m = len(mat)
+    width = len(mat[0]) if m else 0
     pivots: list[int] = []
+    sign = 1
     prev = 1
     for c in range(width):
         r = len(pivots)
         piv = next((i for i in range(r, m) if mat[i][c]), -1)
         if piv < 0:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
+            sign = -sign
         lead = mat[r]
         p = lead[c]
         for i in range(r + 1, m):
@@ -78,12 +83,12 @@ def _echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
         pivots.append(c)
         if r + 1 == m:
             break
-    return mat, pivots
+    return pivots, sign
 
 
 def rank(rows: Sequence[Row]) -> int:
     """Rank of a matrix given as a sequence of equal-length rows."""
-    return len(_echelon(rows)[1])
+    return len(_echelon(_integer_rows(rows)[0])[0])
 
 
 def pivot_columns(rows: Sequence[Row]) -> list[int]:
@@ -93,7 +98,7 @@ def pivot_columns(rows: Sequence[Row]) -> list[int]:
     rank(rows) of them. A pivot in the last column says that the last
     unit vector lies in the row space.
     """
-    return _echelon(rows)[1]
+    return _echelon(_integer_rows(rows)[0])[0]
 
 
 def nullspace(rows: Sequence[Row]) -> list[list[int]]:
@@ -106,7 +111,8 @@ def nullspace(rows: Sequence[Row]) -> list[list[int]]:
     """
     if not rows:
         raise ValueError("a null space needs at least one row to fix its width")
-    mat, pivots = _echelon(rows)
+    mat, _ = _integer_rows(rows)
+    pivots, _ = _echelon(mat)
     width = len(rows[0])
     pivot_set = set(pivots)
     basis: list[list[int]] = []
@@ -134,33 +140,33 @@ def nullspace(rows: Sequence[Row]) -> list[list[int]]:
 
 
 def det(rows: Sequence[Row]) -> Fraction:
-    """Determinant of a square matrix, exact."""
+    """Determinant of a square matrix, exact.
+
+    Clears denominators row by row, runs the fraction-free elimination
+    and divides its signed last pivot by the product of the row
+    multipliers.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return Fraction(1)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if mat[i][c]), -1)
-        if piv < 0:
-            return Fraction(0)
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            sign = -sign
-        pivot = mat[c][c]
-        result *= pivot
-        for i in range(c + 1, n):
-            f = mat[i][c] / pivot
-            if not f:
-                continue
-            row_i = mat[i]
-            row_c = mat[c]
-            for j in range(c, n):
-                row_i[j] -= f * row_c[j]
-    return result * sign
+    mat, scale = _integer_rows(rows)
+    pivots, sign = _echelon(mat)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * mat[-1][-1], scale)
+
+
+def _pivot_row(row: list[int], prow: list[int], p: int, f: int, div: int) -> list[int]:
+    """(p * row - f * prow) / div, entry by entry; every division must be exact."""
+    out = []
+    for a, b in zip(row, prow):
+        q, rem = divmod(p * a - f * b, div)
+        if rem:
+            raise ArithmeticError("integer pivoting produced a non-integer")
+        out.append(q)
+    return out
 
 
 def feasible_nonneg(rows: Sequence[Row], rhs: Sequence[Number]) -> Optional[list[Fraction]]:
@@ -172,6 +178,21 @@ def feasible_nonneg(rows: Sequence[Row], rhs: Sequence[Number]) -> Optional[list
     tolerance. The artificial variables are allowed to re-enter the
     basis, so the method stops exactly when the artificial objective is
     minimal; the system is feasible iff that minimum is zero.
+
+    The tableau is kept in integers (Edmonds' integer pivoting). The
+    whole system is scaled by one common multiple L of its denominators,
+    which scales every phase-1 reduced cost of a structural column and
+    the objective by L and leaves the artificial ones as they are, so
+    Bland's choices do not move; a row-by-row scaling would change the
+    column sums and with them the entering choice. The integer tableau
+    is D times the rational one, D being the determinant of the current
+    basis, positive because every pivot is. A pivot on p updates every
+    other row, the reduced costs and the objective to
+    (p * entry - entry_in_pivot_column * pivot_row_entry) / D, which
+    divides exactly, and sets D to p; the pivot row stays as it is.
+    Signs and ratio orders are those of the rational tableau, so every
+    pivot step is the same, and x is read out as the basic values
+    over D.
     """
     m = len(rows)
     if len(rhs) != m:
@@ -184,74 +205,69 @@ def feasible_nonneg(rows: Sequence[Row], rhs: Sequence[Number]) -> Optional[list
     if n == 0:
         return [] if all(Fraction(b) == 0 for b in rhs) else None
 
-    # Tableau columns: n structural, m artificial, then the rhs.
-    tab: list[list[Fraction]] = []
-    for i in range(m):
-        b = Fraction(rhs[i])
-        row = [Fraction(x) for x in rows[i]]
-        if b < 0:
-            b = -b
-            row = [-x for x in row]
-        row.extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
-        row.append(b)
-        tab.append(row)
-    basis = list(range(n, n + m))
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    if not all(type(x) is int for row in aug for x in row):
+        fracs = [[Fraction(x) for x in row] for row in aug]
+        common = lcm(*[x.denominator for row in fracs for x in row])
+        aug = [[x.numerator * (common // x.denominator) for x in row] for row in fracs]
 
+    # Tableau columns: n structural, m artificial, then the rhs.
     total = n + m
+    tab: list[list[int]] = []
+    for i, row in enumerate(aug):
+        if row[n] < 0:
+            row = [-x for x in row]
+        t = row[:n] + [0] * m + [row[n]]
+        t[n + i] = 1
+        tab.append(t)
+    basis = list(range(n, total))
+
     # Objective: minimize the sum of artificials. Reduced cost of column j
     # is (column sum) - cost_j, so structural columns start at their column
-    # sums and the basic artificial columns start at 1 - 1 = 0.
-    z = [sum(tab[i][j] for i in range(m)) for j in range(n)] + [Fraction(0)] * m
-    zval = sum(tab[i][total] for i in range(m))
+    # sums and the basic artificial columns start at 1 - 1 = 0. The last
+    # entry is the objective value, the sum of the rhs. Basic columns keep
+    # a reduced cost of exactly zero, so only nonbasic ones can enter.
+    z = [sum(t[j] for t in tab) for j in range(n)] + [0] * m + [sum(t[total] for t in tab)]
+    D = 1
 
     while True:
-        enter = -1
-        for j in range(total):
-            if z[j] > 0 and j not in basis:
-                enter = j
-                break
+        enter = next((j for j in range(total) if z[j] > 0), -1)
         if enter < 0:
             break
+        # Ratio test by cross-multiplication, ties to the smaller basic index.
         leave = -1
-        best: Fraction | None = None
         for i in range(m):
             coef = tab[i][enter]
             if coef > 0:
-                ratio = tab[i][total] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs = tab[i][total] * tab[leave][enter]
+                rhs_best = tab[leave][total] * coef
+                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             # The artificial objective is bounded below by zero, so an
             # unbounded column cannot occur; guard anyway.
             raise ArithmeticError("phase-1 objective unbounded")
-        piv = tab[leave][enter]
         prow = tab[leave]
-        for j in range(total + 1):
-            prow[j] /= piv
+        p = prow[enter]
         for i in range(m):
-            if i == leave:
-                continue
             f = tab[i][enter]
-            if not f:
-                continue
-            row_i = tab[i]
-            for j in range(total + 1):
-                row_i[j] -= f * prow[j]
-        f = z[enter]
-        for j in range(total):
-            z[j] -= f * prow[j]
-        zval -= f * prow[total]
+            if i != leave and (f or p != D):
+                tab[i] = _pivot_row(tab[i], prow, p, f, D)
+        z = _pivot_row(z, prow, p, z[enter], D)
+        D = p
         basis[leave] = enter
 
-    if zval != 0:
+    if z[total] != 0:
         return None
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tab[i][total]
+            x[var] = Fraction(tab[i][total], D)
         elif tab[i][total] != 0:
             # Degenerate artificial stuck in the basis at a nonzero level
-            # cannot happen when zval == 0.
+            # cannot happen when the objective is zero.
             raise ArithmeticError("inconsistent basis state")
     return x

@@ -20,6 +20,7 @@ from kneser_tverberg.experiments import (
     verify_tverberg_random,
 )
 from kneser_tverberg.geometry import DEFAULT_SGP_ATTEMPTS, PointConfiguration
+from kneser_tverberg.hypergraphs import width
 
 
 def test_report_json_shape():
@@ -129,6 +130,26 @@ def test_random_sgp_resampling_is_bounded(monkeypatch):
 def test_pipeline_instances_match():
     for inst in ("kriz-line", "k5-plane"):
         rep = verify_pipeline(inst)
+        assert rep.verdict == "match", inst
+
+
+def test_pipeline_runs_the_width_search_once(monkeypatch):
+    """kriz and kriz_ceiling come from the reported width, not a second search."""
+    from kneser_tverberg import coloring, experiments
+
+    calls = []
+
+    def counting_width(K, r):
+        calls.append(r)
+        return width(K, r)
+
+    # coloring.kriz_bound looks width up in coloring
+    monkeypatch.setattr(experiments, "width", counting_width)
+    monkeypatch.setattr(coloring, "width", counting_width)
+    for (inst,) in experiments.PIPELINE_INSTANCES:
+        before = len(calls)
+        rep = verify_pipeline(inst)
+        assert len(calls) == before + 1, inst
         assert rep.verdict == "match", inst
 
 

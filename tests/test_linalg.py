@@ -119,6 +119,29 @@ def test_det_multiplicative():
         assert det(AB) == det(A) * det(B)
 
 
+def test_det_matches_laplace_expansion():
+    """Sparse rational matrices, so the elimination must swap rows."""
+
+    def laplace(A):
+        if not A:
+            return Fraction(1)
+        return sum(
+            (-1) ** j * A[0][j] * laplace([row[:j] + row[j + 1:] for row in A[1:]])
+            for j in range(len(A))
+            if A[0][j]
+        )
+
+    rng = random.Random(7)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        A = [
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.4 else 0
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        assert det(A) == laplace(A)
+
+
 def test_feasible_simple_system():
     # x + y = 1, x - y = 0 has the nonnegative solution (1/2, 1/2)
     sol = feasible_nonneg([[1, 1], [1, -1]], [1, 0])
