@@ -24,7 +24,6 @@ from .coloring import (
     bound_floor_formula,
     chromatic_number,
     greedy_least_label,
-    kriz_bound,
 )
 from .experiments import ALL_EXPERIMENTS, experiment_tasks, run_tasks
 from .geometry import (
@@ -224,11 +223,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     K = _complex_from_args(args)
     r = args.parts
     N = K.n - 1
-    kb = kriz_bound(K, r)
+    w = width(K, r)
+    kb = Fraction(w, r - 1)
     out: dict = {
         "ground": K.n,
         "r": r,
-        "width": width(K, r),
+        "width": w,
         "kriz": kb,
         "kriz_ceiling": -(-kb.numerator // kb.denominator),
     }

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .hypergraphs import Hypergraph, generalized_kneser, width
-from .simplicial import SimplicialComplex, Simplex, _mask, _unmask
+from .simplicial import SimplicialComplex, Simplex, _disjoint_tuples, _mask, _unmask
 
 DEFAULT_VERTEX_LIMIT = 64
 
@@ -432,9 +432,10 @@ def verify_constraint_property(
     pairwise disjoint faces of L have color sets with empty common
     intersection. Returns (True, None) or (False, (faces, shared color)).
 
-    Exhaustive over all r-tuples of disjoint nonempty faces of L, with
-    the running intersection pruning dead branches, so only usable at
-    small ground sets; that is the regime this package targets.
+    Walks the r-tuples of pairwise disjoint faces of L with nonempty
+    color sets in lexicographic order and stops at the first whose color
+    sets share a color. Exhaustive when the property holds, so only
+    usable at small ground sets; that is the regime this package targets.
     """
     H = generalized_kneser(K, L, r)
     ok, witness = is_proper(H, coloring)
@@ -453,33 +454,12 @@ def verify_constraint_property(
             acc |= colorset[fm & ~bit]
         colorset[fm] = acc
 
-    nonempty = [(fm, colorset[fm]) for fm in face_list if fm and colorset[fm]]
-    chosen: list[int] = []
-
-    def rec(start: int, union: int, common: int) -> Optional[tuple[tuple[int, ...], int]]:
-        if len(chosen) == r:
-            return tuple(chosen), common
-        need = r - len(chosen)
-        for i in range(start, len(nonempty) - need + 1):
-            fm, bits = nonempty[i]
-            if fm & union:
-                continue
-            nxt = common & bits if chosen else bits
-            if not nxt:
-                continue
-            chosen.append(fm)
-            hit = rec(i + 1, union | fm, nxt)
-            if hit:
-                return hit
-            chosen.pop()
-        return None
-
-    try:
-        bad = rec(0, 0, 0)
-    finally:
-        del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
-    if bad is None:
-        return True, None
-    masks, common = bad
-    color = (common & -common).bit_length()
-    return False, (tuple(_unmask(m) for m in masks), color)
+    nonempty = [fm for fm in face_list if fm and colorset[fm]]
+    for t in _disjoint_tuples(nonempty, [0] * len(nonempty), r, 0):
+        common = colorset[nonempty[t[0]]]
+        for i in t[1:]:
+            common &= colorset[nonempty[i]]
+        if common:
+            color = (common & -common).bit_length()
+            return False, (tuple(_unmask(nonempty[i]) for i in t), color)
+    return True, None

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import det, feasible_nonneg, nullspace, pivot_columns
 from .linalg import rank  # noqa: F401  re-exported: perfbench wraps geometry.rank
-from .simplicial import SimplicialComplex, Simplex, complex_from_forbidden
+from .simplicial import SimplicialComplex, Simplex, _disjoint_tuples, complex_from_forbidden
 
 Point = tuple[Fraction, ...]
 
@@ -38,10 +38,11 @@ class PointConfiguration:
     """Finitely many labeled points in Q^d.
 
     Labels are distinct positive integers; points are stored sorted by
-    label. Instances are immutable by convention.
+    label. Instances are immutable by convention, which is what lets
+    moment-curve membership be decided once and kept.
     """
 
-    __slots__ = ("d", "labels", "_coords", "_index")
+    __slots__ = ("d", "labels", "_coords", "_index", "_on_curve")
 
     def __init__(self, d: int, points: Mapping[int, Sequence] | Iterable[tuple[int, Sequence]]):
         if d < 1:
@@ -62,6 +63,7 @@ class PointConfiguration:
         self.labels = tuple(labels)
         self._coords = tuple(coords)
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self._on_curve: Optional[bool] = None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -117,12 +119,9 @@ def moment_points(params: Sequence[Fraction | int | str], d: int) -> PointConfig
 
 
 def _on_moment_curve(P: PointConfiguration) -> bool:
-    for c in P._coords:
-        t = c[0]
-        for j in range(1, P.d):
-            if c[j] != c[j - 1] * t:
-                return False
-    return True
+    if P._on_curve is None:
+        P._on_curve = all(c[j] == c[j - 1] * c[0] for c in P._coords for j in range(1, P.d))
+    return P._on_curve
 
 
 # -- cyclic polytopes ------------------------------------------------
@@ -418,6 +417,9 @@ def tverberg_search(
     labels = P.labels
     pos = {lab: i for i, lab in enumerate(labels)}
 
+    # Faces come in (size, lex) order either way: faces() sorts that way,
+    # and combinations of the sorted labels are lex within each size. The
+    # tuple walk needs sizes that never decrease along the list.
     if restrict_to is not None:
         if set(labels) != set(range(1, restrict_to.n + 1)):
             raise ValueError("complex vertices must match the point labels 1..n")
@@ -427,7 +429,6 @@ def tverberg_search(
             frozenset(c) for size in range(1, min(d + 1, len(labels)) + 1)
             for c in combinations(labels, size)
         ]
-    face_sets.sort(key=lambda f: (len(f), tuple(sorted(f))))
     masks = [sum(1 << pos[lab] for lab in f) for f in face_sets]
     sizes = [len(f) for f in face_sets]
     nf = len(face_sets)
@@ -445,47 +446,26 @@ def tverberg_search(
         # total codimension sum((d+1) - size_i) must stay at most d
         threshold = max(threshold, (r - 1) * (d + 1) + 1)
 
-    admitted: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-    max_size = max(sizes) if sizes else 0
-
-    def rec(start: int, union: int, total: int):
-        if len(chosen) == r:
-            admitted.append(tuple(chosen))
-            return
-        need = r - len(chosen)
-        if total + need * max_size < threshold:
-            return
-        for i in range(start, nf - need + 1):
-            if masks[i] & union == 0:
-                chosen.append(i)
-                rec(i + 1, union | masks[i], total + sizes[i])
-                chosen.pop()
-
-    try:
-        rec(0, 0, 0)
-    finally:
-        del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
-    admitted = [t for t in admitted if sum(sizes[i] for i in t) >= threshold]
-    admitted.sort(key=lambda t: (sum(sizes[i] for i in t), t))
-
+    face_points = [P.subset(f) for f in face_sets]
+    max_size = sizes[-1] if sizes else 0
     examined = 0
-    for t in admitted:
-        examined += 1
-        part_sets = [face_sets[i] for i in t]
-        witness = conv_intersect([P.subset(f) for f in part_sets])
-        if witness is None:
-            continue
-        order = sorted(range(r), key=lambda i: tuple(sorted(part_sets[i])))
-        parts = tuple(part_sets[i] for i in order)
-        weights = tuple(
-            tuple(zip(sorted(part_sets[i]), witness.weights[i]))
-            for i in order
-        )
-        cert = TverbergCertificate(parts, witness.point, weights)
-        if not cert.verify(P):
-            raise ArithmeticError("internal certificate failed its own verification")
-        return cert
+    for total in range(threshold, r * max_size + 1):
+        for t in _disjoint_tuples(masks, sizes, r, total):
+            examined += 1
+            witness = conv_intersect([face_points[i] for i in t])
+            if witness is None:
+                continue
+            part_sets = [face_sets[i] for i in t]
+            order = sorted(range(r), key=lambda i: tuple(sorted(part_sets[i])))
+            parts = tuple(part_sets[i] for i in order)
+            weights = tuple(
+                tuple(zip(sorted(part_sets[i]), witness.weights[i]))
+                for i in order
+            )
+            cert = TverbergCertificate(parts, witness.point, weights)
+            if not cert.verify(P):
+                raise ArithmeticError("internal certificate failed its own verification")
+            return cert
     return AbsenceReport(
         r, nf, examined, threshold, restrict_to is not None, moment_pruning
     )
@@ -549,8 +529,6 @@ def intertwined_pair(
         raise ValueError(f"labels {sorted(missing)} not in the configuration")
     if not _on_moment_curve(P):
         raise ValueError("configuration must lie on the moment curve")
-    if conv_intersect([P.subset(A), P.subset(B)]) is None:
-        raise ValueError("hulls do not intersect")
 
     d = P.d
     blocks = _blocks_by_side(P, A, B)
@@ -558,9 +536,12 @@ def intertwined_pair(
         picks = [blk[0] for blk in blocks[: d + 2]]
         Y1 = frozenset(lab for lab in picks if lab in A)
         Y2 = frozenset(lab for lab in picks if lab in B)
+        # a witness for Y1 in A and Y2 in B already shows that A and B meet
         witness = conv_intersect([P.subset(Y1), P.subset(Y2)])
         if witness is not None:
             return IntertwinedPair(Y1, Y2, _is_alternating(P, Y1, Y2), witness)
+    if conv_intersect([P.subset(A), P.subset(B)]) is None:
+        raise ValueError("hulls do not intersect")
 
     # Greedy descent, deterministic: repeatedly drop the least label
     # whose removal keeps the hulls intersecting.
@@ -701,12 +682,12 @@ def strong_general_position_report(
     labels = P.labels
     pos = {lab: i for i, lab in enumerate(labels)}
 
+    # (size, lex) order, as combinations of the sorted labels come out
     subsets: list[frozenset[int]] = [
         frozenset(c)
         for size in range(1, min(d + 1, len(labels)) + 1)
         for c in combinations(labels, size)
     ]
-    subsets.sort(key=lambda f: (len(f), tuple(sorted(f))))
     smasks = [sum(1 << pos[lab] for lab in f) for f in subsets]
     annihilators = [nullspace([ipts[lab] + (1,) for lab in sorted(f)]) for f in subsets]
     scodims = [len(rows) for rows in annihilators]

@@ -18,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .simplicial import SimplicialComplex, Simplex, _face_key, _mask, _unmask, simplex_complex
+from .simplicial import (
+    SimplicialComplex, Simplex, _disjoint_tuples, _face_key, _mask, _unmask, simplex_complex
+)
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class Hypergraph:
         """Build the disjointness hypergraph of a family of sets."""
         verts = sorted({frozenset(s) for s in sets}, key=_face_key)
         masks = [_mask(v) for v in verts]
-        return cls(r, tuple(verts), _disjoint_tuples(masks, r))
+        return cls(r, tuple(verts), tuple(_disjoint_tuples(masks, [0] * len(masks), r, 0)))
 
     @property
     def n_vertices(self) -> int:
@@ -94,29 +96,6 @@ class Hypergraph:
             tuple(frozenset(map(int, rec["set"])) for rec in raw),
             tuple(tuple(map(int, e)) for e in data["edges"]),
         )
-
-
-def _disjoint_tuples(masks: Sequence[int], r: int) -> tuple[tuple[int, ...], ...]:
-    out: list[tuple[int, ...]] = []
-    m = len(masks)
-    chosen: list[int] = []
-
-    def rec(start: int, union: int):
-        if len(chosen) == r:
-            out.append(tuple(chosen))
-            return
-        need = r - len(chosen)
-        for i in range(start, m - need + 1):
-            if masks[i] & union == 0:
-                chosen.append(i)
-                rec(i + 1, union | masks[i])
-                chosen.pop()
-
-    try:
-        rec(0, 0)
-    finally:
-        del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
-    return tuple(out)
 
 
 def generalized_kneser(K: SimplicialComplex, L: SimplicialComplex, r: int) -> Hypergraph:

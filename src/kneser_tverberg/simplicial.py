@@ -14,7 +14,7 @@ minimal nonfaces walks subsets of 1..n and refuses to run for n above
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Simplex = frozenset[int]
 
@@ -41,6 +41,44 @@ def _unmask(m: int) -> Simplex:
 
 def _face_key(s: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(s))
+
+
+def _disjoint_tuples(
+    masks: Sequence[int],
+    weights: Sequence[int],
+    r: int,
+    total: int,
+    start: int = 0,
+    union: int = 0,
+    prefix: tuple[int, ...] = (),
+) -> Iterator[tuple[int, ...]]:
+    """Index tuples i_1 < ... < i_r of pairwise disjoint masks whose weights sum to total.
+
+    Yielded lazily in lexicographic order, so memory stays O(r) and a
+    caller that stops early pays for nothing more. The weights must
+    never decrease along the list: then a face too heavy for the parts
+    still to pick ends its level, and a prefix that cannot reach the
+    total even with the heaviest faces is skipped. The last three
+    arguments carry the walk's state down the recursion.
+    """
+    if not masks or r * weights[-1] < total:
+        return
+    if r == 1:
+        for i in range(start, len(masks)):
+            w = weights[i]
+            if w > total:
+                break
+            if w == total and not masks[i] & union:
+                yield prefix + (i,)
+        return
+    for i in range(start, len(masks) - r + 1):
+        w = weights[i]
+        if w * r > total:
+            break
+        if not masks[i] & union:
+            yield from _disjoint_tuples(
+                masks, weights, r - 1, total - w, i + 1, union | masks[i], prefix + (i,)
+            )
 
 
 class SimplicialComplex:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +10,17 @@ from kneser_tverberg.cli import main
 from kneser_tverberg.experiments import ExperimentReport
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "kneser_tverberg", *argv],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -78,6 +86,25 @@ def test_bounds_subcommand(capsys):
     assert data["kriz"] == "3/2"
     assert data["kriz_ceiling"] == 2
     assert data["floor_formula"] == 1
+
+
+def test_bounds_runs_the_width_search_once(monkeypatch, capsys):
+    """kriz and kriz_ceiling come from the reported width, not a second search."""
+    from kneser_tverberg import cli, coloring
+    from kneser_tverberg.hypergraphs import width
+
+    calls = []
+
+    def counting_width(K, r):
+        calls.append(r)
+        return width(K, r)
+
+    monkeypatch.setattr(cli, "width", counting_width)
+    monkeypatch.setattr(coloring, "width", counting_width)
+    code = main(["bounds", "--simplex", "5", "--skeleton", "0", "-r", "3"])
+    assert code == 0 and calls == [3]
+    data = json.loads(capsys.readouterr().out)
+    assert (data["width"], data["kriz"], data["kriz_ceiling"]) == (3, "3/2", 2)
 
 
 def test_bounds_greedy_flag(capsys):

@@ -1,0 +1,207 @@
+"""The streamed walk over pairwise disjoint face tuples, against the enumeration it replaced.
+
+The oracle is the code `tverberg_search` ran before the walk: a DFS that
+materializes every disjoint r-tuple, filters by the total-size threshold
+and sorts by (total, tuple). The walk must yield the same sequence.
+"""
+
+import gc
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from kneser_tverberg import geometry
+from kneser_tverberg.coloring import chromatic_number, verify_constraint_property
+from kneser_tverberg.geometry import (
+    AbsenceReport,
+    PointConfiguration,
+    TverbergCertificate,
+    conv_intersect,
+    moment_points,
+    tverberg_search,
+)
+from kneser_tverberg.hypergraphs import generalized_kneser, kneser_hypergraph
+from kneser_tverberg.simplicial import SimplicialComplex, _disjoint_tuples, simplex_complex
+
+
+def admitted_oracle(masks, sizes, r, threshold):
+    """The admitted-tuple enumeration of the old tverberg_search, annotations dropped."""
+    nf = len(masks)
+    admitted = []
+    chosen = []
+    max_size = max(sizes) if sizes else 0
+
+    def rec(start, union, total):
+        if len(chosen) == r:
+            admitted.append(tuple(chosen))
+            return
+        need = r - len(chosen)
+        if total + need * max_size < threshold:
+            return
+        for i in range(start, nf - need + 1):
+            if masks[i] & union == 0:
+                chosen.append(i)
+                rec(i + 1, union | masks[i], total + sizes[i])
+                chosen.pop()
+
+    try:
+        rec(0, 0, 0)
+    finally:
+        del rec
+    admitted = [t for t in admitted if sum(sizes[i] for i in t) >= threshold]
+    admitted.sort(key=lambda t: (sum(sizes[i] for i in t), t))
+    return admitted
+
+
+def walk(masks, sizes, r, threshold):
+    top = r * sizes[-1] if sizes else 0
+    return [t for total in range(threshold, top + 1) for t in _disjoint_tuples(masks, sizes, r, total)]
+
+
+def random_lists(rng):
+    """Random masks with random nondecreasing weights, unrelated to the masks."""
+    m = rng.randint(0, 14)
+    bits = rng.randint(2, 9)
+    masks = [rng.randrange(1, 1 << bits) for _ in range(m)]
+    sizes = sorted(rng.randint(1, 4) for _ in range(m))
+    return masks, sizes
+
+
+def face_lists(rng):
+    """Face masks of a random complex in (size, lex) order, weighted by size."""
+    n = rng.randint(2, 8)
+    facets = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 5))]
+    K = SimplicialComplex(n, facets)
+    masks = [fm for fm in K.face_masks(max_size=rng.randint(1, 4)) if fm]
+    return masks, [fm.bit_count() for fm in masks]
+
+
+@pytest.mark.parametrize("make", [random_lists, face_lists], ids=["random", "faces"])
+def test_walk_matches_the_sorted_enumeration(make):
+    rng = random.Random(2024)
+    for _ in range(250):
+        masks, sizes = make(rng)
+        r = rng.randint(2, 4)
+        d = rng.randint(1, 3)
+        # no pruning, moment pruning's (r-1)(d+1)+1, and a threshold beyond reach
+        for threshold in (r, (r - 1) * (d + 1) + 1, r * 4 + 1):
+            assert walk(masks, sizes, r, threshold) == admitted_oracle(masks, sizes, r, threshold)
+
+
+def test_zero_weights_give_every_disjoint_tuple_in_lex_order():
+    rng = random.Random(7)
+    for _ in range(200):
+        m = rng.randint(0, 12)
+        masks = [rng.randrange(0, 1 << rng.randint(1, 8)) for _ in range(m)]
+        for r in (1, 2, 3, 4):
+            want = [
+                t for t in combinations(range(m), r)
+                if all(masks[a] & masks[b] == 0 for a, b in combinations(t, 2))
+            ]
+            assert list(_disjoint_tuples(masks, [0] * m, r, 0)) == want
+
+
+def oracle_search(P, r, restrict_to=None, moment_pruning=False):
+    """(LPs solved, {part: {label: weight}}, point) in the old search order; None, None on absence."""
+    d = P.d
+    pos = {lab: i for i, lab in enumerate(P.labels)}
+    if restrict_to is not None:
+        face_sets = [f for f in restrict_to.faces(max_size=d + 1) if f]
+    else:
+        face_sets = [
+            frozenset(c) for size in range(1, min(d + 1, len(P.labels)) + 1)
+            for c in combinations(P.labels, size)
+        ]
+    face_sets.sort(key=lambda f: (len(f), tuple(sorted(f))))
+    masks = [sum(1 << pos[lab] for lab in f) for f in face_sets]
+    sizes = [len(f) for f in face_sets]
+    threshold = max(r, (r - 1) * (d + 1) + 1) if moment_pruning else r
+    admitted = admitted_oracle(masks, sizes, r, threshold)
+    for examined, t in enumerate(admitted, 1):
+        w = conv_intersect([P.subset(face_sets[i]) for i in t])
+        if w is not None:
+            parts = {face_sets[i]: dict(zip(sorted(face_sets[i]), wi)) for i, wi in zip(t, w.weights)}
+            return examined, parts, w.point
+    return len(admitted), None, None
+
+
+def fixtures():
+    """The configurations the geometry tests search, plus seeded random ones."""
+    hexagon = PointConfiguration(
+        2, {1: (2, 0), 2: (1, 2), 3: (-1, 2), 4: (-2, 0), 5: (-1, -2), 6: (1, -2), 7: (0, 0)}
+    )
+    cone = SimplicialComplex(6, [(i, i % 6 + 1) for i in range(1, 7)]).cone()
+    out = [
+        (moment_points([1, 2, 3, 4, 5], 1), 3, None, False),
+        (PointConfiguration(2, {1: (0, 0), 2: (1, 0), 3: (1, 1), 4: (0, 1)}), 2, None, False),
+        (PointConfiguration(2, {1: (0, 0), 2: (1, 0), 3: (0, 1)}), 2, None, False),
+        (hexagon, 2, cone, False),
+        (hexagon, 2, None, False),
+        (moment_points(range(1, 8), 2), 3, None, False),
+        (moment_points([1, 2, 3, 4], 1), 2, None, False),
+        (moment_points(range(1, 7), 4), 2, None, False),
+        (moment_points(range(1, 8), 2), 3, None, True),
+        (moment_points(range(1, 6), 3), 2, None, True),
+        # an absence whose sweep reaches the top total, r faces of d+1 points
+        (moment_points([1, 2, 3, 4], 1), 2, SimplicialComplex(4, [(1, 2), (3, 4)]), False),
+    ]
+    rng = random.Random(11)
+    for _ in range(30):
+        d = rng.randint(1, 3)
+        r = rng.randint(2, 3)
+        n = rng.randint(r, (r - 1) * (d + 1) + 2)
+        pts = {
+            i: tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d))
+            for i in range(1, n + 1)
+        }
+        out.append((PointConfiguration(d, pts), r, None, rng.random() < 0.3))
+    return out
+
+
+def test_search_matches_the_old_order_on_every_fixture(monkeypatch):
+    calls = []
+
+    def counting(parts):
+        calls.append(len(parts))
+        return conv_intersect(parts)
+
+    monkeypatch.setattr(geometry, "conv_intersect", counting)
+    seen = {"certificate": 0, "absence": 0}
+    for P, r, restrict, pruning in fixtures():
+        calls.clear()
+        out = tverberg_search(P, r, restrict, moment_pruning=pruning)
+        examined, parts, point = oracle_search(P, r, restrict, pruning)
+        assert len(calls) == examined
+        if isinstance(out, AbsenceReport):
+            seen["absence"] += 1
+            assert parts is None and out.tuples_examined == examined
+        else:
+            seen["certificate"] += 1
+            assert isinstance(out, TverbergCertificate) and out.verify(P)
+            assert out.point == point
+            assert {p: dict(w) for p, w in zip(out.parts, out.weights)} == parts
+    assert seen["certificate"] >= 10 and seen["absence"] >= 3
+
+
+def test_walk_and_its_callers_leave_no_reference_cycles():
+    """The walk is a plain generator; nothing it or its callers run forms a cycle."""
+    K, L = simplex_complex(4).skeleton(0), simplex_complex(4)
+    coloring = chromatic_number(generalized_kneser(K, L, 2)).coloring
+    P = moment_points(range(1, 7), 4)
+    gc.collect()
+    gc.disable()
+    try:
+        tverberg_search(P, 2)
+        assert gc.collect() == 0
+        kneser_hypergraph(3, 2, 7)
+        assert gc.collect() == 0
+        verify_constraint_property(K, L, 2, coloring)
+        assert gc.collect() == 0
+        walker = _disjoint_tuples([1, 2, 4, 8], [0] * 4, 2, 0)
+        next(walker)
+        del walker  # abandoned mid-walk
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -245,6 +245,34 @@ def test_intertwined_pair_requires_intersection():
         intertwined_pair(P, frozenset({1, 2}), frozenset({2, 3}))
 
 
+def test_intertwined_pair_solves_one_lp_on_an_alternating_pair(monkeypatch):
+    """The fast-path witness already proves that the hulls meet; no full-pair LP."""
+    from kneser_tverberg import geometry
+
+    calls = []
+
+    def counting(parts):
+        calls.append(parts)
+        return conv_intersect(parts)
+
+    monkeypatch.setattr(geometry, "conv_intersect", counting)
+    P = moment_points(range(1, 7), 2)
+    pair = intertwined_pair(P, frozenset({1, 3}), frozenset({2, 4}))
+    assert pair.alternating and len(calls) == 1
+
+
+def test_moment_curve_checks_reject_off_curve_points():
+    P = PointConfiguration(2, {1: (1, 1), 2: (2, 4), 3: (3, 9), 4: (4, 15)})
+    for _ in range(2):  # the answer is kept per configuration, and must stay a refusal
+        with pytest.raises(ValueError, match="moment curve"):
+            intertwined_pair(P, frozenset({1, 3}), frozenset({2, 4}))
+        with pytest.raises(ValueError, match="moment curve"):
+            separating_polynomial(P, frozenset({1, 2}), frozenset({3, 4}))
+    on = moment_points([1, 2, 3, 4], 2)
+    assert separating_polynomial(on, frozenset({1, 2}), frozenset({3, 4})) is not None
+    assert separating_polynomial(on, frozenset({1, 2}), frozenset({3, 4})) is not None
+
+
 def test_separating_polynomial_returns_verified_certificate():
     P = moment_points(range(1, 7), 3)
     # two interleavings too short to force an intersection
