@@ -8,7 +8,9 @@ default so runs can be diffed and piped; a table renderer covers
 interactive use.
 
 Exit status: 0 when everything computed and every verdict matched,
-1 when any verdict mismatched, 2 for usage errors and refused sizes.
+1 when any verdict mismatched, 2 for usage errors and refused sizes,
+3 for internal errors (an exact computation that contradicts itself,
+such as a certificate failing its own check, or a recursion overflow).
 """
 
 from __future__ import annotations
@@ -397,6 +399,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # usage errors and refused sizes (SearchSpaceError included)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, RecursionError) as exc:  # never a verdict or a usage error
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 
 A coloring assigns one of k colors to every vertex; it is proper when no
 hyperedge is monochromatic. The exact chromatic number is found by
-resolving feasibility for increasing k with a saturation-guided
-backtracking search, and the returned witness coloring is the
-lexicographically least proper one (vertex by vertex in id order), which
+resolving feasibility for increasing k with one of two backtracking
+kernels: a saturation-guided (DSATUR) search for graphs, and a
+static-order search over color-class bitmasks for arity three and up.
+The static-order kernel also finds every witness: run in vertex id
+order, it returns the lexicographically least proper coloring, which
 makes results reproducible across runs and platforms.
 
 The greedy least-label bound, the floor-formula bound, the fractional
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .hypergraphs import Hypergraph, generalized_kneser, width
-from .simplicial import SimplicialComplex, Simplex, _disjoint_tuples, _mask, _unmask
+from .simplicial import SimplicialComplex, Simplex, _mask, _unmask
 
 DEFAULT_VERTEX_LIMIT = 64
 
@@ -162,18 +164,38 @@ def _feasible_graph(adj: list[int], degrees: list[int], k: int, budget: _Budget)
         del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
 
 
-def _feasible_uniform(H: Hypergraph, k: int, budget: _Budget) -> Optional[list[int]]:
-    """Backtracking k-colorability for arity three and up.
+def _first_coloring(H: Hypergraph, k: int, order: Sequence[int], budget: _Budget) -> Optional[list[int]]:
+    """First proper k-coloring met by a depth-first search in a static vertex order.
 
-    Static vertex order by descending degree; a color is rejected when it
-    completes a monochromatic edge among already-colored vertices.
+    Vertices are colored in `order`, trying colors in ascending order, at
+    most one beyond those already in use. Each edge is attached once, to
+    its vertex that comes last in `order`, as the mask of its other
+    vertices (for graphs these fold into one neighbor mask per vertex).
+    cls[c] is the mask of the vertices holding color c, and c is refused
+    at v when an attached rest lies inside it, that is, when v would
+    complete a monochromatic edge. An edge with an uncolored vertex cannot
+    be monochromatic yet, so this refuses exactly what checking every
+    incident edge refuses. Under the identity order the result is the
+    lexicographically least proper k-coloring: that coloring introduces
+    its colors in increasing order, so the one-beyond rule never skips it.
     """
     n = H.n_vertices
-    incident: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for e in H.edges:
-        for v in e:
-            incident[v].append(tuple(u for u in e if u != v))
-    order = sorted(range(n), key=lambda v: (-len(incident[v]), v))
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    near = [0] * n
+    far: list[list[int]] = [[] for _ in range(n)]
+    if H.r == 2:
+        for a, b in H.edges:
+            if rank[a] < rank[b]:
+                near[b] |= 1 << a
+            else:
+                near[a] |= 1 << b
+    else:
+        for e in H.edges:
+            top = max(e, key=rank.__getitem__)
+            far[top].append(sum(1 << u for u in e if u != top))
+    cls = [0] * (k + 1)
     colors = [0] * n
 
     def rec(pos: int, used: int) -> bool:
@@ -181,82 +203,22 @@ def _feasible_uniform(H: Hypergraph, k: int, budget: _Budget) -> Optional[list[i
         if pos == n:
             return True
         v = order[pos]
+        nv, fv, bit = near[v], far[v], 1 << v
         for c in range(1, min(used + 1, k) + 1):
-            if any(all(colors[u] == c for u in rest) for rest in incident[v]):
+            cc = cls[c]
+            if nv & cc or any(rest & cc == rest for rest in fv):
                 continue
             colors[v] = c
+            cls[c] = cc | bit
             if rec(pos + 1, max(used, c)):
                 return True
-            colors[v] = 0
+            cls[c] = cc
         return False
 
     try:
         return colors if rec(0, 0) else None
     finally:
         del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
-
-
-def _lex_least_coloring(H: Hypergraph, k: int) -> list[int]:
-    """First proper k-coloring in lexicographic order of the color vector.
-
-    Colors ascend and may exceed the used count by at most one, which is
-    harmless: the lexicographically least proper coloring introduces
-    colors in increasing order anyway.
-    """
-    n = H.n_vertices
-    colors = [0] * n
-    if H.r == 2:
-        adj = _adjacency_masks(H)
-
-        def rec2(v: int, used: int) -> bool:
-            if v == n:
-                return True
-            forbidden = 0
-            nb = adj[v]
-            while nb:
-                bit = nb & -nb
-                nb -= bit
-                u = bit.bit_length() - 1
-                if u < v:
-                    forbidden |= 1 << (colors[u] - 1)
-            for c in range(1, min(used + 1, k) + 1):
-                if forbidden >> (c - 1) & 1:
-                    continue
-                colors[v] = c
-                if rec2(v + 1, max(used, c)):
-                    return True
-            colors[v] = 0
-            return False
-
-        try:
-            found = rec2(0, 0)
-        finally:
-            del rec2  # rec2 refers to itself; break the cycle
-    else:
-        incident: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-        for e in H.edges:
-            top = max(e)
-            incident[top].append(tuple(u for u in e if u != top))
-
-        def rec(v: int, used: int) -> bool:
-            if v == n:
-                return True
-            for c in range(1, min(used + 1, k) + 1):
-                if any(all(colors[u] == c for u in rest) for rest in incident[v]):
-                    continue
-                colors[v] = c
-                if rec(v + 1, max(used, c)):
-                    return True
-            colors[v] = 0
-            return False
-
-        try:
-            found = rec(0, 0)
-        finally:
-            del rec  # rec refers to itself; break the cycle
-    if not found:
-        raise ArithmeticError("witness search failed at the established chromatic number")
-    return colors
 
 
 def chromatic_number(H: Hypergraph, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> ChromaticResult:
@@ -279,10 +241,13 @@ def chromatic_number(H: Hypergraph, max_vertices: int = DEFAULT_VERTEX_LIMIT) ->
     if H.r == 2:
         adj = _adjacency_masks(H)
         degrees = [a.bit_count() for a in adj]
-        order = sorted(range(n), key=lambda v: (-degrees[v], v))
-        lower = max(2, _greedy_clique_size(adj, order))
     else:
-        lower = 2
+        degrees = [0] * n
+        for e in H.edges:
+            for v in e:
+                degrees[v] += 1
+    order = sorted(range(n), key=lambda v: (-degrees[v], v))
+    lower = max(2, _greedy_clique_size(adj, order)) if H.r == 2 else 2
 
     total_nodes = 0
     refuted_k = None
@@ -292,10 +257,12 @@ def chromatic_number(H: Hypergraph, max_vertices: int = DEFAULT_VERTEX_LIMIT) ->
         if H.r == 2:
             found = _feasible_graph(adj, degrees, k, budget)
         else:
-            found = _feasible_uniform(H, k, budget)
+            found = _first_coloring(H, k, order, budget)
         total_nodes += budget.nodes
         if found is not None:
-            witness = _lex_least_coloring(H, k)
+            witness = _first_coloring(H, k, range(n), _Budget())
+            if witness is None:
+                raise ArithmeticError("witness search failed at the established chromatic number")
             return ChromaticResult(k, Coloring(k, tuple(witness)), total_nodes, refuted_k, refutation_nodes)
         refuted_k = k
         refutation_nodes = budget.nodes
@@ -430,36 +397,20 @@ def verify_constraint_property(
     subfaces of sigma that lie outside K; equivalently, the colors of the
     minimal outside faces contained in sigma. The property: any r
     pairwise disjoint faces of L have color sets with empty common
-    intersection. Returns (True, None) or (False, (faces, shared color)).
+    intersection. Returns (True, None); raises ValueError when the
+    coloring is not proper for the disjointness hypergraph of the
+    minimal outside faces.
 
-    Walks the r-tuples of pairwise disjoint faces of L with nonempty
-    color sets in lexicographic order and stops at the first whose color
-    sets share a color. Exhaustive when the property holds, so only
-    usable at small ground sets; that is the regime this package targets.
+    Propriety is all there is to check. Suppose r pairwise disjoint
+    faces of L share a color c. Each contains a minimal outside face of
+    color c, nonempty because the empty simplex is a face of K. Those r
+    minimal faces are pairwise disjoint, so they form a hyperedge, and it
+    is monochromatic, which a proper coloring rules out. The return type
+    keeps room for a violating (faces, shared color) pair, which can
+    therefore never occur.
     """
     H = generalized_kneser(K, L, r)
     ok, witness = is_proper(H, coloring)
     if not ok:
         raise ValueError(f"input coloring is improper, monochromatic edge {witness}")
-    vertex_bit = {_mask(v): 1 << (coloring.colors[i] - 1) for i, v in enumerate(H.vertices)}
-
-    face_list = L.face_masks()
-    colorset: dict[int, int] = {}
-    for fm in face_list:
-        acc = vertex_bit.get(fm, 0)
-        rest = fm
-        while rest:
-            bit = rest & -rest
-            rest -= bit
-            acc |= colorset[fm & ~bit]
-        colorset[fm] = acc
-
-    nonempty = [fm for fm in face_list if fm and colorset[fm]]
-    for t in _disjoint_tuples(nonempty, [0] * len(nonempty), r, 0):
-        common = colorset[nonempty[t[0]]]
-        for i in t[1:]:
-            common &= colorset[nonempty[i]]
-        if common:
-            color = (common & -common).bit_length()
-            return False, (tuple(_unmask(nonempty[i]) for i in t), color)
     return True, None

@@ -196,6 +196,27 @@ def test_verify_mismatch_exit_one(monkeypatch, capsys):
     assert data["verdict"] == "mismatch"
 
 
+@pytest.mark.parametrize(
+    "exc",
+    [
+        ArithmeticError("witness search failed at the established chromatic number"),
+        RecursionError("maximum recursion depth exceeded"),
+    ],
+    ids=["arithmetic", "recursion"],
+)
+def test_internal_error_exit_three(monkeypatch, capsys, exc):
+    """An internal failure gets its own code, never a verdict (1) or a usage error (2)."""
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("kneser_tverberg.cli.chromatic_number", broken)
+    assert main(["chi", "--subsets", "2", "--ground", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal error: {type(exc).__name__}: {exc}")
+
+
 def test_verify_mismatch_table_shows_diff(monkeypatch, capsys):
     stub = ExperimentReport(
         "kneser-stub", {}, {"chi": 99}, {"chi": 3}, "mismatch", 0.0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -83,36 +84,31 @@ def test_three_uniform_chi():
     assert chromatic_number(H).chi == 2
 
 
+def brute_force_lex_least(H, k):
+    """The first k-coloring in lexicographic order that is_proper accepts."""
+    for colors in product(range(1, k + 1), repeat=H.n_vertices):
+        if is_proper(H, Coloring(k, colors))[0]:
+            return colors
+    return None
+
+
 def test_witness_is_lex_least():
-    """The reported coloring is the lexicographically least proper one."""
-    H = kneser_hypergraph(2, 2, 5)
-    res = chromatic_number(H)
-    k = res.chi
-    n = H.n_vertices
-    adj = [[] for _ in range(n)]
-    for a, b in H.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    best = None
-
-    def rec(v, colors):
-        nonlocal best
-        if best is not None:
-            return
-        if v == n:
-            best = list(colors)
-            return
-        for c in range(1, k + 1):
-            if all(colors[u] != c for u in adj[v] if u < v):
-                colors.append(c)
-                rec(v + 1, colors)
-                colors.pop()
-                if best is not None:
-                    return
-
-    rec(0, [])
-    assert [res.coloring.colors[v] for v in range(n)] == best
+    """The reported coloring is the lexicographically least proper one, at arity 2 and 3."""
+    rng = random.Random(0)
+    random_3_uniform = Hypergraph(
+        3,
+        tuple(frozenset({i}) for i in range(1, 10)),
+        tuple(sorted(rng.sample(list(combinations(range(9), 3)), 40))),
+    )
+    cases = [
+        (kneser_hypergraph(2, 2, 5), 3),  # Petersen graph
+        (kneser_hypergraph(3, 2, 7), 2),
+        (random_3_uniform, 3),
+    ]
+    for H, chi in cases:
+        res = chromatic_number(H)
+        assert res.chi == chi
+        assert res.coloring.colors == brute_force_lex_least(H, chi)
 
 
 def test_deterministic_across_runs():
@@ -261,7 +257,7 @@ def test_searches_leave_no_reference_cycles():
         assert gc.collect() == 0
         kneser_hypergraph(3, 2, 7)
         assert gc.collect() == 0
-        chromatic_number(kneser_hypergraph(3, 2, 6))  # arity 3: the uniform searches
+        chromatic_number(kneser_hypergraph(3, 2, 6))  # arity 3: the static-order kernel
         assert gc.collect() == 0
         verify_constraint_property(K, L, 2, chromatic_number(generalized_kneser(K, L, 2)).coloring)
         assert gc.collect() == 0
