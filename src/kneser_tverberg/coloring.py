@@ -9,6 +9,12 @@ The static-order kernel also finds every witness: run in vertex id
 order, it returns the lexicographically least proper coloring, which
 makes results reproducible across runs and platforms.
 
+A certified lower bound from the main theorem lets the solver skip the
+exhaustive refutation below chi: place a complex in R^d so that no r
+pairwise disjoint faces have meeting hulls, and the disjointness
+hypergraph of its minimal nonfaces needs at least floor(N/(r-1)) - d
+colors, where N + 1 is the number of labels.
+
 The greedy least-label bound, the floor-formula bound, the fractional
 width bound, and the machinery for pushing a coloring of the minimal
 nonfaces up to all faces live here as well.
@@ -20,8 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .geometry import (
+    DEFAULT_SEARCH_CAP,
+    AbsenceReport,
+    PointConfiguration,
+    TverbergCertificate,
+    tverberg_search,
+)
 from .hypergraphs import Hypergraph, generalized_kneser, width
-from .simplicial import SimplicialComplex, Simplex, _mask, _unmask
+from .simplicial import SimplicialComplex, Simplex, _mask, _unmask, simplex_complex
 
 DEFAULT_VERTEX_LIMIT = 64
 
@@ -66,18 +79,87 @@ def is_proper(H: Hypergraph, coloring: Coloring) -> tuple[bool, Optional[tuple[i
 
 
 @dataclass(frozen=True)
+class LowerBound:
+    """A chromatic lower bound certified by an absence sweep.
+
+    No r pairwise disjoint faces of `complex` have meeting hulls in
+    `placement` (the sweep in `absence` checked every tuple), so the
+    disjointness hypergraph of the complex's minimal nonfaces, r-wise,
+    needs at least `bound` = floor(N/(r-1)) - d colors, with N + 1 the
+    number of labels and d the placement's dimension.
+    """
+
+    complex: SimplicialComplex
+    placement: PointConfiguration
+    r: int
+    bound: int
+    absence: AbsenceReport
+
+    def to_json_dict(self) -> dict:
+        return {
+            "bound": self.bound,
+            "r": self.r,
+            "complex": self.complex.to_json_dict(),
+            "placement": self.placement.to_json_dict(),
+            "absence": self.absence.to_json_dict(),
+        }
+
+
+def certified_lower_bound(
+    K: SimplicialComplex,
+    P: PointConfiguration,
+    r: int,
+    *,
+    cap: int = DEFAULT_SEARCH_CAP,
+    moment_pruning: bool = False,
+) -> LowerBound | TverbergCertificate:
+    """The main theorem's chromatic lower bound for K placed at P, or why it fails.
+
+    Runs the partition search over the faces of K. On absence, returns
+    the floor-formula bound for the disjointness hypergraph of K's
+    minimal nonfaces; when some r disjoint faces do meet, returns that
+    certificate instead, and the placement proves nothing. moment_pruning
+    is passed to the search, and the caller owns its justification
+    (see tverberg_search).
+
+    For Kneser graphs KG(n, k), the (k-2)-skeleton of the simplex on n
+    labels at moment-curve points in R^(2k-3) gives (n-1) - (2k-3) =
+    n - 2k + 2, which is chi. Schrijver graphs are out of reach this
+    way: their complex is the boundary of the cyclic polytope
+    C(n, 2k-2), which sits in R^(2k-2), so the formula gives n - 2k + 1,
+    one short. The argument that closes the gap is an equivariant map,
+    not an affine placement.
+    """
+    search = tverberg_search(P, r, restrict_to=K, cap=cap, moment_pruning=moment_pruning)
+    if isinstance(search, TverbergCertificate):
+        return search
+    return LowerBound(K, P, r, bound_floor_formula(K.n - 1, r, P.d), search)
+
+
+@dataclass(frozen=True)
 class ChromaticResult:
+    """chi with its witness coloring and what rules out chi - 1.
+
+    refuted_k and refutation_nodes describe the exhaustive search that
+    failed at chi - 1, when one ran; lower_bound is the certified bound
+    the search started from, when one was given. When that bound equals
+    chi, no refutation runs and it is the whole lower half of the proof.
+    """
+
     chi: int
     coloring: Coloring
     search_nodes: int
     refuted_k: Optional[int]
     refutation_nodes: Optional[int]
+    lower_bound: Optional[LowerBound] = None
 
     def to_json_dict(self) -> dict:
         out = {"chi": self.chi, "search_nodes": self.search_nodes}
         out["coloring"] = self.coloring.to_json_dict()
         if self.refuted_k is not None:
             out["refutation"] = {"k": self.refuted_k, "nodes": self.refutation_nodes}
+        if self.lower_bound is not None:
+            out["lower_bound"] = self.lower_bound.to_json_dict()
         return out
 
 
@@ -221,22 +303,32 @@ def _first_coloring(H: Hypergraph, k: int, order: Sequence[int], budget: _Budget
         del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
 
 
-def chromatic_number(H: Hypergraph, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> ChromaticResult:
+def chromatic_number(
+    H: Hypergraph, max_vertices: int = DEFAULT_VERTEX_LIMIT, lower: Optional[LowerBound] = None
+) -> ChromaticResult:
     """Exact weak chromatic number with a certificate.
 
     Feasibility is decided for k = lower bound, lower bound + 1, ... in
     turn; the first feasible k is returned together with the node count
     of the failed search at k - 1 (when one was run), so the result
-    carries both halves of the proof. Refuses hypergraphs with more than
+    carries both halves of the proof. The lower bound is a greedy clique
+    size for graphs and 2 otherwise, raised to lower.bound when a
+    certified bound is given; that bound must be for H itself, the
+    disjointness hypergraph of its complex's minimal nonfaces, or
+    ValueError is raised. Refuses hypergraphs with more than
     max_vertices vertices.
     """
     n = H.n_vertices
     if n > max_vertices:
         raise ValueError(f"vertex count {n} exceeds the limit {max_vertices}")
+    if lower is not None:
+        K = lower.complex
+        if H != generalized_kneser(K, simplex_complex(K.n - 1), lower.r):
+            raise ValueError("the lower bound is certified for a different hypergraph")
     if n == 0:
-        return ChromaticResult(0, Coloring(0, ()), 0, None, None)
+        return ChromaticResult(0, Coloring(0, ()), 0, None, None, lower)
     if not H.edges:
-        return ChromaticResult(1, Coloring(1, (1,) * n), 0, None, None)
+        return ChromaticResult(1, Coloring(1, (1,) * n), 0, None, None, lower)
 
     if H.r == 2:
         adj = _adjacency_masks(H)
@@ -247,12 +339,14 @@ def chromatic_number(H: Hypergraph, max_vertices: int = DEFAULT_VERTEX_LIMIT) ->
             for v in e:
                 degrees[v] += 1
     order = sorted(range(n), key=lambda v: (-degrees[v], v))
-    lower = max(2, _greedy_clique_size(adj, order)) if H.r == 2 else 2
+    start = max(2, _greedy_clique_size(adj, order)) if H.r == 2 else 2
+    if lower is not None:
+        start = max(start, lower.bound)
 
     total_nodes = 0
     refuted_k = None
     refutation_nodes = None
-    for k in range(lower, n + 1):
+    for k in range(start, n + 1):
         budget = _Budget()
         if H.r == 2:
             found = _feasible_graph(adj, degrees, k, budget)
@@ -263,7 +357,9 @@ def chromatic_number(H: Hypergraph, max_vertices: int = DEFAULT_VERTEX_LIMIT) ->
             witness = _first_coloring(H, k, range(n), _Budget())
             if witness is None:
                 raise ArithmeticError("witness search failed at the established chromatic number")
-            return ChromaticResult(k, Coloring(k, tuple(witness)), total_nodes, refuted_k, refutation_nodes)
+            return ChromaticResult(
+                k, Coloring(k, tuple(witness)), total_nodes, refuted_k, refutation_nodes, lower
+            )
         refuted_k = k
         refutation_nodes = budget.nodes
     raise ArithmeticError("no feasible palette up to the vertex count")

@@ -29,7 +29,9 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .coloring import (
     DEFAULT_VERTEX_LIMIT,
+    LowerBound,
     bound_floor_formula,
+    certified_lower_bound,
     chromatic_number,
     greedy_least_label,
     verify_constraint_property,
@@ -37,7 +39,6 @@ from .coloring import (
 from .geometry import (
     DEFAULT_SEARCH_CAP,
     DEFAULT_SGP_ATTEMPTS,
-    AbsenceReport,
     PointConfiguration,
     TverbergCertificate,
     avg_stable_placement,
@@ -121,13 +122,27 @@ def verify_kneser(k: int, n: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> E
     from the least-label greedy coloring capped at that many colors,
     which is proper because any two k-subsets confined to the last
     2k - 1 labels intersect.
+
+    For k >= 2 the lower bound is certified, not searched for: the
+    (k-2)-skeleton of the simplex on 1..n, whose minimal nonfaces are
+    the k-subsets, is placed on the moment curve in R^(2k-3), and a sweep
+    of every pair of disjoint faces (no moment pruning) finds no meeting
+    hulls, so the floor formula gives n - 2k + 2. The solver starts
+    there. For k = 1 the dimension would be -1, and the solver's own
+    refutation is used.
     """
     t0 = time.perf_counter()
     if n < 2 * k:
         raise ValueError("need n >= 2k")
     target = n - 2 * k + 2
     H = kneser_hypergraph(2, k, n)
-    res = chromatic_number(H, max_vertices=max_vertices)
+    lower = None
+    if k >= 2:
+        K = simplex_complex(n - 1).skeleton(k - 2)
+        lower = certified_lower_bound(K, moment_points(range(1, n + 1), 2 * k - 3), 2)
+        if not isinstance(lower, LowerBound):
+            raise ArithmeticError("disjoint faces meet on the moment curve below dimension 2k - 2")
+    res = chromatic_number(H, max_vertices=max_vertices, lower=lower)
     greedy = greedy_least_label(H, 2, n - 1, max_colors=target)
     claimed = {"chi": target, "greedy_colors": target, "greedy_proper": True}
     computed = {
@@ -137,7 +152,10 @@ def verify_kneser(k: int, n: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> E
         "vertices": H.n_vertices,
         "edges": H.n_edges,
         "search_nodes": res.search_nodes,
+        "chi_source": "solver" if lower is None else "certified_bound",
     }
+    if lower is not None:
+        computed["lower_bound"] = lower.bound
     return _finish(
         f"kneser-{k}-{n}",
         {"k": k, "n": n},
@@ -582,10 +600,10 @@ def verify_avg_stable(
         notes.append("formula target below 1, clamped")
 
     K, P = avg_stable_placement(r, k, d, n, seed=seed)
-    search = tverberg_search(P, r, restrict_to=K, cap=cap, moment_pruning=True)
-    absence = isinstance(search, AbsenceReport)
+    certified = certified_lower_bound(K, P, r, cap=cap, moment_pruning=True)
+    absence = isinstance(certified, LowerBound)
     computed["absence_verified"] = absence
-    lower = max(1, bound_floor_formula(n - 1, r, d)) if absence else 1
+    lower = max(1, certified.bound) if absence else 1
     computed["lower_bound"] = lower
 
     if H.n_vertices == 0:
@@ -690,21 +708,20 @@ def verify_bound_pipeline(
     t0 = time.perf_counter()
     if placement.d != d:
         raise ValueError("placement dimension mismatch")
-    search = tverberg_search(placement, r, restrict_to=K, cap=cap)
-    absence = isinstance(search, AbsenceReport)
+    certified = certified_lower_bound(K, placement, r, cap=cap)
+    absence = isinstance(certified, LowerBound)
     N = K.n - 1
     H = generalized_kneser(K, simplex_complex(N), r)
     res = chromatic_number(H, max_vertices=max_vertices)
     greedy = greedy_least_label(H, r, N)
     w = width(K, r)
     kb = Fraction(w, r - 1)
-    fb = bound_floor_formula(N, r, d)
     computed = {
         "absence_verified": absence,
         "bound_applicable": absence,
-        "floor_formula": fb,
+        "floor_formula": bound_floor_formula(N, r, d),
         "chi": res.chi,
-        "bound_respected": (res.chi >= fb) if absence else None,
+        "bound_respected": (res.chi >= certified.bound) if absence else None,
         "width": w,
         "kriz": str(kb),
         "kriz_ceiling": ceil(kb),
@@ -714,7 +731,7 @@ def verify_bound_pipeline(
         "edges": H.n_edges,
     }
     if not absence:
-        computed["certificate_parts"] = [sorted(p) for p in search.parts]
+        computed["certificate_parts"] = [sorted(p) for p in certified.parts]
     if claimed is None:
         claimed = {"bound_respected": True} if absence else {"bound_applicable": False}
     return _finish(

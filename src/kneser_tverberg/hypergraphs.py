@@ -54,7 +54,10 @@ class Hypergraph:
         """Build the disjointness hypergraph of a family of sets."""
         verts = sorted({frozenset(s) for s in sets}, key=_face_key)
         masks = [_mask(v) for v in verts]
-        return cls(r, tuple(verts), tuple(_disjoint_tuples(masks, [0] * len(masks), r, 0)))
+        # A list first: a tuple grown from a generator is reallocated as it
+        # grows, which fragments the heap, and peak RSS creeps up call after call.
+        edges = tuple([*_disjoint_tuples(masks, [0] * len(masks), r, 0)])
+        return cls(r, tuple(verts), edges)
 
     @property
     def n_vertices(self) -> int:
