@@ -112,6 +112,15 @@ def _complex_from_args(args: argparse.Namespace) -> SimplicialComplex:
     return K
 
 
+def _complex_flags(args: argparse.Namespace) -> list[str]:
+    """The complex-building flags given on the command line."""
+    names = ("simplex", "forbidden", "facets", "ground", "skeleton")
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if args.cone:
+        given.append("--cone")
+    return given
+
+
 def _add_complex_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--simplex", type=int, metavar="DIM", help="full simplex of this dimension")
     p.add_argument("--forbidden", metavar="SETS", help="forbidden subsets, e.g. '1,3 2,4'")
@@ -123,6 +132,9 @@ def _add_complex_args(p: argparse.ArgumentParser) -> None:
 
 def _hypergraph_from_args(args: argparse.Namespace):
     if args.subsets is not None:
+        extra = [flag for flag in _complex_flags(args) if flag != "--ground"]
+        if extra:
+            raise ValueError(f"--subsets takes no complex flags, got {' '.join(extra)}")
         n = args.ground
         if n is None:
             raise ValueError("--subsets needs --ground")
@@ -131,6 +143,8 @@ def _hypergraph_from_args(args: argparse.Namespace):
                 s_stable_subsets(args.subsets, n, args.stable), args.parts
             )
         return kneser_hypergraph(args.parts, args.subsets, n)
+    if args.stable is not None:
+        raise ValueError("--stable needs --subsets")
     K = _complex_from_args(args)
     return generalized_kneser(K, simplex_complex(K.n - 1), args.parts)
 
@@ -268,6 +282,8 @@ def _cmd_tverberg(args: argparse.Namespace) -> int:
     if (args.points is None) == (args.moment is None):
         raise ValueError("give exactly one of --points, --moment")
     if args.points is not None:
+        if args.dimension is not None:
+            raise ValueError("-d is for --moment; --points carry their own dimension")
         pts = _parse_points(args.points)
         dims = {len(p) for p in pts}
         if len(dims) != 1:
@@ -277,10 +293,9 @@ def _cmd_tverberg(args: argparse.Namespace) -> int:
         if args.dimension is None:
             raise ValueError("--moment needs -d")
         P = moment_points(_parse_fractions(args.moment), args.dimension)
-    restrict = None
-    if args.forbidden is not None or args.facets is not None or args.simplex is not None:
-        restrict = _complex_from_args(args)
     if args.sgp:
+        if _complex_flags(args):
+            raise ValueError("--sgp scans all subsets and takes no complex")
         holds, violating, checked = strong_general_position_report(P, args.parts, cap=args.cap)
         out = {
             "strong_general_position": holds,
@@ -290,6 +305,7 @@ def _cmd_tverberg(args: argparse.Namespace) -> int:
             out["violating_tuple"] = [sorted(s) for s in violating]
         _emit(out, args.format)
         return 0
+    restrict = _complex_from_args(args) if _complex_flags(args) else None
     result = tverberg_search(P, args.parts, restrict_to=restrict, cap=args.cap)
     out = result.to_json_dict()
     if isinstance(result, TverbergCertificate):

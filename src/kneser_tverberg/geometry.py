@@ -119,8 +119,17 @@ def moment_points(params: Sequence[Fraction | int | str], d: int) -> PointConfig
 
 
 def _on_moment_curve(P: PointConfiguration) -> bool:
+    """Whether the points are (t, t^2, ..., t^d) at pairwise distinct parameters t.
+
+    Distinct parameters are part of the test: the moment-curve routines
+    read alternation blocks off the parameter order, which two labels on
+    one parameter leave undefined.
+    """
     if P._on_curve is None:
-        P._on_curve = all(c[j] == c[j - 1] * c[0] for c in P._coords for j in range(1, P.d))
+        ts = {c[0] for c in P._coords}
+        P._on_curve = len(ts) == len(P._coords) and all(
+            c[j] == c[j - 1] * c[0] for c in P._coords for j in range(1, P.d)
+        )
     return P._on_curve
 
 
@@ -508,15 +517,17 @@ def intertwined_pair(
 ) -> IntertwinedPair:
     """Shrink two intersecting hulls on the moment curve to a minimal pair.
 
-    On the moment curve in R^d, d+2 points whose two-part split
-    alternates along the curve form a partition with intersecting hulls,
-    and conversely intersecting disjoint sets must interleave at least
-    that much. So the fast path picks one point from each of the first
-    d+2 alternation blocks of the merged order and verifies the split it
-    induces with a single exact feasibility check; minimality is
-    automatic because fewer than d+2 points on the curve are affinely
-    independent. If the blocks are too few, a greedy descent removes
-    points one at a time while the hulls keep intersecting.
+    The number of alternation blocks in the merged parameter order
+    decides. With at most d+1 blocks, a polynomial of degree at most d
+    with one root between each pair of consecutive blocks separates the
+    parts (this is separating_polynomial), so the hulls are disjoint and
+    ValueError is raised without an LP. Otherwise the first points of
+    the first d+2 blocks alternate along the curve, and d+2 alternating
+    points on the moment curve always have meeting hulls, so one exact
+    feasibility check returns the witness; a witness for subsets of the
+    parts shows that the parts meet. The pair is minimal because fewer
+    than d+2 points on the curve are affinely independent. A check that
+    finds no witness contradicts this and raises ArithmeticError.
     """
     A = frozenset(X1)
     B = frozenset(X2)
@@ -528,44 +539,19 @@ def intertwined_pair(
     if missing:
         raise ValueError(f"labels {sorted(missing)} not in the configuration")
     if not _on_moment_curve(P):
-        raise ValueError("configuration must lie on the moment curve")
+        raise ValueError("configuration must lie on the moment curve at distinct parameters")
 
     d = P.d
     blocks = _blocks_by_side(P, A, B)
-    if len(blocks) >= d + 2:
-        picks = [blk[0] for blk in blocks[: d + 2]]
-        Y1 = frozenset(lab for lab in picks if lab in A)
-        Y2 = frozenset(lab for lab in picks if lab in B)
-        # a witness for Y1 in A and Y2 in B already shows that A and B meet
-        witness = conv_intersect([P.subset(Y1), P.subset(Y2)])
-        if witness is not None:
-            return IntertwinedPair(Y1, Y2, _is_alternating(P, Y1, Y2), witness)
-    if conv_intersect([P.subset(A), P.subset(B)]) is None:
+    if len(blocks) <= d + 1:
         raise ValueError("hulls do not intersect")
-
-    # Greedy descent, deterministic: repeatedly drop the least label
-    # whose removal keeps the hulls intersecting.
-    Y1, Y2 = set(A), set(B)
-    while True:
-        removed = False
-        for side, cur in ((1, Y1), (2, Y2)):
-            if len(cur) <= 1:
-                continue
-            for lab in sorted(cur):
-                trial1 = Y1 - {lab} if side == 1 else Y1
-                trial2 = Y2 - {lab} if side == 2 else Y2
-                if conv_intersect([P.subset(trial1), P.subset(trial2)]) is not None:
-                    cur.discard(lab)
-                    removed = True
-                    break
-            if removed:
-                break
-        if not removed:
-            break
-    Y1f, Y2f = frozenset(Y1), frozenset(Y2)
-    witness = conv_intersect([P.subset(Y1f), P.subset(Y2f)])
-    assert witness is not None
-    return IntertwinedPair(Y1f, Y2f, _is_alternating(P, Y1f, Y2f), witness)
+    picks = [blk[0] for blk in blocks[: d + 2]]
+    Y1 = frozenset(lab for lab in picks if lab in A)
+    Y2 = frozenset(lab for lab in picks if lab in B)
+    witness = conv_intersect([P.subset(Y1), P.subset(Y2)])
+    if witness is None:
+        raise ArithmeticError("alternating points on the moment curve found no common point")
+    return IntertwinedPair(Y1, Y2, _is_alternating(P, Y1, Y2), witness)
 
 
 def separating_polynomial(
@@ -589,7 +575,7 @@ def separating_polynomial(
     if not A or not B or A & B:
         raise ValueError("parts must be nonempty and disjoint")
     if not _on_moment_curve(P):
-        raise ValueError("configuration must lie on the moment curve")
+        raise ValueError("configuration must lie on the moment curve at distinct parameters")
     blocks = _blocks_by_side(P, A, B)
     if len(blocks) >= P.d + 2:
         return None
@@ -747,15 +733,15 @@ def avg_stable_placement(
     n: int,
     *,
     seed: int = 0,
-    attempts: int = DEFAULT_SGP_ATTEMPTS,
 ) -> tuple[SimplicialComplex, PointConfiguration]:
     """Complex plus moment-curve placement for the average-stability bound.
 
     The complex on 1..n has exactly the k-subsets that are t-stable on
     average as its minimal nonfaces, with t = r(k-3)/(2(k-1)) + 1. The
     points are moment-curve points at parameters i + eps_i with seeded
-    rational jitters eps_i in [0, 1/2), retried until the configuration
-    passes the strong general position test.
+    rational jitters eps_i in [0, 1/2), redrawn until the configuration
+    passes the strong general position test; after DEFAULT_SGP_ATTEMPTS
+    failed draws it raises ValueError.
     """
     if r < 2 or k < 2 or d < 1 or n < 1:
         raise ValueError("need r >= 2, k >= 2, d >= 1, n >= 1")
@@ -779,9 +765,11 @@ def avg_stable_placement(
     )
 
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(DEFAULT_SGP_ATTEMPTS):
         params = [Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, n + 1)]
         P = moment_points(params, d)
         if is_strong_general_position(P, r):
             return K, P
-    raise ValueError(f"no strong general position placement found in {attempts} attempts")
+    raise ValueError(
+        f"no strong general position placement found in {DEFAULT_SGP_ATTEMPTS} attempts"
+    )

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .simplicial import (
-    SimplicialComplex, Simplex, _disjoint_tuples, _face_key, _mask, _unmask, simplex_complex
+    SimplicialComplex, Simplex, _disjoint_tuples, _face_key, _mask
 )
 
 
@@ -106,29 +106,22 @@ def generalized_kneser(K: SimplicialComplex, L: SimplicialComplex, r: int) -> Hy
 
     K must be a subcomplex of L (every facet of K a face of L, on a
     ground set no larger than L's).
+
+    The vertices are the minimal nonfaces of K that are faces of L, and
+    the singletons {v}, K.n < v <= L.n, that are faces of L. Every
+    proper subset of a minimal outside face lies in K, so the face is a
+    minimal nonface of K; conversely a minimal nonface of K inside L is
+    a minimal face of L outside K. A label above K.n is itself a
+    nonface of K, so a minimal outside face containing it is that
+    singleton.
     """
     if r < 2:
         raise ValueError("edge arity must be at least 2")
     if K.n > L.n or not all(L.is_face(f) for f in K.facets):
         raise ValueError("first complex must be a subcomplex of the second")
-    if L == simplex_complex(L.n - 1):
-        verts: Iterable[Simplex] = K.minimal_nonfaces() if K.n == L.n else _minimal_outside(K, L)
-    else:
-        verts = _minimal_outside(K, L)
+    verts = [f for f in K.minimal_nonfaces() if L.is_face(f)]
+    verts += [frozenset({v}) for v in range(K.n + 1, L.n + 1) if L.is_face((v,))]
     return Hypergraph.from_sets(r, verts)
-
-
-def _minimal_outside(K: SimplicialComplex, L: SimplicialComplex) -> list[Simplex]:
-    found: list[Simplex] = []
-    found_masks: list[int] = []
-    for fm in L.face_masks():
-        if any(g & fm == g for g in found_masks):
-            continue
-        face = _unmask(fm)
-        if not K.is_face(face):
-            found.append(face)
-            found_masks.append(fm)
-    return found
 
 
 def kneser_hypergraph(r: int, k: int, n: int) -> Hypergraph:

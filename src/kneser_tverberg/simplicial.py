@@ -6,8 +6,9 @@ asked for; membership is a subset test against the facet list, done on
 bitmasks. The empty simplex is a face of every complex, including the
 complex whose facet list is just the empty set (the join identity).
 
-Everything is intended for desk-scale ground sets: enumerating faces or
-minimal nonfaces walks subsets of 1..n and refuses to run for n above
+Everything is intended for desk-scale ground sets: enumerating faces
+walks subsets of the facets, minimal nonfaces walks subsets of 1..n of
+at most dim + 2 elements, and both refuse to run for n above
 `GROUND_LIMIT`.
 """
 
@@ -107,7 +108,9 @@ class SimplicialComplex:
         maximal = [f for f in sets if not any(f < g for g in sets)]
         self.n = n
         self.facets = tuple(sorted(maximal, key=_face_key))
-        self._facet_masks = tuple(_mask(f) for f in self.facets)
+        # A list first: a tuple grown from a generator is reallocated as it
+        # grows, which fragments the heap, and peak RSS creeps up call after call.
+        self._facet_masks = tuple([_mask(f) for f in self.facets])
 
     # -- basic queries ------------------------------------------------
 
@@ -121,25 +124,20 @@ class SimplicialComplex:
         return any(m & fm == m for fm in self._facet_masks)
 
     def face_masks(self, max_size: int | None = None) -> list[int]:
-        """All face bitmasks, optionally capped in cardinality, sorted by (size, lex)."""
+        """All face bitmasks, optionally capped in cardinality, sorted by (size, lex).
+
+        Every face lies in a facet, so the subsets of the facets with at
+        most max_size elements (all of them when max_size is None) are
+        exactly the faces asked for.
+        """
         if self.n > GROUND_LIMIT:
             raise ValueError(f"face enumeration refused for ground sets above {GROUND_LIMIT}")
         seen: set[int] = set()
-        if max_size is None:
-            for fm in self._facet_masks:
-                sub = fm
-                while True:
-                    seen.add(sub)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & fm
-        else:
-            for f in self.facets:
-                elems = sorted(f)
-                top = min(max_size, len(elems))
-                for size in range(0, top + 1):
-                    for combo in combinations(elems, size):
-                        seen.add(_mask(combo))
+        for f in self.facets:
+            bits = [1 << (v - 1) for v in f]
+            top = len(bits) if max_size is None else min(max_size, len(bits))
+            for size in range(0, top + 1):
+                seen.update(map(sum, combinations(bits, size)))  # distinct bits: sum is union
         return sorted(seen, key=lambda m: (m.bit_count(), _face_key(_unmask(m))))
 
     def faces(self, max_size: int | None = None) -> list[Simplex]:
@@ -182,13 +180,17 @@ class SimplicialComplex:
         already-found nonface is skipped, so the result is an antichain.
         Returned in the canonical lexicographic order shared by every
         face family in this package.
+
+        No minimal nonface has more than dim + 2 elements: removing one
+        element leaves a face, which has at most dim + 1. So the sizes
+        stop at min(n, dim + 2), and nothing larger is walked.
         """
         if self.n > GROUND_LIMIT:
             raise ValueError(f"nonface enumeration refused for ground sets above {GROUND_LIMIT}")
         found: list[Simplex] = []
         found_masks: list[int] = []
         labels = range(1, self.n + 1)
-        for size in range(1, self.n + 1):
+        for size in range(1, min(self.n, self.dim + 2) + 1):
             for combo in combinations(labels, size):
                 m = _mask(combo)
                 if any(fm & m == fm for fm in found_masks):

@@ -171,6 +171,45 @@ def test_tverberg_cap_refusal(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tverberg", "--moment", "1,2,3,4,5", "-d", "1", "--skeleton", "0"], "exactly one of"),
+        (["tverberg", "--moment", "1,2,3,4", "-d", "1", "--sgp", "--simplex", "3"], "--sgp"),
+        (["tverberg", "--points", "0,0;1,0;0,1", "-d", "5"], "-d is for --moment"),
+        (["chi", "--subsets", "2", "--ground", "5", "--simplex", "3"], "--simplex"),
+        (["kneser", "--subsets", "2", "--ground", "5", "--cone"], "--cone"),
+        (["chi", "--simplex", "4", "--stable", "2"], "--stable needs --subsets"),
+    ],
+    ids=[
+        "tverberg-skeleton",
+        "tverberg-sgp-complex",
+        "tverberg-points-dimension",
+        "chi-subsets-simplex",
+        "kneser-subsets-cone",
+        "chi-stable",
+    ],
+)
+def test_ignored_flags_are_refused(capsys, argv, message):
+    """A flag the command would not use is a usage error, not dropped in silence."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_verify_all_matches_the_pinned_stream(capsys):
+    """`kntv verify all`, runtime_s removed, byte for byte against tests/data/verify_all.jsonl."""
+    assert main(["verify", "all"]) == 0
+    got = []
+    for line in capsys.readouterr().out.splitlines():
+        rep = json.loads(line)
+        del rep["runtime_s"]
+        got.append(json.dumps(rep) + "\n")
+    pinned = (Path(__file__).resolve().parent / "data" / "verify_all.jsonl").read_text()
+    assert "".join(got) == pinned
+
+
 def test_table_format(capsys):
     code = main(["chi", "--subsets", "2", "--ground", "5", "--table"])
     assert code == 0

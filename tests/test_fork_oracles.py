@@ -1,0 +1,293 @@
+"""The one-path kernels against the second paths they replaced.
+
+Copied verbatim below (renamed; method calls routed to the copies, so
+each oracle uses only old code):
+
+- `submask_face_masks`: `SimplicialComplex.face_masks` with its submask
+  branch for the uncapped enumeration.
+- `walked_minimal_nonfaces`: `SimplicialComplex.minimal_nonfaces`
+  walking subsets of every size up to n.
+- `forked_generalized_kneser` with `_minimal_outside`: the minimal faces
+  of L outside K found by walking every face of L, except when L is the
+  simplex on K's ground set.
+- `descending_intertwined_pair`: `intertwined_pair` with its full-pair
+  LP and greedy descent.
+
+The new paths must give the same face lists, antichains and
+hypergraphs on seeded random K ⊆ L pairs (including K.n < L.n and
+K = L), and the same pair or the same error on every pair of disjoint
+subsets of up to 7 moment-curve points in R^1..R^4 and on seeded pairs
+at random rational parameters.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+from typing import Iterable
+
+import pytest
+
+from kneser_tverberg.geometry import (
+    IntertwinedPair,
+    PointConfiguration,
+    _blocks_by_side,
+    _is_alternating,
+    _on_moment_curve,
+    conv_intersect,
+    intertwined_pair,
+    moment_points,
+)
+from kneser_tverberg.hypergraphs import Hypergraph, generalized_kneser
+from kneser_tverberg.simplicial import (
+    GROUND_LIMIT,
+    SimplicialComplex,
+    Simplex,
+    _face_key,
+    _mask,
+    _unmask,
+    simplex_complex,
+)
+
+
+def submask_face_masks(self, max_size: int | None = None) -> list[int]:
+    """All face bitmasks, optionally capped in cardinality, sorted by (size, lex)."""
+    if self.n > GROUND_LIMIT:
+        raise ValueError(f"face enumeration refused for ground sets above {GROUND_LIMIT}")
+    seen: set[int] = set()
+    if max_size is None:
+        for fm in self._facet_masks:
+            sub = fm
+            while True:
+                seen.add(sub)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & fm
+    else:
+        for f in self.facets:
+            elems = sorted(f)
+            top = min(max_size, len(elems))
+            for size in range(0, top + 1):
+                for combo in combinations(elems, size):
+                    seen.add(_mask(combo))
+    return sorted(seen, key=lambda m: (m.bit_count(), _face_key(_unmask(m))))
+
+
+def walked_minimal_nonfaces(self) -> tuple[Simplex, ...]:
+    """Inclusion-minimal subsets of 1..n that are not faces.
+
+    Enumerated in increasing cardinality; any candidate containing an
+    already-found nonface is skipped, so the result is an antichain.
+    Returned in the canonical lexicographic order shared by every
+    face family in this package.
+    """
+    if self.n > GROUND_LIMIT:
+        raise ValueError(f"nonface enumeration refused for ground sets above {GROUND_LIMIT}")
+    found: list[Simplex] = []
+    found_masks: list[int] = []
+    labels = range(1, self.n + 1)
+    for size in range(1, self.n + 1):
+        for combo in combinations(labels, size):
+            m = _mask(combo)
+            if any(fm & m == fm for fm in found_masks):
+                continue
+            if not any(m & fm == m for fm in self._facet_masks):
+                found.append(frozenset(combo))
+                found_masks.append(m)
+    return tuple(sorted(found, key=_face_key))
+
+
+def forked_generalized_kneser(K: SimplicialComplex, L: SimplicialComplex, r: int) -> Hypergraph:
+    """Vertices: minimal faces of L outside K. Edges: r pairwise disjoint ones.
+
+    K must be a subcomplex of L (every facet of K a face of L, on a
+    ground set no larger than L's).
+    """
+    if r < 2:
+        raise ValueError("edge arity must be at least 2")
+    if K.n > L.n or not all(L.is_face(f) for f in K.facets):
+        raise ValueError("first complex must be a subcomplex of the second")
+    if L == simplex_complex(L.n - 1):
+        verts: Iterable[Simplex] = walked_minimal_nonfaces(K) if K.n == L.n else _minimal_outside(K, L)
+    else:
+        verts = _minimal_outside(K, L)
+    return Hypergraph.from_sets(r, verts)
+
+
+def _minimal_outside(K: SimplicialComplex, L: SimplicialComplex) -> list[Simplex]:
+    found: list[Simplex] = []
+    found_masks: list[int] = []
+    for fm in submask_face_masks(L):
+        if any(g & fm == g for g in found_masks):
+            continue
+        face = _unmask(fm)
+        if not K.is_face(face):
+            found.append(face)
+            found_masks.append(fm)
+    return found
+
+
+def descending_intertwined_pair(
+    P: PointConfiguration, X1: Iterable[int], X2: Iterable[int]
+) -> IntertwinedPair:
+    """Shrink two intersecting hulls on the moment curve to a minimal pair.
+
+    On the moment curve in R^d, d+2 points whose two-part split
+    alternates along the curve form a partition with intersecting hulls,
+    and conversely intersecting disjoint sets must interleave at least
+    that much. So the fast path picks one point from each of the first
+    d+2 alternation blocks of the merged order and verifies the split it
+    induces with a single exact feasibility check; minimality is
+    automatic because fewer than d+2 points on the curve are affinely
+    independent. If the blocks are too few, a greedy descent removes
+    points one at a time while the hulls keep intersecting.
+    """
+    A = frozenset(X1)
+    B = frozenset(X2)
+    if not A or not B:
+        raise ValueError("parts must be nonempty")
+    if A & B:
+        raise ValueError("parts must be disjoint")
+    missing = (A | B) - set(P.labels)
+    if missing:
+        raise ValueError(f"labels {sorted(missing)} not in the configuration")
+    if not _on_moment_curve(P):
+        raise ValueError("configuration must lie on the moment curve")
+
+    d = P.d
+    blocks = _blocks_by_side(P, A, B)
+    if len(blocks) >= d + 2:
+        picks = [blk[0] for blk in blocks[: d + 2]]
+        Y1 = frozenset(lab for lab in picks if lab in A)
+        Y2 = frozenset(lab for lab in picks if lab in B)
+        # a witness for Y1 in A and Y2 in B already shows that A and B meet
+        witness = conv_intersect([P.subset(Y1), P.subset(Y2)])
+        if witness is not None:
+            return IntertwinedPair(Y1, Y2, _is_alternating(P, Y1, Y2), witness)
+    if conv_intersect([P.subset(A), P.subset(B)]) is None:
+        raise ValueError("hulls do not intersect")
+
+    # Greedy descent, deterministic: repeatedly drop the least label
+    # whose removal keeps the hulls intersecting.
+    Y1, Y2 = set(A), set(B)
+    while True:
+        removed = False
+        for side, cur in ((1, Y1), (2, Y2)):
+            if len(cur) <= 1:
+                continue
+            for lab in sorted(cur):
+                trial1 = Y1 - {lab} if side == 1 else Y1
+                trial2 = Y2 - {lab} if side == 2 else Y2
+                if conv_intersect([P.subset(trial1), P.subset(trial2)]) is not None:
+                    cur.discard(lab)
+                    removed = True
+                    break
+            if removed:
+                break
+        if not removed:
+            break
+    Y1f, Y2f = frozenset(Y1), frozenset(Y2)
+    witness = conv_intersect([P.subset(Y1f), P.subset(Y2f)])
+    assert witness is not None
+    return IntertwinedPair(Y1f, Y2f, _is_alternating(P, Y1f, Y2f), witness)
+
+
+# -- random complexes ---------------------------------------------------
+
+
+def _random_complex(rng: random.Random, n: int, labels: list[int]) -> SimplicialComplex:
+    """A complex on 1..n generated by a few random subsets of the given labels."""
+    if not labels:
+        return SimplicialComplex(n)
+    gens = [
+        rng.sample(labels, rng.randint(1, min(len(labels), 5)))
+        for _ in range(rng.randint(1, 6))
+    ]
+    return SimplicialComplex(n, gens)
+
+
+def _random_pair(rng: random.Random) -> tuple[SimplicialComplex, SimplicialComplex]:
+    """K ⊆ L: L on 1..m (sometimes the full simplex), K on 1..n, n <= m, generated by faces of L."""
+    m = rng.randint(1, 9)
+    if rng.random() < 0.2:
+        L = simplex_complex(m - 1)
+    else:
+        L = _random_complex(rng, m, rng.sample(range(1, m + 1), rng.randint(1, m)))
+    if rng.random() < 0.15:
+        return L, L
+    n = rng.randint(0, m) if rng.random() < 0.5 else m
+    faces = [f for f in L.faces() if f and max(f) <= n]
+    K = SimplicialComplex(n, rng.sample(faces, min(len(faces), rng.randint(0, 5))))
+    return K, L
+
+
+def test_face_and_nonface_walks_match_their_oracles():
+    rng = random.Random(20261018)
+    for _ in range(250):
+        K, L = _random_pair(rng)
+        for C in (K, L):
+            assert C.minimal_nonfaces() == walked_minimal_nonfaces(C)
+            for cap in (None, *range(-1, C.n + 2)):
+                assert C.face_masks(cap) == submask_face_masks(C, cap)
+
+
+def test_generalized_kneser_matches_the_forked_construction():
+    rng = random.Random(7)
+    shapes = set()
+    for _ in range(800):
+        K, L = _random_pair(rng)
+        shapes.add((K.n < L.n, K == L, L == simplex_complex(L.n - 1)))
+        for r in (2, 3):
+            assert generalized_kneser(K, L, r) == forked_generalized_kneser(K, L, r)
+    # K.n < L.n, K = L and neither, each with L the full simplex and not
+    assert len(shapes) == 6
+
+
+# -- intertwined pairs ----------------------------------------------------
+
+
+def _outcome(fn, P, A, B):
+    try:
+        return fn(P, A, B)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _disjoint_pairs(labels: list[int]):
+    n = len(labels)
+    for amask in range(1, 1 << n):
+        A = frozenset(labels[i] for i in range(n) if amask >> i & 1)
+        rest = [lab for lab in labels if lab not in A]
+        for bmask in range(1, 1 << len(rest)):
+            B = frozenset(rest[i] for i in range(len(rest)) if bmask >> i & 1)
+            if min(A) < min(B):
+                yield A, B
+
+
+def test_intertwined_pair_matches_the_descent_on_every_small_moment_pair():
+    pairs = 0
+    for d in range(1, 5):
+        for n in range(2, 8):
+            P = moment_points(range(1, n + 1), d)
+            for A, B in _disjoint_pairs(list(range(1, n + 1))):
+                pairs += 1
+                got = _outcome(intertwined_pair, P, A, B)
+                assert got == _outcome(descending_intertwined_pair, P, A, B), (d, A, B)
+    assert pairs == 5556
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_intertwined_pair_matches_the_descent_at_random_parameters(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        d = rng.randint(1, 4)
+        params: set[Fraction] = set()
+        while len(params) < n:
+            params.add(Fraction(rng.randint(-64, 64), rng.randint(1, 8)))
+        P = moment_points(sorted(params), d)
+        labels = list(P.labels)
+        A = frozenset(rng.sample(labels, rng.randint(1, n - 1)))
+        rest = [lab for lab in labels if lab not in A]
+        B = frozenset(rng.sample(rest, rng.randint(1, len(rest))))
+        got = _outcome(intertwined_pair, P, A, B)
+        assert got == _outcome(descending_intertwined_pair, P, A, B), (sorted(params), d, A, B)

@@ -261,6 +261,38 @@ def test_intertwined_pair_solves_one_lp_on_an_alternating_pair(monkeypatch):
     assert pair.alternating and len(calls) == 1
 
 
+def test_intertwined_pair_refuses_separated_parts_without_an_lp(monkeypatch):
+    """At most d+1 alternation blocks already prove the hulls disjoint."""
+    from kneser_tverberg import geometry
+
+    calls = []
+    monkeypatch.setattr(geometry, "conv_intersect", lambda parts: calls.append(parts))
+    P = moment_points(range(1, 7), 2)
+    with pytest.raises(ValueError, match="do not intersect"):
+        intertwined_pair(P, frozenset({1, 2, 5}), frozenset({3, 4}))  # three blocks
+    assert calls == []
+
+
+def test_intertwined_pair_fails_closed_when_the_lp_finds_no_witness(monkeypatch):
+    from kneser_tverberg import geometry
+
+    monkeypatch.setattr(geometry, "conv_intersect", lambda parts: None)
+    P = moment_points(range(1, 5), 2)
+    with pytest.raises(ArithmeticError):
+        intertwined_pair(P, frozenset({1, 3}), frozenset({2, 4}))
+
+
+def test_moment_curve_checks_reject_repeated_parameters():
+    for P in (
+        PointConfiguration(1, {1: (0,), 2: (0,)}),
+        PointConfiguration(2, {1: (1, 1), 2: (2, 4), 3: (1, 1)}),
+    ):
+        with pytest.raises(ValueError, match="distinct parameters"):
+            separating_polynomial(P, frozenset({1}), frozenset({2}))
+        with pytest.raises(ValueError, match="distinct parameters"):
+            intertwined_pair(P, frozenset({1}), frozenset({2}))
+
+
 def test_moment_curve_checks_reject_off_curve_points():
     P = PointConfiguration(2, {1: (1, 1), 2: (2, 4), 3: (3, 9), 4: (4, 15)})
     for _ in range(2):  # the answer is kept per configuration, and must stay a refusal
