@@ -11,11 +11,11 @@ evenness rule (with a brute-force half-space oracle to check them
 against), convex hull intersection by phase-1 simplex on the
 barycentric system scaled to integers by one common denominator, the
 partition search with its verified-absence report, minimal intertwined
-pairs on the moment curve, the strong general position test (one small
-integer elimination per tuple of subsets, in homogeneous coordinates:
-stacked annihilators of the lifted points, with a pivot in the last
-column meaning empty hulls), and the seeded placement routine for
-average-stability instances.
+pairs on the moment curve, the strong general position test (in
+homogeneous coordinates: stacked annihilators of the lifted points,
+their echelon basis extended by one subset per level of the tuple
+search, with a pivot in the last column meaning empty hulls), and the
+seeded placement routine for average-stability instances.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .linalg import det, feasible_nonneg, nullspace, pivot_columns
+from .linalg import Echelon, det, extend_echelon, feasible_nonneg, nullspace
 from .linalg import rank  # noqa: F401  re-exported: perfbench wraps geometry.rank
 from .simplicial import SimplicialComplex, Simplex, _disjoint_tuples, complex_from_forbidden
 
@@ -653,11 +653,14 @@ def strong_general_position_report(
     (p, 1), and each subset gets, once, an integer basis of the
     annihilator of the lifted points' span; its d - dim aff rows give
     the subset's codimension. The affine hulls of a tuple meet in the
-    solutions of the stacked annihilators with last coordinate 1. One
-    elimination of that stack, at most (d+1) x (d+1), decides the tuple:
-    a pivot in the last column puts e_(d+1) in the row space, so the
+    solutions of the stacked annihilators with last coordinate 1. The
+    DFS carries an echelon basis of that stack down its levels
+    (linalg.extend_echelon): choosing a subset reduces only its own
+    annihilator rows against the parent's basis, and the child's basis
+    decides the tuple. Its leading columns are the pivot columns of the
+    stack, so a leading column d puts e_(d+1) in the row space and the
     hulls are empty (codimension d+1); otherwise the actual codimension
-    is the rank.
+    is the number of rows.
 
     Returns (holds, violating tuple or None, tuples checked).
     """
@@ -681,7 +684,9 @@ def strong_general_position_report(
     checked = 0
     chosen: list[int] = []
 
-    def rec(start: int, union: int, codim_sum: int) -> Optional[tuple[Simplex, ...]]:
+    def rec(
+        start: int, union: int, codim_sum: int, basis: Echelon
+    ) -> Optional[tuple[Simplex, ...]]:
         nonlocal checked
         if len(chosen) >= 2:
             checked += 1
@@ -689,8 +694,7 @@ def strong_general_position_report(
                 raise SearchSpaceError(
                     f"strong general position scan exceeded the cap {cap}", checked, cap
                 )
-            pivots = pivot_columns([row for i in chosen for row in annihilators[i]])
-            actual_codim = d + 1 if pivots and pivots[-1] == d else len(pivots)
+            actual_codim = d + 1 if basis and basis[-1][0] == d else len(basis)
             if actual_codim != codim_sum:
                 return tuple(subsets[i] for i in chosen)
         if len(chosen) == r:
@@ -702,14 +706,14 @@ def strong_general_position_report(
             if nxt > d + 1:
                 continue
             chosen.append(i)
-            bad = rec(i + 1, union | smasks[i], nxt)
+            bad = rec(i + 1, union | smasks[i], nxt, extend_echelon(basis, annihilators[i]))
             if bad:
                 return bad
             chosen.pop()
         return None
 
     try:
-        bad = rec(0, 0, 0)
+        bad = rec(0, 0, 0, [])
     finally:
         del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
     return bad is None, bad, checked

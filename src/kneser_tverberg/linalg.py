@@ -5,13 +5,16 @@ exact results. The matrices that show up in this package are small and
 dense, typically fewer than fifteen rows, so the implementations favor
 clarity and exactness over asymptotics: one fraction-free elimination
 on integers behind ranks, pivot columns, integer null spaces and
-determinants, and a phase-1 simplex with Bland's rule for nonnegative
-feasibility, pivoting on an integer tableau. Denominators are cleared
-before either loop runs; Fractions appear only in what is returned.
+determinants; an echelon basis of primitive integer rows that grows by
+a few rows at a time, for searches that stack rows level by level; and
+a phase-1 simplex with Bland's rule for nonnegative feasibility,
+pivoting on an integer tableau. Denominators are cleared before any of
+these loops runs; Fractions appear only in what is returned.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -84,6 +87,41 @@ def _echelon(mat: list[list[int]]) -> tuple[list[int], int]:
         if r + 1 == m:
             break
     return pivots, sign
+
+
+Echelon = list[tuple[int, list[int]]]
+
+
+def extend_echelon(basis: Echelon, rows: Sequence[Sequence[int]]) -> Echelon:
+    """Echelon basis of the row space of basis plus some integer rows.
+
+    A basis is a list of (leading column, primitive integer row) pairs
+    in increasing order of leading column, each row zero before its
+    leading column. Each new row is reduced against the basis in that
+    order (a basis row is zero before its leading column, so clearing
+    one leading column leaves the earlier ones clear), divided by the
+    gcd of its entries and, if anything is left, inserted at its own
+    leading column. The input basis is not modified, so a search can
+    hand one basis to many extensions.
+
+    The leading columns of such a basis are the pivot columns of its row
+    space, exactly as pivot_columns() returns them: their number is the
+    rank, and the last unit vector lies in the row space iff the last
+    column leads.
+    """
+    out = list(basis)
+    for row in rows:
+        cur = row
+        for c, b in out:
+            f = cur[c]
+            if f:
+                p = b[c]
+                cur = [p * x - f * y for x, y in zip(cur, b)]
+        lead = next((j for j, x in enumerate(cur) if x), -1)
+        if lead >= 0:
+            g = gcd(*cur)
+            insort(out, (lead, [x // g for x in cur]))
+    return out
 
 
 def rank(rows: Sequence[Row]) -> int:

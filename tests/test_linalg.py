@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from kneser_tverberg.linalg import det, feasible_nonneg, nullspace, pivot_columns, rank
+from kneser_tverberg.linalg import (
+    det, extend_echelon, feasible_nonneg, nullspace, pivot_columns, rank
+)
 
 
 def test_rank_hand_cases():
@@ -67,6 +69,42 @@ def test_pivot_columns_match_prefix_ranks():
         A = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(m)]
         prefix = [rank([row[:c] for row in A]) for c in range(n + 1)]
         assert pivot_columns(A) == [c for c in range(n) if prefix[c + 1] > prefix[c]]
+
+
+def test_extend_echelon_matches_pivot_columns():
+    """Row by row and chunk by chunk, the leading columns are the pivot columns.
+
+    Stacks are random integer rows, low-rank combinations of a few base
+    rows, zero rows and repeats, so that many extensions add nothing.
+    Every basis row is primitive, zero before its leading column and in
+    the row space of the stack, and the basis handed in is left as it was.
+    """
+    from math import gcd
+
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        base = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
+        pool = base + [[0] * n]
+        if rng.random() < 0.6:
+            few = base[: rng.randint(1, 2)]
+            pool = [
+                [sum(c * row[j] for c, row in zip(coefs, few)) for j in range(n)]
+                for coefs in ([rng.randint(-2, 2) for _ in few] for _ in range(n + 2))
+            ]
+        stack: list[list[int]] = []
+        basis: list = []
+        for _ in range(rng.randint(1, 4)):
+            chunk = [list(rng.choice(pool)) for _ in range(rng.randint(0, 3))]
+            before = [(c, list(row)) for c, row in basis]
+            grown = extend_echelon(basis, chunk)
+            assert basis == before
+            stack += chunk
+            assert [c for c, _ in grown] == pivot_columns(stack)
+            for c, row in grown:
+                assert row[c] and not any(row[:c]) and gcd(*row) == 1
+            assert rank(stack + [row for _, row in grown]) == len(grown)
+            basis = grown
 
 
 def test_det_hand_cases():

@@ -1,12 +1,16 @@
-"""Differential test of the strong general position scan.
+"""Differential tests of the strong general position scan.
 
-The oracle below is the earlier scan, kept here verbatim in substance:
-for every tuple it builds the combined barycentric system of the parts
-(_mu_system) and reads the intersection's dimension off two ranks, one
-without and one with the right-hand side, minus the fibre of affine
-dependencies inside each part. The scan in geometry works instead with
-stacked annihilators in homogeneous coordinates; both must return the
-same (holds, violating tuple, tuples checked) triple, DFS order and all.
+Two earlier scans are kept here as oracles. The first, kept verbatim in
+substance, builds for every tuple the combined barycentric system of
+the parts (_mu_system) and reads the intersection's dimension off two
+ranks, one without and one with the right-hand side, minus the fibre of
+affine dependencies inside each part. The second, kept verbatim, stacks
+the annihilators of the lifted points in homogeneous coordinates and
+eliminates the whole stack once per tuple (pivot_columns). The scan in
+geometry carries an echelon basis of that stack down its search
+instead; all three must return the same (holds, violating tuple, tuples
+checked) triple, DFS order and all, and must stop at the same count
+when the cap is exceeded.
 """
 
 import random
@@ -14,15 +18,19 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
+import pytest
+
 from kneser_tverberg.geometry import (
     DEFAULT_SEARCH_CAP,
     PointConfiguration,
     SearchSpaceError,
     _scaled_integer_points,
+    avg_stable_placement,
     moment_points,
     strong_general_position_report,
 )
-from kneser_tverberg.linalg import rank
+from kneser_tverberg.linalg import nullspace, pivot_columns, rank
+from kneser_tverberg.simplicial import Simplex
 
 
 def _affine_dim(pts: Sequence[tuple[int, ...]]) -> int:
@@ -116,6 +124,85 @@ def oracle_report(P: PointConfiguration, r: int, *, cap: int = DEFAULT_SEARCH_CA
     return bad is None, bad, checked
 
 
+def elimination_report(
+    P: PointConfiguration, r: int, *, cap: int = DEFAULT_SEARCH_CAP
+) -> tuple[bool, Optional[tuple[Simplex, ...]], int]:
+    """Full strong general position scan.
+
+    Checks every tuple of s pairwise disjoint nonempty subsets, 2 <= s
+    <= r, each of at most d+1 points, whose expected codimensions sum to
+    at most d+1 (larger subsets and larger sums impose no constraint:
+    a degenerate big subset contains a small subset with the same affine
+    hull, and sums beyond d+1 are unconstrained by definition). For each
+    such tuple the affine hulls must intersect in the expected dimension,
+    or be empty exactly when the codimension sum reaches d+1.
+
+    The test runs in homogeneous coordinates. Each point p is lifted to
+    (p, 1), and each subset gets, once, an integer basis of the
+    annihilator of the lifted points' span; its d - dim aff rows give
+    the subset's codimension. The affine hulls of a tuple meet in the
+    solutions of the stacked annihilators with last coordinate 1. One
+    elimination of that stack, at most (d+1) x (d+1), decides the tuple:
+    a pivot in the last column puts e_(d+1) in the row space, so the
+    hulls are empty (codimension d+1); otherwise the actual codimension
+    is the rank.
+
+    Returns (holds, violating tuple or None, tuples checked).
+    """
+    if r < 2:
+        raise ValueError("need r >= 2")
+    d = P.d
+    ipts = _scaled_integer_points(P)
+    labels = P.labels
+    pos = {lab: i for i, lab in enumerate(labels)}
+
+    # (size, lex) order, as combinations of the sorted labels come out
+    subsets: list[frozenset[int]] = [
+        frozenset(c)
+        for size in range(1, min(d + 1, len(labels)) + 1)
+        for c in combinations(labels, size)
+    ]
+    smasks = [sum(1 << pos[lab] for lab in f) for f in subsets]
+    annihilators = [nullspace([ipts[lab] + (1,) for lab in sorted(f)]) for f in subsets]
+    scodims = [len(rows) for rows in annihilators]
+
+    checked = 0
+    chosen: list[int] = []
+
+    def rec(start: int, union: int, codim_sum: int) -> Optional[tuple[Simplex, ...]]:
+        nonlocal checked
+        if len(chosen) >= 2:
+            checked += 1
+            if checked > cap:
+                raise SearchSpaceError(
+                    f"strong general position scan exceeded the cap {cap}", checked, cap
+                )
+            pivots = pivot_columns([row for i in chosen for row in annihilators[i]])
+            actual_codim = d + 1 if pivots and pivots[-1] == d else len(pivots)
+            if actual_codim != codim_sum:
+                return tuple(subsets[i] for i in chosen)
+        if len(chosen) == r:
+            return None
+        for i in range(start, len(subsets)):
+            if smasks[i] & union:
+                continue
+            nxt = codim_sum + scodims[i]
+            if nxt > d + 1:
+                continue
+            chosen.append(i)
+            bad = rec(i + 1, union | smasks[i], nxt)
+            if bad:
+                return bad
+            chosen.pop()
+        return None
+
+    try:
+        bad = rec(0, 0, 0)
+    finally:
+        del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
+    return bad is None, bad, checked
+
+
 def _random_configuration(rng: random.Random, d: int, n: int) -> PointConfiguration:
     """Random small rational points, with planted degeneracies.
 
@@ -162,3 +249,49 @@ def test_scan_matches_oracle_on_moment_curves():
     for d, n, r in ((2, 6, 3), (3, 6, 2), (4, 6, 2), (4, 7, 2)):
         P = moment_points(range(1, n + 1), d)
         assert strong_general_position_report(P, r) == oracle_report(P, r)
+
+
+def _same_outcome(P: PointConfiguration, r: int, cap: int = DEFAULT_SEARCH_CAP):
+    """The scan and the per-tuple elimination agree, cap overruns included."""
+    try:
+        want = elimination_report(P, r, cap=cap)
+    except SearchSpaceError as exc:
+        with pytest.raises(SearchSpaceError) as got:
+            strong_general_position_report(P, r, cap=cap)
+        assert (got.value.estimate, got.value.cap) == (exc.estimate, exc.cap)
+        return None
+    got = strong_general_position_report(P, r, cap=cap)
+    assert got == want, (P.to_json_dict(), r)
+    return got
+
+
+def test_scan_matches_elimination_oracle_on_random_configurations():
+    rng = random.Random(9)
+    violating = 0
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        r = rng.randint(2, 4)
+        n = rng.randint(2, d + 3)
+        got = _same_outcome(_random_configuration(rng, d, n), r)
+        violating += not got[0]
+    assert 50 < violating < 200
+
+
+def test_scan_matches_elimination_oracle_on_avg_stable_draws():
+    """The first three seeded draws of avg_stable_placement(2, 4, 5, 10)."""
+    rng = random.Random(0)
+    draws = [
+        moment_points([Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, 11)], 5)
+        for _ in range(3)
+    ]
+    assert avg_stable_placement(2, 4, 5, 10, seed=0)[1] == draws[0]
+    for P in draws:
+        assert _same_outcome(P, 2) == (True, None, 21861)
+
+
+def test_scan_stops_at_the_elimination_oracles_cap():
+    P = moment_points(range(1, 8), 4)
+    full = elimination_report(P, 2)[2]
+    for cap in (1, 5, full - 1):
+        assert _same_outcome(P, 2, cap=cap) is None
+    assert _same_outcome(P, 2, cap=full) == strong_general_position_report(P, 2)
