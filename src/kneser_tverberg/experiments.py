@@ -41,6 +41,7 @@ from .geometry import (
     DEFAULT_SGP_ATTEMPTS,
     PointConfiguration,
     TverbergCertificate,
+    _is_alternating,
     avg_stable_placement,
     cyclic_missing_faces,
     gale_facets,
@@ -482,7 +483,10 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
     most d certifies the hulls apart, or the minimal pair must come back
     alternating with part sizes floor(d/2)+1 and ceil(d/2)+1. Only the
     order of the curve parameters matters, so parameters 1..n cover all
-    configurations.
+    configurations. A pair counts as alternating when its parts lie in
+    the input parts, in the same roles, and every alternation block of
+    their merged order is a single label; the pair's own flag is not
+    read.
     """
     out = []
     for d in range(1, max_d + 1):
@@ -514,7 +518,8 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
                     # the two sizes in want sum to d + 2; for even d both parts take the one size
                     if {len(pair.part1), len(pair.part2)} == want:
                         good_sizes += 1
-                    if pair.alternating:
+                    Y1, Y2 = pair.part1, pair.part2
+                    if Y1 <= A and Y2 <= B and _is_alternating(P, Y1, Y2):
                         alternating += 1
         claimed = {
             "alternating": intersecting,

@@ -10,8 +10,11 @@ Contents: moment-curve configurations, cyclic polytope facets by the
 evenness rule (with a brute-force half-space oracle to check them
 against), convex hull intersection by phase-1 simplex on the
 barycentric system scaled to integers by one common denominator, the
-partition search with its verified-absence report, minimal intertwined
-pairs on the moment curve, the strong general position test (in
+partition search with its verified-absence report (P is scaled to
+integers once per search, and a tuple whose per-face bounding boxes miss
+in some coordinate is rejected before any hull test), minimal
+intertwined pairs on the moment curve, separating polynomials built and
+sign-checked in integers, the strong general position test (in
 homogeneous coordinates: stacked annihilators of the lifted points,
 their echelon basis extended by one subset per level of the tuple
 search, with a pivot in the last column meaning empty hulls), and the
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from operator import le
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import Echelon, det, extend_echelon, feasible_nonneg, nullspace
@@ -206,6 +210,30 @@ def cyclic_missing_faces(n: int, dim: int) -> tuple[Simplex, ...]:
 # -- convex hull intersection ----------------------------------------
 
 
+Box = list[list[int]]
+
+
+def _box(points: Sequence[Sequence[int]]) -> Box:
+    """Coordinatewise [lows, highs] of nonempty integer points.
+
+    Lists, not tuples: a search frees all its boxes at once, and freed
+    tuples stay in the interpreter's per-size free lists, which raised
+    peak memory.
+    """
+    cols = list(zip(*points))
+    return [list(map(min, cols)), list(map(max, cols))]
+
+
+def _boxes_meet(boxes: Sequence[Box]) -> bool:
+    """Whether two or more boxes share a point: their intervals overlap in every coordinate.
+
+    Disjoint bounding boxes are a trivial certificate that the hulls
+    inside them do not meet: one coordinate and a threshold between them.
+    """
+    lows, highs = zip(*boxes)
+    return all(map(le, map(max, *lows), map(min, *highs)))
+
+
 @dataclass(frozen=True)
 class ConvexWitness:
     """A common point of several hulls with one weight vector per part."""
@@ -252,11 +280,8 @@ def conv_intersect(parts: Sequence[Sequence[Sequence]]) -> Optional[ConvexWitnes
     ipts = [
         [[x.numerator * (scale // x.denominator) for x in p] for p in part] for part in pts
     ]
-    for j in range(d):
-        lo = max(min(p[j] for p in part) for part in ipts)
-        hi = min(max(p[j] for p in part) for part in ipts)
-        if lo > hi:
-            return None
+    if not _boxes_meet([_box(part) for part in ipts]):
+        return None
 
     sizes = [len(part) for part in ipts]
     nvar = sum(sizes)
@@ -419,6 +444,13 @@ def tverberg_search(
     Tuples are checked in order of increasing total size, ties in face
     order, so outcomes are deterministic. Raises SearchSpaceError when
     the number of r-subsets of candidate faces exceeds cap.
+
+    P is scaled to integers once per search, axis by axis, and each face
+    gets its integer bounding box before the walk. A tuple whose boxes
+    miss in some coordinate counts as examined and is rejected there;
+    only tuples whose boxes meet go to conv_intersect. Its own box
+    check, in its own scale, would reject exactly the same tuples,
+    because positive scales preserve every comparison within an axis.
     """
     if r < 2:
         raise ValueError("need r >= 2")
@@ -455,12 +487,16 @@ def tverberg_search(
         # total codimension sum((d+1) - size_i) must stay at most d
         threshold = max(threshold, (r - 1) * (d + 1) + 1)
 
+    ipts = _scaled_integer_points(P)
+    boxes = [_box([ipts[lab] for lab in f]) for f in face_sets]
     face_points = [P.subset(f) for f in face_sets]
     max_size = sizes[-1] if sizes else 0
     examined = 0
     for total in range(threshold, r * max_size + 1):
         for t in _disjoint_tuples(masks, sizes, r, total):
             examined += 1
+            if not _boxes_meet([boxes[i] for i in t]):
+                continue
             witness = conv_intersect([face_points[i] for i in t])
             if witness is None:
                 continue
@@ -507,9 +543,8 @@ def _blocks_by_side(P: PointConfiguration, X1: frozenset[int], X2: frozenset[int
 
 
 def _is_alternating(P: PointConfiguration, Y1: frozenset[int], Y2: frozenset[int]) -> bool:
-    merged = sorted(Y1 | Y2, key=lambda lab: P.point(lab)[0])
-    sides = [1 if lab in Y1 else 2 for lab in merged]
-    return all(a != b for a, b in zip(sides, sides[1:]))
+    """Whether the merged parameter order switches sides at every step."""
+    return all(len(blk) == 1 for blk in _blocks_by_side(P, Y1, Y2))
 
 
 def intertwined_pair(
@@ -567,8 +602,15 @@ def separating_polynomial(
     that the first part is on the positive side, or None when the block
     count is d+2 or more (in which case the hulls do intersect).
 
-    The returned certificate is verified by exact evaluation before it
-    is handed back.
+    The polynomial is built in integers. With q the common multiple of
+    the parameter denominators, u = q*t is an integer at every point,
+    and each root (lo + hi)/2 between blocks becomes the factor
+    2u - (q*lo + q*hi). Their product g(u) = sum c_i u^i equals (2q)^m
+    times the monic product of the (t - root) factors, m the number of
+    roots, so it has the same sign at every point; the sign check runs
+    on g at the integers q*t. The returned coefficients are
+    c_i q^i / (2q)^m, the monic polynomial's. The certificate is
+    verified by exact evaluation before it is handed back.
     """
     A = frozenset(X1)
     B = frozenset(X2)
@@ -579,29 +621,28 @@ def separating_polynomial(
     blocks = _blocks_by_side(P, A, B)
     if len(blocks) >= P.d + 2:
         return None
-    roots = []
+    ts = {lab: P.point(lab)[0] for lab in A | B}
+    q = lcm(*[t.denominator for t in ts.values()])
+    us = {lab: t.numerator * (q // t.denominator) for lab, t in ts.items()}
+    coeffs = [1]
     for left, right in zip(blocks, blocks[1:]):
-        lo = P.point(left[-1])[0]
-        hi = P.point(right[0])[0]
-        roots.append((lo + hi) / 2)
-    coeffs = [Fraction(1)]
-    for root in roots:
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        mid = us[left[-1]] + us[right[0]]
+        nxt = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= c * root
+            nxt[i + 1] += 2 * c
+            nxt[i] -= c * mid
         coeffs = nxt
 
-    def value(lab: int) -> Fraction:
-        t = P.point(lab)[0]
-        v = Fraction(0)
+    def value(lab: int) -> int:
+        u = us[lab]
+        v = 0
         for c in reversed(coeffs):
-            v = v * t + c
+            v = v * u + c
         return v
 
-    # The product of (t - root) factors is positive beyond its largest
-    # root, so the last block sits on the positive side; flip if that
-    # block belongs to the second part, then verify every point.
+    # The product of the factors is positive beyond its largest root, so
+    # the last block sits on the positive side; flip if that block
+    # belongs to the second part, then verify every point.
     if blocks[-1][0] not in A:
         coeffs = [-c for c in coeffs]
     for lab in sorted(A):
@@ -610,7 +651,8 @@ def separating_polynomial(
     for lab in sorted(B):
         if value(lab) >= 0:
             raise ArithmeticError("separating certificate failed verification")
-    return tuple(coeffs)
+    den = (2 * q) ** (len(coeffs) - 1)
+    return tuple(Fraction(c * q**i, den) for i, c in enumerate(coeffs))
 
 
 # -- strong general position ------------------------------------------
@@ -621,7 +663,9 @@ def _scaled_integer_points(P: PointConfiguration) -> dict[int, tuple[int, ...]]:
 
     Scaling each coordinate axis independently is an invertible linear
     map, so it preserves affine hulls, their intersections, and all the
-    dimensions the strong general position test looks at.
+    dimensions the strong general position test looks at. The scales
+    are positive, so the order within each axis, and with it every
+    bounding-box comparison, is preserved too.
     """
     mults = [1] * P.d
     for lab in P.labels:

@@ -13,7 +13,11 @@ from itertools import combinations
 import pytest
 
 from kneser_tverberg import geometry
-from kneser_tverberg.coloring import chromatic_number, verify_constraint_property
+from kneser_tverberg.coloring import (
+    certified_lower_bound,
+    chromatic_number,
+    verify_constraint_property,
+)
 from kneser_tverberg.geometry import (
     AbsenceReport,
     PointConfiguration,
@@ -103,8 +107,20 @@ def test_zero_weights_give_every_disjoint_tuple_in_lex_order():
             assert list(_disjoint_tuples(masks, [0] * m, r, 0)) == want
 
 
+def boxes_overlap(parts):
+    """Whether the parts' coordinate intervals, in Fractions, overlap in every coordinate."""
+    return all(
+        max(min(p[j] for p in part) for part in parts) <= min(max(p[j] for p in part) for part in parts)
+        for j in range(len(parts[0][0]))
+    )
+
+
 def oracle_search(P, r, restrict_to=None, moment_pruning=False):
-    """(LPs solved, {part: {label: weight}}, point) in the old search order; None, None on absence."""
+    """(tuples examined, tuples whose boxes overlap, {part: {label: weight}}, point).
+
+    Tuples go in the old search order, up to and including the first
+    one whose hulls meet; the last two are None on absence.
+    """
     d = P.d
     pos = {lab: i for i, lab in enumerate(P.labels)}
     if restrict_to is not None:
@@ -119,12 +135,17 @@ def oracle_search(P, r, restrict_to=None, moment_pruning=False):
     sizes = [len(f) for f in face_sets]
     threshold = max(r, (r - 1) * (d + 1) + 1) if moment_pruning else r
     admitted = admitted_oracle(masks, sizes, r, threshold)
+    overlapping = 0
     for examined, t in enumerate(admitted, 1):
-        w = conv_intersect([P.subset(face_sets[i]) for i in t])
+        points = [P.subset(face_sets[i]) for i in t]
+        if not boxes_overlap(points):
+            continue
+        overlapping += 1
+        w = conv_intersect(points)
         if w is not None:
             parts = {face_sets[i]: dict(zip(sorted(face_sets[i]), wi)) for i, wi in zip(t, w.weights)}
-            return examined, parts, w.point
-    return len(admitted), None, None
+            return examined, overlapping, parts, w.point
+    return len(admitted), overlapping, None, None
 
 
 def fixtures():
@@ -172,8 +193,9 @@ def test_search_matches_the_old_order_on_every_fixture(monkeypatch):
     for P, r, restrict, pruning in fixtures():
         calls.clear()
         out = tverberg_search(P, r, restrict, moment_pruning=pruning)
-        examined, parts, point = oracle_search(P, r, restrict, pruning)
-        assert len(calls) == examined
+        examined, overlapping, parts, point = oracle_search(P, r, restrict, pruning)
+        # one hull test per tuple whose bounding boxes meet, none for the rest
+        assert len(calls) == overlapping
         if isinstance(out, AbsenceReport):
             seen["absence"] += 1
             assert parts is None and out.tuples_examined == examined
@@ -183,6 +205,20 @@ def test_search_matches_the_old_order_on_every_fixture(monkeypatch):
             assert out.point == point
             assert {p: dict(w) for p, w in zip(out.parts, out.weights)} == parts
     assert seen["certificate"] >= 10 and seen["absence"] >= 3
+
+
+def test_kneser_bound_sweep_rejects_every_pair_on_its_boxes(monkeypatch):
+    """KG(11,2)'s certified bound: 55 pairs of distinct points on a line, no hull test."""
+    calls = []
+
+    def counting(parts):
+        calls.append(len(parts))
+        return conv_intersect(parts)
+
+    monkeypatch.setattr(geometry, "conv_intersect", counting)
+    lower = certified_lower_bound(simplex_complex(10).skeleton(0), moment_points(range(1, 12), 1), 2)
+    assert lower.absence.tuples_examined == 55
+    assert calls == []
 
 
 def test_walk_and_its_callers_leave_no_reference_cycles():

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from kneser_tverberg import experiments
 from kneser_tverberg.experiments import (
     ALL_EXPERIMENTS,
     FAMILIES,
@@ -10,6 +12,7 @@ from kneser_tverberg.experiments import (
     run_tasks,
     spherical_instance,
     verify_gale,
+    verify_intertwined,
     verify_kneser,
     verify_kriz_example,
     verify_nonprimepower,
@@ -19,7 +22,13 @@ from kneser_tverberg.experiments import (
     verify_stable_faces,
     verify_tverberg_random,
 )
-from kneser_tverberg.geometry import DEFAULT_SGP_ATTEMPTS, PointConfiguration
+from kneser_tverberg.geometry import (
+    DEFAULT_SGP_ATTEMPTS,
+    IntertwinedPair,
+    PointConfiguration,
+    _is_alternating,
+    intertwined_pair,
+)
 from kneser_tverberg.hypergraphs import width
 
 
@@ -67,6 +76,37 @@ def test_mismatch_is_reported_not_raised():
     rep = verify_spherical(K, d + 1, "hexagon-wrong-dim")
     assert rep.verdict == "mismatch"
     assert rep.claimed["chi"] != rep.computed["chi"]
+
+
+def _swapped(P, A, B):
+    """The true pair with its parts in the wrong roles."""
+    pair = intertwined_pair(P, A, B)
+    return IntertwinedPair(pair.part2, pair.part1, True, pair.witness)
+
+
+def _clumped(P, A, B):
+    """Parts of the true sizes inside A and B that do not alternate, where some exist."""
+    pair = intertwined_pair(P, A, B)
+    for Y1 in map(frozenset, combinations(sorted(A), len(pair.part1))):
+        for Y2 in map(frozenset, combinations(sorted(B), len(pair.part2))):
+            if not _is_alternating(P, Y1, Y2):
+                return IntertwinedPair(Y1, Y2, True, pair.witness)
+    return pair
+
+
+@pytest.mark.parametrize("fake", [_swapped, _clumped])
+def test_intertwined_checks_alternation_not_the_flag(monkeypatch, fake):
+    monkeypatch.setattr(experiments, "intertwined_pair", fake)
+    reports = verify_intertwined(max_points=5, max_d=2)
+    assert [rep.verdict for rep in reports] == ["mismatch", "mismatch"]
+    for rep in reports:
+        assert rep.computed["alternating"] < rep.claimed["alternating"]
+        if fake is _clumped:
+            assert rep.computed["good_sizes"] == rep.claimed["good_sizes"]
+
+
+def test_intertwined_matches_with_the_true_pairs():
+    assert [rep.verdict for rep in verify_intertwined(max_points=5, max_d=2)] == ["match"] * 2
 
 
 def test_roundtrip_experiment_small():
