@@ -49,7 +49,9 @@ X1 = frozenset({1, 3, 6, 8})
 X2 = frozenset({2, 4, 5, 9})
 pair = intertwined_pair(R, X1, X2)
 print(f"{sorted(X1)} vs {sorted(X2)} shrinks to {sorted(pair.part1)} vs {sorted(pair.part2)}")
-print(f"alternating along the curve: {pair.alternating}")
+# moment_points labels follow the curve parameters, so sorting them walks the curve
+sides = "".join("AB"[lab in pair.part2] for lab in sorted(pair.part1 | pair.part2))
+print(f"sides along the curve: {sides}, alternating: {'AA' not in sides and 'BB' not in sides}")
 print(f"sizes {len(pair.part1)} and {len(pair.part2)}: floor(3/2)+1 and ceil(3/2)+1")
 
 print()

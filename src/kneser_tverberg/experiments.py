@@ -38,16 +38,14 @@ from .coloring import (
 )
 from .geometry import (
     DEFAULT_SEARCH_CAP,
-    DEFAULT_SGP_ATTEMPTS,
     PointConfiguration,
     TverbergCertificate,
-    _is_alternating,
     avg_stable_placement,
     cyclic_missing_faces,
+    draw_until_sgp,
     gale_facets,
     hull_facets_oracle,
     intertwined_pair,
-    is_strong_general_position,
     moment_points,
     separating_polynomial,
     tverberg_search,
@@ -420,30 +418,6 @@ def verify_stable_faces(n: int, d: int) -> ExperimentReport:
 # -- affine partition searches ------------------------------------------
 
 
-def _random_sgp_config(
-    rng: random.Random, r: int, d: int, n_points: int
-) -> PointConfiguration:
-    """Draw random grid points until they are in strong general position.
-
-    Fails closed: after DEFAULT_SGP_ATTEMPTS draws without success it
-    raises ValueError rather than looping on.
-    """
-    for _ in range(DEFAULT_SGP_ATTEMPTS):
-        P = PointConfiguration(
-            d,
-            {
-                lab: tuple(Fraction(rng.randrange(-4096, 4097), 64) for _ in range(d))
-                for lab in range(1, n_points + 1)
-            },
-        )
-        if is_strong_general_position(P, r):
-            return P
-    raise ValueError(
-        f"no strong general position configuration of {n_points} points in R^{d}"
-        f" found in {DEFAULT_SGP_ATTEMPTS} attempts"
-    )
-
-
 def verify_tverberg_random(r: int, d: int, count: int = 25, seed: int = 0) -> ExperimentReport:
     """Random configurations of (r-1)(d+1)+1 points always partition.
 
@@ -454,10 +428,20 @@ def verify_tverberg_random(r: int, d: int, count: int = 25, seed: int = 0) -> Ex
     t0 = time.perf_counter()
     rng = random.Random(seed)
     n_points = (r - 1) * (d + 1) + 1
+
+    def draw() -> PointConfiguration:
+        return PointConfiguration(
+            d,
+            {
+                lab: tuple(Fraction(rng.randrange(-4096, 4097), 64) for _ in range(d))
+                for lab in range(1, n_points + 1)
+            },
+        )
+
     found = 0
     verified = 0
     for _ in range(count):
-        P = _random_sgp_config(rng, r, d, n_points)
+        P = draw_until_sgp(draw, r)
         out = tverberg_search(P, r)
         if isinstance(out, TverbergCertificate):
             found += 1
@@ -484,9 +468,9 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
     alternating with part sizes floor(d/2)+1 and ceil(d/2)+1. Only the
     order of the curve parameters matters, so parameters 1..n cover all
     configurations. A pair counts as alternating when its parts lie in
-    the input parts, in the same roles, and every alternation block of
-    their merged order is a single label; the pair's own flag is not
-    read.
+    the input parts, in the same roles, and their merged order has
+    len(Y1) + len(Y2) blocks, one label each. Labels of moment_points
+    follow the parameter order, so the merged order is the sorted labels.
     """
     out = []
     for d in range(1, max_d + 1):
@@ -519,7 +503,9 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
                     if {len(pair.part1), len(pair.part2)} == want:
                         good_sizes += 1
                     Y1, Y2 = pair.part1, pair.part2
-                    if Y1 <= A and Y2 <= B and _is_alternating(P, Y1, Y2):
+                    merged = sorted(Y1 | Y2)
+                    switches = sum((a in Y1) != (b in Y1) for a, b in zip(merged, merged[1:]))
+                    if Y1 <= A and Y2 <= B and switches + 1 == len(Y1) + len(Y2):
                         alternating += 1
         claimed = {
             "alternating": intersecting,
@@ -807,16 +793,6 @@ def verify_pipeline(
     return verify_bound_pipeline(
         K, r, d, P, claimed, name=f"pipeline-{instance}", max_vertices=max_vertices, cap=cap
     )
-
-
-def verify_kriz_example() -> ExperimentReport:
-    """The width-comparison example, run as the kriz-line pipeline instance."""
-    return verify_pipeline("kriz-line")
-
-
-def verify_cyclic_shift(cap: int = DEFAULT_SEARCH_CAP) -> ExperimentReport:
-    """The tight floor bound, run as the cyclic-shift-cone pipeline instance."""
-    return verify_pipeline("cyclic-shift-cone", cap=cap)
 
 
 # -- the experiment table and the runner ----------------------------------

@@ -13,11 +13,14 @@ barycentric system scaled to integers by one common denominator, the
 partition search with its verified-absence report (P is scaled to
 integers once per search, and a tuple whose per-face bounding boxes miss
 in some coordinate is rejected before any hull test), minimal
-intertwined pairs on the moment curve, separating polynomials built and
-sign-checked in integers, the strong general position test (in
+intertwined pairs on the moment curve and separating polynomials built
+and sign-checked in integers (both read one parameter table, kept once
+per configuration: a common denominator q and the integer u = q*t of
+each label's curve parameter t), the strong general position test (in
 homogeneous coordinates: stacked annihilators of the lifted points,
 their echelon basis extended by one subset per level of the tuple
-search, with a pivot in the last column meaning empty hulls), and the
+search, with a pivot in the last column meaning empty hulls), one
+bounded loop of seeded draws until a configuration passes it, and the
 seeded placement routine for average-stability instances.
 """
 
@@ -29,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 from operator import le
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .linalg import Echelon, det, extend_echelon, feasible_nonneg, nullspace
 from .linalg import rank  # noqa: F401  re-exported: perfbench wraps geometry.rank
@@ -43,10 +46,10 @@ class PointConfiguration:
 
     Labels are distinct positive integers; points are stored sorted by
     label. Instances are immutable by convention, which is what lets
-    moment-curve membership be decided once and kept.
+    the moment-curve parameter table be decided once and kept.
     """
 
-    __slots__ = ("d", "labels", "_coords", "_index", "_on_curve")
+    __slots__ = ("d", "labels", "_coords", "_index", "_curve")
 
     def __init__(self, d: int, points: Mapping[int, Sequence] | Iterable[tuple[int, Sequence]]):
         if d < 1:
@@ -67,7 +70,9 @@ class PointConfiguration:
         self.labels = tuple(labels)
         self._coords = tuple(coords)
         self._index = {lab: i for i, lab in enumerate(labels)}
-        self._on_curve: Optional[bool] = None
+        # None until _moment_parts decides it; then False off the curve,
+        # or (q, {label: q*t}) with q the common denominator of the parameters t
+        self._curve: Optional[tuple[int, dict[int, int]] | bool] = None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -120,21 +125,6 @@ def moment_points(params: Sequence[Fraction | int | str], d: int) -> PointConfig
     return PointConfiguration(
         d, [(i + 1, tuple(t**j for j in range(1, d + 1))) for i, t in enumerate(ts)]
     )
-
-
-def _on_moment_curve(P: PointConfiguration) -> bool:
-    """Whether the points are (t, t^2, ..., t^d) at pairwise distinct parameters t.
-
-    Distinct parameters are part of the test: the moment-curve routines
-    read alternation blocks off the parameter order, which two labels on
-    one parameter leave undefined.
-    """
-    if P._on_curve is None:
-        ts = {c[0] for c in P._coords}
-        P._on_curve = len(ts) == len(P._coords) and all(
-            c[j] == c[j - 1] * c[0] for c in P._coords for j in range(1, P.d)
-        )
-    return P._on_curve
 
 
 # -- cyclic polytopes ------------------------------------------------
@@ -525,26 +515,60 @@ class IntertwinedPair:
 
     part1: Simplex
     part2: Simplex
-    alternating: bool
     witness: ConvexWitness
 
 
-def _blocks_by_side(P: PointConfiguration, X1: frozenset[int], X2: frozenset[int]) -> list[list[int]]:
-    merged = sorted(X1 | X2, key=lambda lab: P.point(lab)[0])
+def _moment_parts(
+    P: PointConfiguration, X1: Iterable[int], X2: Iterable[int]
+) -> tuple[frozenset[int], frozenset[int], int, dict[int, int]]:
+    """Two parts of a moment-curve configuration, with its parameter table.
+
+    The parts must be nonempty disjoint sets of labels of P, and P must
+    consist of points (t, t^2, ..., t^d) at pairwise distinct parameters
+    t, or ValueError is raised. Distinct parameters are part of the
+    test: the moment-curve routines read alternation blocks off the
+    parameter order, which two labels on one parameter leave undefined.
+
+    Returns (A, B, q, u): the parts as frozensets, the common multiple q
+    of the parameter denominators, and the integer u = q*t of every
+    label. Since q > 0, u orders the labels as t does. Membership and
+    the table are decided on the first call and kept on P.
+    """
+    A = frozenset(X1)
+    B = frozenset(X2)
+    if not A or not B or A & B:
+        raise ValueError("parts must be nonempty and disjoint")
+    missing = sorted(lab for lab in A | B if lab not in P._index)
+    if missing:
+        raise ValueError(f"labels {missing} not in the configuration")
+    if P._curve is None:
+        ts = [c[0] for c in P._coords]
+        if len(set(ts)) == len(ts) and all(
+            c[j] == c[j - 1] * c[0] for c in P._coords for j in range(1, P.d)
+        ):
+            q = lcm(*[t.denominator for t in ts])
+            P._curve = q, {
+                lab: t.numerator * (q // t.denominator) for lab, t in zip(P.labels, ts)
+            }
+        else:
+            P._curve = False
+    if not P._curve:
+        raise ValueError("configuration must lie on the moment curve at distinct parameters")
+    q, u = P._curve
+    return A, B, q, u
+
+
+def _blocks_by_side(u: Mapping[int, int], X1: frozenset[int], X2: frozenset[int]) -> list[list[int]]:
+    """The merged labels in parameter order, cut wherever the side changes."""
     blocks: list[list[int]] = []
     side_prev = None
-    for lab in merged:
-        side = 1 if lab in X1 else 2
+    for lab in sorted(X1 | X2, key=u.__getitem__):
+        side = lab in X1
         if side != side_prev:
             blocks.append([])
             side_prev = side
         blocks[-1].append(lab)
     return blocks
-
-
-def _is_alternating(P: PointConfiguration, Y1: frozenset[int], Y2: frozenset[int]) -> bool:
-    """Whether the merged parameter order switches sides at every step."""
-    return all(len(blk) == 1 for blk in _blocks_by_side(P, Y1, Y2))
 
 
 def intertwined_pair(
@@ -564,20 +588,9 @@ def intertwined_pair(
     than d+2 points on the curve are affinely independent. A check that
     finds no witness contradicts this and raises ArithmeticError.
     """
-    A = frozenset(X1)
-    B = frozenset(X2)
-    if not A or not B:
-        raise ValueError("parts must be nonempty")
-    if A & B:
-        raise ValueError("parts must be disjoint")
-    missing = (A | B) - set(P.labels)
-    if missing:
-        raise ValueError(f"labels {sorted(missing)} not in the configuration")
-    if not _on_moment_curve(P):
-        raise ValueError("configuration must lie on the moment curve at distinct parameters")
-
+    A, B, _, u = _moment_parts(P, X1, X2)
     d = P.d
-    blocks = _blocks_by_side(P, A, B)
+    blocks = _blocks_by_side(u, A, B)
     if len(blocks) <= d + 1:
         raise ValueError("hulls do not intersect")
     picks = [blk[0] for blk in blocks[: d + 2]]
@@ -586,7 +599,7 @@ def intertwined_pair(
     witness = conv_intersect([P.subset(Y1), P.subset(Y2)])
     if witness is None:
         raise ArithmeticError("alternating points on the moment curve found no common point")
-    return IntertwinedPair(Y1, Y2, _is_alternating(P, Y1, Y2), witness)
+    return IntertwinedPair(Y1, Y2, witness)
 
 
 def separating_polynomial(
@@ -602,31 +615,23 @@ def separating_polynomial(
     that the first part is on the positive side, or None when the block
     count is d+2 or more (in which case the hulls do intersect).
 
-    The polynomial is built in integers. With q the common multiple of
-    the parameter denominators, u = q*t is an integer at every point,
-    and each root (lo + hi)/2 between blocks becomes the factor
-    2u - (q*lo + q*hi). Their product g(u) = sum c_i u^i equals (2q)^m
-    times the monic product of the (t - root) factors, m the number of
-    roots, so it has the same sign at every point; the sign check runs
-    on g at the integers q*t. The returned coefficients are
-    c_i q^i / (2q)^m, the monic polynomial's. The certificate is
-    verified by exact evaluation before it is handed back.
+    The polynomial is built in integers, on the parameter table u = q*t
+    of _moment_parts. Each root (lo + hi)/2 between blocks becomes the
+    factor 2u - (q*lo + q*hi). Their product g(u) = sum c_i u^i equals
+    (2q)^m times the monic product of the (t - root) factors, m the
+    number of roots, so it has the same sign at every point; the sign
+    check runs on g at the integers q*t. The returned coefficients are
+    c_i q^i / (2q)^m, the monic polynomial's, whatever q is. The
+    certificate is verified by exact evaluation before it is handed
+    back.
     """
-    A = frozenset(X1)
-    B = frozenset(X2)
-    if not A or not B or A & B:
-        raise ValueError("parts must be nonempty and disjoint")
-    if not _on_moment_curve(P):
-        raise ValueError("configuration must lie on the moment curve at distinct parameters")
-    blocks = _blocks_by_side(P, A, B)
+    A, B, q, u = _moment_parts(P, X1, X2)
+    blocks = _blocks_by_side(u, A, B)
     if len(blocks) >= P.d + 2:
         return None
-    ts = {lab: P.point(lab)[0] for lab in A | B}
-    q = lcm(*[t.denominator for t in ts.values()])
-    us = {lab: t.numerator * (q // t.denominator) for lab, t in ts.items()}
     coeffs = [1]
     for left, right in zip(blocks, blocks[1:]):
-        mid = us[left[-1]] + us[right[0]]
+        mid = u[left[-1]] + u[right[0]]
         nxt = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i + 1] += 2 * c
@@ -634,10 +639,10 @@ def separating_polynomial(
         coeffs = nxt
 
     def value(lab: int) -> int:
-        u = us[lab]
+        x = u[lab]
         v = 0
         for c in reversed(coeffs):
-            v = v * u + c
+            v = v * x + c
         return v
 
     # The product of the factors is positive beyond its largest root, so
@@ -771,6 +776,23 @@ def is_strong_general_position(
     return holds
 
 
+def draw_until_sgp(draw: Callable[[], PointConfiguration], r: int) -> PointConfiguration:
+    """The first of up to DEFAULT_SGP_ATTEMPTS draws in strong general position for r parts.
+
+    Fails closed: after that many failed draws it raises ValueError
+    rather than looping on. draw is called once per attempt and nothing
+    else is drawn in between, so a seeded draw gives the same sequence
+    of configurations wherever it is used.
+    """
+    for _ in range(DEFAULT_SGP_ATTEMPTS):
+        P = draw()
+        if is_strong_general_position(P, r):
+            return P
+    raise ValueError(
+        f"no strong general position configuration found in {DEFAULT_SGP_ATTEMPTS} attempts"
+    )
+
+
 # -- seeded placements for average-stability instances ----------------
 
 
@@ -813,11 +835,9 @@ def avg_stable_placement(
     )
 
     rng = random.Random(seed)
-    for _ in range(DEFAULT_SGP_ATTEMPTS):
+
+    def draw() -> PointConfiguration:
         params = [Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, n + 1)]
-        P = moment_points(params, d)
-        if is_strong_general_position(P, r):
-            return K, P
-    raise ValueError(
-        f"no strong general position placement found in {DEFAULT_SGP_ATTEMPTS} attempts"
-    )
+        return moment_points(params, d)
+
+    return K, draw_until_sgp(draw, r)

@@ -275,7 +275,3 @@ def complex_from_forbidden(forbidden: Iterable[Iterable[int]], n: int) -> Simpli
         if all((m & b) or not is_face[m | b] for b in bit_of):
             facets.append(_unmask(m))
     return SimplicialComplex(n, facets)
-
-
-def minimal_nonfaces(K: SimplicialComplex) -> tuple[Simplex, ...]:
-    return K.minimal_nonfaces()

@@ -20,13 +20,12 @@ from kneser_tverberg.experiments import (
     TVERBERG_INSTANCES,
     verify_avg_stable,
     verify_constraint,
-    verify_cyclic_shift,
     verify_dismantle,
     verify_gale,
     verify_intertwined,
     verify_kneser,
-    verify_kriz_example,
     verify_nonprimepower,
+    verify_pipeline,
     verify_roundtrip,
     verify_schrijver,
     verify_stable_faces,
@@ -101,7 +100,7 @@ def test_criterion_05_constraint_property_exhaustive():
 
 
 def test_criterion_06_width_comparison_example():
-    rep = verify_kriz_example()
+    rep = verify_pipeline("kriz-line")
     got = {k: rep.computed[k] for k in ("width", "kriz", "floor_formula", "chi")}
     ok = rep.verdict == "match" and got == {
         "width": 3,
@@ -113,7 +112,7 @@ def test_criterion_06_width_comparison_example():
 
 
 def test_criterion_07_cyclic_shift_tight_floor():
-    rep = verify_cyclic_shift()
+    rep = verify_pipeline("cyclic-shift-cone")
     got = {
         k: rep.computed[k]
         for k in ("floor_formula", "chi", "kriz_ceiling", "greedy_colors", "greedy_proper")

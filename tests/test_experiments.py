@@ -14,7 +14,6 @@ from kneser_tverberg.experiments import (
     verify_gale,
     verify_intertwined,
     verify_kneser,
-    verify_kriz_example,
     verify_nonprimepower,
     verify_pipeline,
     verify_roundtrip,
@@ -26,8 +25,9 @@ from kneser_tverberg.geometry import (
     DEFAULT_SGP_ATTEMPTS,
     IntertwinedPair,
     PointConfiguration,
-    _is_alternating,
+    draw_until_sgp,
     intertwined_pair,
+    moment_points,
 )
 from kneser_tverberg.hypergraphs import width
 
@@ -81,7 +81,13 @@ def test_mismatch_is_reported_not_raised():
 def _swapped(P, A, B):
     """The true pair with its parts in the wrong roles."""
     pair = intertwined_pair(P, A, B)
-    return IntertwinedPair(pair.part2, pair.part1, True, pair.witness)
+    return IntertwinedPair(pair.part2, pair.part1, pair.witness)
+
+
+def _alternates(Y1, Y2):
+    """Whether the sorted labels, the parameter order of moment_points, switch sides at every step."""
+    merged = sorted(Y1 | Y2)
+    return all((a in Y1) != (b in Y1) for a, b in zip(merged, merged[1:]))
 
 
 def _clumped(P, A, B):
@@ -89,8 +95,8 @@ def _clumped(P, A, B):
     pair = intertwined_pair(P, A, B)
     for Y1 in map(frozenset, combinations(sorted(A), len(pair.part1))):
         for Y2 in map(frozenset, combinations(sorted(B), len(pair.part2))):
-            if not _is_alternating(P, Y1, Y2):
-                return IntertwinedPair(Y1, Y2, True, pair.witness)
+            if not _alternates(Y1, Y2):
+                return IntertwinedPair(Y1, Y2, pair.witness)
     return pair
 
 
@@ -121,7 +127,7 @@ def test_gale_and_stable_faces():
 
 
 def test_kriz_example():
-    rep = verify_kriz_example()
+    rep = verify_pipeline("kriz-line")
     assert rep.verdict == "match"
     assert rep.claimed["chi"] == 2
 
@@ -143,7 +149,7 @@ def test_tverberg_random_small():
 def test_random_sgp_resampling_is_bounded(monkeypatch):
     import random
 
-    from kneser_tverberg import experiments
+    from kneser_tverberg import geometry
 
     draws = []
 
@@ -151,12 +157,19 @@ def test_random_sgp_resampling_is_bounded(monkeypatch):
         draws.append(P)
         return False
 
-    monkeypatch.setattr(experiments, "is_strong_general_position", never)
+    monkeypatch.setattr(geometry, "is_strong_general_position", never)
+    P = moment_points([1, 2, 3, 4], 2)
     with pytest.raises(ValueError, match=f"in {DEFAULT_SGP_ATTEMPTS} attempts"):
-        experiments._random_sgp_config(random.Random(0), 2, 2, 4)
+        draw_until_sgp(lambda: P, 2)
+    assert draws == [P] * DEFAULT_SGP_ATTEMPTS
+    # both seeded callers go through it
+    draws.clear()
+    with pytest.raises(ValueError, match=f"in {DEFAULT_SGP_ATTEMPTS} attempts"):
+        verify_tverberg_random(2, 2, count=1, seed=0)
     assert len(draws) == DEFAULT_SGP_ATTEMPTS
-    with pytest.raises(ValueError):
-        verify_tverberg_random(2, 1, count=1)
+    with pytest.raises(ValueError, match=f"in {DEFAULT_SGP_ATTEMPTS} attempts"):
+        geometry.avg_stable_placement(2, 4, 5, 8, seed=0)
+    assert len(draws) == 2 * DEFAULT_SGP_ATTEMPTS
     # the draws themselves are unchanged: the first one is what an
     # unbounded loop would have tested first
     rng = random.Random(0)
@@ -165,6 +178,9 @@ def test_random_sgp_resampling_is_bounded(monkeypatch):
         for lab in range(1, 5)
     }
     assert draws[0] == PointConfiguration(2, first)
+    rng = random.Random(0)
+    params = [Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, 9)]
+    assert draws[DEFAULT_SGP_ATTEMPTS] == moment_points(params, 5)
 
 
 def test_pipeline_instances_match():

@@ -11,7 +11,9 @@ each oracle uses only old code):
   of L outside K found by walking every face of L, except when L is the
   simplex on K's ground set.
 - `descending_intertwined_pair`: `intertwined_pair` with its full-pair
-  LP and greedy descent.
+  LP and greedy descent, on the `Fraction`-keyed `_on_moment_curve` and
+  `_blocks_by_side` it called (the membership test no longer caches its
+  answer on P, and the pairs no longer carry an `alternating` flag).
 
 The new paths must give the same face lists, antichains and
 hypergraphs on seeded random K ⊆ L pairs (including K.n < L.n and
@@ -30,9 +32,6 @@ import pytest
 from kneser_tverberg.geometry import (
     IntertwinedPair,
     PointConfiguration,
-    _blocks_by_side,
-    _is_alternating,
-    _on_moment_curve,
     conv_intersect,
     intertwined_pair,
     moment_points,
@@ -126,6 +125,32 @@ def _minimal_outside(K: SimplicialComplex, L: SimplicialComplex) -> list[Simplex
     return found
 
 
+def _on_moment_curve(P: PointConfiguration) -> bool:
+    """Whether the points are (t, t^2, ..., t^d) at pairwise distinct parameters t.
+
+    Distinct parameters are part of the test: the moment-curve routines
+    read alternation blocks off the parameter order, which two labels on
+    one parameter leave undefined.
+    """
+    ts = {c[0] for c in P._coords}
+    return len(ts) == len(P._coords) and all(
+        c[j] == c[j - 1] * c[0] for c in P._coords for j in range(1, P.d)
+    )
+
+
+def _blocks_by_side(P: PointConfiguration, X1: frozenset[int], X2: frozenset[int]) -> list[list[int]]:
+    merged = sorted(X1 | X2, key=lambda lab: P.point(lab)[0])
+    blocks: list[list[int]] = []
+    side_prev = None
+    for lab in merged:
+        side = 1 if lab in X1 else 2
+        if side != side_prev:
+            blocks.append([])
+            side_prev = side
+        blocks[-1].append(lab)
+    return blocks
+
+
 def descending_intertwined_pair(
     P: PointConfiguration, X1: Iterable[int], X2: Iterable[int]
 ) -> IntertwinedPair:
@@ -162,7 +187,7 @@ def descending_intertwined_pair(
         # a witness for Y1 in A and Y2 in B already shows that A and B meet
         witness = conv_intersect([P.subset(Y1), P.subset(Y2)])
         if witness is not None:
-            return IntertwinedPair(Y1, Y2, _is_alternating(P, Y1, Y2), witness)
+            return IntertwinedPair(Y1, Y2, witness)
     if conv_intersect([P.subset(A), P.subset(B)]) is None:
         raise ValueError("hulls do not intersect")
 
@@ -188,7 +213,7 @@ def descending_intertwined_pair(
     Y1f, Y2f = frozenset(Y1), frozenset(Y2)
     witness = conv_intersect([P.subset(Y1f), P.subset(Y2f)])
     assert witness is not None
-    return IntertwinedPair(Y1f, Y2f, _is_alternating(P, Y1f, Y2f), witness)
+    return IntertwinedPair(Y1f, Y2f, witness)
 
 
 # -- random complexes ---------------------------------------------------

@@ -210,10 +210,17 @@ def test_certificate_verify_rejects_tampering():
     assert not overlapping.verify(P)
 
 
+def _alternates(pair):
+    """Whether the sorted labels, the parameter order of moment_points, switch sides at every step."""
+    merged = sorted(pair.part1 | pair.part2)
+    sides = [lab in pair.part1 for lab in merged]
+    return all(a != b for a, b in zip(sides, sides[1:]))
+
+
 def test_intertwined_pair_line():
     P = moment_points([1, 2, 3], 1)
     pair = intertwined_pair(P, frozenset({1, 3}), frozenset({2}))
-    assert pair.alternating
+    assert _alternates(pair)
     assert {len(pair.part1), len(pair.part2)} == {1, 2}
     assert pair.witness.point == (2,)
 
@@ -224,7 +231,7 @@ def test_intertwined_pair_shrinks_to_minimal():
     X1 = frozenset({1, 3, 5, 7})
     X2 = frozenset({2, 4, 6})
     pair = intertwined_pair(P, X1, X2)
-    assert pair.alternating
+    assert _alternates(pair)
     assert len(pair.part1) == 2 and len(pair.part2) == 2
     assert pair.part1 <= X1 and pair.part2 <= X2
 
@@ -232,9 +239,7 @@ def test_intertwined_pair_shrinks_to_minimal():
 def test_intertwined_pair_alternation_order():
     P = moment_points(range(1, 6), 2)
     pair = intertwined_pair(P, frozenset({1, 4}), frozenset({2, 3, 5}))
-    merged = sorted(pair.part1 | pair.part2)
-    sides = [lab in pair.part1 for lab in merged]
-    assert all(a != b for a, b in zip(sides, sides[1:]))
+    assert _alternates(pair)
 
 
 def test_intertwined_pair_requires_intersection():
@@ -243,6 +248,13 @@ def test_intertwined_pair_requires_intersection():
         intertwined_pair(P, frozenset({1, 2}), frozenset({3, 4}))
     with pytest.raises(ValueError):
         intertwined_pair(P, frozenset({1, 2}), frozenset({2, 3}))
+
+
+def test_moment_routines_refuse_unknown_labels_alike():
+    P = moment_points([1, 2, 3, 4], 2)
+    for fn in (intertwined_pair, separating_polynomial):
+        with pytest.raises(ValueError, match=r"^labels \[9\] not in the configuration$"):
+            fn(P, {1, 9}, {2})
 
 
 def test_intertwined_pair_solves_one_lp_on_an_alternating_pair(monkeypatch):
@@ -258,7 +270,7 @@ def test_intertwined_pair_solves_one_lp_on_an_alternating_pair(monkeypatch):
     monkeypatch.setattr(geometry, "conv_intersect", counting)
     P = moment_points(range(1, 7), 2)
     pair = intertwined_pair(P, frozenset({1, 3}), frozenset({2, 4}))
-    assert pair.alternating and len(calls) == 1
+    assert _alternates(pair) and len(calls) == 1
 
 
 def test_intertwined_pair_refuses_separated_parts_without_an_lp(monkeypatch):

@@ -6,7 +6,6 @@ from kneser_tverberg.simplicial import (
     GROUND_LIMIT,
     SimplicialComplex,
     complex_from_forbidden,
-    minimal_nonfaces,
     simplex_complex,
 )
 
@@ -61,7 +60,6 @@ def test_six_cycle_minimal_nonfaces_are_the_nine_chords():
         for s in [(1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 6)]
     }
     assert set(six_cycle().minimal_nonfaces()) == chords
-    assert set(minimal_nonfaces(six_cycle())) == chords
 
 
 def test_minimal_nonfaces_of_skeleton():
