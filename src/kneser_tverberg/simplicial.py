@@ -6,10 +6,14 @@ asked for; membership is a subset test against the facet list, done on
 bitmasks. The empty simplex is a face of every complex, including the
 complex whose facet list is just the empty set (the join identity).
 
-Everything is intended for desk-scale ground sets: enumerating faces
-walks subsets of the facets, minimal nonfaces walks subsets of 1..n of
-at most dim + 2 elements, and both refuse to run for n above
-`GROUND_LIMIT`.
+Minimal nonfaces and forbidden-family complexes share one kernel,
+`_minimal_transversals`: the minimal nonfaces are the minimal
+transversals of the facet complements, and the facets of the largest
+complex avoiding an antichain G are the complements of the minimal
+transversals of G. Everything is intended for desk-scale ground sets:
+enumerating faces walks subsets of the facets, and face enumeration,
+minimal nonfaces and the forbidden-family builder refuse to run for n
+above `GROUND_LIMIT`.
 """
 
 from __future__ import annotations
@@ -42,6 +46,33 @@ def _unmask(m: int) -> Simplex:
 
 def _face_key(s: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(s))
+
+
+def _minimal_transversals(edges: list[int]) -> list[int]:
+    """Inclusion-minimal bitmasks that meet every edge (Berge's incremental algorithm).
+
+    Adds the edges one at a time to [0]: of the minimal transversals so
+    far, those meeting the new edge e stay (`hit`), and each t missing it
+    gives a candidate t|v per bit v of e, kept unless a member of `hit`
+    lies below it. That check is the only one needed. For misses t != t',
+    t|v <= t'|v' would put t below t' (v' is in e, t misses e), and t, t'
+    are incomparable; one t's candidates differ in their bit of e. And
+    t|v <= h in `hit` would force t = h, yet h meets e and t does not.
+    """
+    trans = [0]
+    for e in edges:
+        hit = [t for t in trans if t & e]
+        bits = [1 << i for i in range(e.bit_length()) if e >> i & 1]
+        out = hit[:]
+        for t in trans:
+            if t & e:
+                continue
+            for v in bits:
+                c = t | v
+                if not any(h & c == h for h in hit):
+                    out.append(c)
+        trans = out
+    return trans
 
 
 def _disjoint_tuples(
@@ -174,31 +205,18 @@ class SimplicialComplex:
         return SimplicialComplex(self.n + other.n, gens)
 
     def minimal_nonfaces(self) -> tuple[Simplex, ...]:
-        """Inclusion-minimal subsets of 1..n that are not faces.
+        """Inclusion-minimal subsets of 1..n that are not faces, in canonical order.
 
-        Enumerated in increasing cardinality; any candidate containing an
-        already-found nonface is skipped, so the result is an antichain.
-        Returned in the canonical lexicographic order shared by every
-        face family in this package.
-
-        No minimal nonface has more than dim + 2 elements: removing one
-        element leaves a face, which has at most dim + 1. So the sizes
-        stop at min(n, dim + 2), and nothing larger is walked.
+        A nonface lies in no facet, so it meets every facet complement:
+        the minimal nonfaces are the minimal transversals of the facet
+        complements. None has more than dim + 2 elements, since removing
+        one element leaves a face.
         """
         if self.n > GROUND_LIMIT:
             raise ValueError(f"nonface enumeration refused for ground sets above {GROUND_LIMIT}")
-        found: list[Simplex] = []
-        found_masks: list[int] = []
-        labels = range(1, self.n + 1)
-        for size in range(1, min(self.n, self.dim + 2) + 1):
-            for combo in combinations(labels, size):
-                m = _mask(combo)
-                if any(fm & m == fm for fm in found_masks):
-                    continue
-                if not any(m & fm == m for fm in self._facet_masks):
-                    found.append(frozenset(combo))
-                    found_masks.append(m)
-        return tuple(sorted(found, key=_face_key))
+        full = (1 << self.n) - 1
+        found = _minimal_transversals([full & ~fm for fm in self._facet_masks])
+        return tuple(sorted(map(_unmask, found), key=_face_key))
 
     # -- plumbing ------------------------------------------------------
 
@@ -236,8 +254,9 @@ def complex_from_forbidden(forbidden: Iterable[Iterable[int]], n: int) -> Simpli
 
     The forbidden family must be an antichain of nonempty subsets of
     1..n; it then comes back verbatim as the minimal nonfaces of the
-    result. Runs over all 2^n subsets via superset marking, so the same
-    ground-set cap applies as elsewhere.
+    result. A set is a face exactly when its complement meets every
+    forbidden set, so the facets are the complements of the minimal
+    transversals of the family. The ground-set cap applies as elsewhere.
     """
     if n < 0:
         raise ValueError("ground set size must be nonnegative")
@@ -252,26 +271,6 @@ def complex_from_forbidden(forbidden: Iterable[Iterable[int]], n: int) -> Simpli
     for g in fam:
         if any(h < g for h in fam):
             raise ValueError("forbidden family must be an antichain")
-
-    total = 1 << n
-    is_face = bytearray([1]) * total
-    full = total - 1
-    for g in fam:
-        gm = _mask(g)
-        rest = full & ~gm
-        # mark every superset of gm
-        sub = rest
-        while True:
-            is_face[gm | sub] = 0
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-
-    bit_of = [1 << i for i in range(n)]
-    facets = []
-    for m in range(total):
-        if not is_face[m]:
-            continue
-        if all((m & b) or not is_face[m | b] for b in bit_of):
-            facets.append(_unmask(m))
-    return SimplicialComplex(n, facets)
+    full = (1 << n) - 1
+    transversals = _minimal_transversals([_mask(g) for g in fam])
+    return SimplicialComplex(n, [_unmask(full & ~t) for t in transversals])

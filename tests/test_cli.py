@@ -8,6 +8,7 @@ import pytest
 
 from kneser_tverberg.cli import main
 from kneser_tverberg.experiments import ExperimentReport
+from kneser_tverberg.simplicial import GROUND_LIMIT
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -57,6 +58,16 @@ def test_complex_subcommand(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["n"] == 4
     assert sorted(map(sorted, data["minimal_nonfaces"])) == [[1, 3], [2, 4]]
+
+
+def test_complex_subcommand_at_the_ground_limit(capsys):
+    code = main(["complex", "--forbidden", "1,2 3,4,5", "--ground", str(GROUND_LIMIT)])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    ground = set(range(1, GROUND_LIMIT + 1))
+    assert data["facets"] == sorted(sorted(ground - {a, b}) for a in (1, 2) for b in (3, 4, 5))
+    assert data["minimal_nonfaces"] == [[1, 2], [3, 4, 5]]
+    assert (data["n"], data["dim"]) == (GROUND_LIMIT, GROUND_LIMIT - 3)
 
 
 def test_complex_requires_one_source(capsys):

@@ -7,6 +7,11 @@ each oracle uses only old code):
   branch for the uncapped enumeration.
 - `walked_minimal_nonfaces`: `SimplicialComplex.minimal_nonfaces`
   walking subsets of every size up to n.
+- `capped_minimal_nonfaces`: the same walk with its sizes capped at
+  dim + 2, which the minimal-transversal kernel replaced.
+- `marked_complex_from_forbidden`: `complex_from_forbidden` marking
+  the supersets of every forbidden set among all 2^n subsets, then
+  keeping the unmarked subsets with no unmarked one-element extension.
 - `forked_generalized_kneser` with `_minimal_outside`: the minimal faces
   of L outside K found by walking every face of L, except when L is the
   simplex on K's ground set.
@@ -17,7 +22,9 @@ each oracle uses only old code):
 
 The new paths must give the same face lists, antichains and
 hypergraphs on seeded random K ⊆ L pairs (including K.n < L.n and
-K = L), and the same pair or the same error on every pair of disjoint
+K = L), the same minimal nonfaces and forbidden-family complexes on
+random antichains, skeletons, Schrijver and average-stability families,
+cyclic polytope boundaries and the degenerate cases, and the same pair or the same error on every pair of disjoint
 subsets of up to 7 moment-curve points in R^1..R^4 and on seeded pairs
 at random rational parameters.
 """
@@ -29,14 +36,21 @@ from typing import Iterable
 
 import pytest
 
+from kneser_tverberg.experiments import _random_antichain
 from kneser_tverberg.geometry import (
     IntertwinedPair,
     PointConfiguration,
     conv_intersect,
+    gale_facets,
     intertwined_pair,
     moment_points,
 )
-from kneser_tverberg.hypergraphs import Hypergraph, generalized_kneser
+from kneser_tverberg.hypergraphs import (
+    Hypergraph,
+    generalized_kneser,
+    is_t_stable_on_average,
+    s_stable_subsets,
+)
 from kneser_tverberg.simplicial import (
     GROUND_LIMIT,
     SimplicialComplex,
@@ -44,6 +58,7 @@ from kneser_tverberg.simplicial import (
     _face_key,
     _mask,
     _unmask,
+    complex_from_forbidden,
     simplex_complex,
 )
 
@@ -93,6 +108,80 @@ def walked_minimal_nonfaces(self) -> tuple[Simplex, ...]:
                 found.append(frozenset(combo))
                 found_masks.append(m)
     return tuple(sorted(found, key=_face_key))
+
+
+def capped_minimal_nonfaces(self) -> tuple[Simplex, ...]:
+    """Inclusion-minimal subsets of 1..n that are not faces.
+
+    Enumerated in increasing cardinality; any candidate containing an
+    already-found nonface is skipped, so the result is an antichain.
+    Returned in the canonical lexicographic order shared by every
+    face family in this package.
+
+    No minimal nonface has more than dim + 2 elements: removing one
+    element leaves a face, which has at most dim + 1. So the sizes
+    stop at min(n, dim + 2), and nothing larger is walked.
+    """
+    if self.n > GROUND_LIMIT:
+        raise ValueError(f"nonface enumeration refused for ground sets above {GROUND_LIMIT}")
+    found: list[Simplex] = []
+    found_masks: list[int] = []
+    labels = range(1, self.n + 1)
+    for size in range(1, min(self.n, self.dim + 2) + 1):
+        for combo in combinations(labels, size):
+            m = _mask(combo)
+            if any(fm & m == fm for fm in found_masks):
+                continue
+            if not any(m & fm == m for fm in self._facet_masks):
+                found.append(frozenset(combo))
+                found_masks.append(m)
+    return tuple(sorted(found, key=_face_key))
+
+
+def marked_complex_from_forbidden(forbidden: Iterable[Iterable[int]], n: int) -> SimplicialComplex:
+    """Largest complex on 1..n none of whose faces contains a forbidden set.
+
+    The forbidden family must be an antichain of nonempty subsets of
+    1..n; it then comes back verbatim as the minimal nonfaces of the
+    result. Runs over all 2^n subsets via superset marking, so the same
+    ground-set cap applies as elsewhere.
+    """
+    if n < 0:
+        raise ValueError("ground set size must be nonnegative")
+    if n > GROUND_LIMIT:
+        raise ValueError(f"forbidden-family construction refused for ground sets above {GROUND_LIMIT}")
+    fam = {frozenset(g) for g in forbidden}
+    for g in fam:
+        if not g:
+            raise ValueError("forbidden sets must be nonempty")
+        if min(g) < 1 or max(g) > n:
+            raise ValueError(f"forbidden set {sorted(g)} is not a subset of 1..{n}")
+    for g in fam:
+        if any(h < g for h in fam):
+            raise ValueError("forbidden family must be an antichain")
+
+    total = 1 << n
+    is_face = bytearray([1]) * total
+    full = total - 1
+    for g in fam:
+        gm = _mask(g)
+        rest = full & ~gm
+        # mark every superset of gm
+        sub = rest
+        while True:
+            is_face[gm | sub] = 0
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+
+    bit_of = [1 << i for i in range(n)]
+    facets = []
+    for m in range(total):
+        if not is_face[m]:
+            continue
+        if all((m & b) or not is_face[m | b] for b in bit_of):
+            facets.append(_unmask(m))
+    return SimplicialComplex(n, facets)
 
 
 def forked_generalized_kneser(K: SimplicialComplex, L: SimplicialComplex, r: int) -> Hypergraph:
@@ -265,6 +354,64 @@ def test_generalized_kneser_matches_the_forked_construction():
             assert generalized_kneser(K, L, r) == forked_generalized_kneser(K, L, r)
     # K.n < L.n, K = L and neither, each with L the full simplex and not
     assert len(shapes) == 6
+
+
+# -- minimal nonfaces and forbidden families -------------------------------
+
+
+def _avg_stable_family(r: int, k: int, n: int) -> list[tuple[int, ...]]:
+    """The k-subsets avg_stable_placement(r, k, d, n) forbids."""
+    t = Fraction(r * (k - 3), 2 * (k - 1)) + 1
+    return [c for c in combinations(range(1, n + 1), k) if is_t_stable_on_average(c, n, t)]
+
+
+def _forbidden_families():
+    """(family, n) pairs: seeded random antichains, then the structured families."""
+    rng = random.Random(20261019)
+    for n in range(13):
+        for _ in range(12):
+            yield (_random_antichain(rng, n) if n else []), n
+    for n in range(1, 13):
+        for k in range(1, min(n, 4) + 1):
+            yield list(combinations(range(1, n + 1), k)), n  # the (k-2)-skeleton
+    for k, n in ((2, 5), (2, 6), (3, 7), (2, 9), (3, 10), (4, 12)):
+        yield s_stable_subsets(k, n, 2), n
+    for r in (2, 3):
+        for n in (10, 12):
+            yield _avg_stable_family(r, 4, n), n
+
+
+def test_transversal_kernel_matches_the_walks():
+    families = 0
+    for G, n in _forbidden_families():
+        families += 1
+        K = complex_from_forbidden(G, n)
+        assert K == marked_complex_from_forbidden(G, n), (G, n)
+        assert K.minimal_nonfaces() == capped_minimal_nonfaces(K), (G, n)
+        assert set(K.minimal_nonfaces()) == {frozenset(g) for g in G}
+    assert families == 13 * 12 + 42 + 6 + 4
+    for n, d in ((5, 2), (8, 2), (7, 4), (10, 4), (9, 6)):  # cyclic polytope boundaries
+        K = SimplicialComplex(n, gale_facets(n, d))
+        mnf = K.minimal_nonfaces()
+        assert mnf == capped_minimal_nonfaces(K), (n, d)
+        assert complex_from_forbidden(mnf, n) == marked_complex_from_forbidden(mnf, n) == K
+
+
+def test_transversal_kernel_degenerate_cases():
+    singletons = [(v,) for v in range(1, 5)]
+    for G, n, K in (
+        ([], 0, SimplicialComplex(0)),
+        ([], 5, simplex_complex(4)),
+        (singletons, 4, SimplicialComplex(4, [()])),  # the empty simplex is the only facet
+    ):
+        assert complex_from_forbidden(G, n) == marked_complex_from_forbidden(G, n) == K
+    for K, mnf in (
+        (SimplicialComplex(0), []),
+        (simplex_complex(6), []),
+        (SimplicialComplex(4, [()]), singletons),
+        (SimplicialComplex(9, [(1, 2), (2, 3, 4)]), [(1, 3), (1, 4)] + [(v,) for v in range(5, 10)]),
+    ):
+        assert K.minimal_nonfaces() == capped_minimal_nonfaces(K) == tuple(map(frozenset, mnf))
 
 
 # -- intertwined pairs ----------------------------------------------------

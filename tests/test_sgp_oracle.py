@@ -278,15 +278,22 @@ def test_scan_matches_elimination_oracle_on_random_configurations():
 
 
 def test_scan_matches_elimination_oracle_on_avg_stable_draws():
-    """The first three seeded draws of avg_stable_placement(2, 4, 5, 10)."""
+    """The draw avg_stable_placement(2, 4, 5, 10) keeps, then two smaller jittered draws.
+
+    The smaller draws (8 points in R^3, jittered as the placement's are)
+    keep the full-size scan to one run while both kernels still walk
+    every tuple.
+    """
     rng = random.Random(0)
-    draws = [
-        moment_points([Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, 11)], 5)
-        for _ in range(3)
-    ]
-    assert avg_stable_placement(2, 4, 5, 10, seed=0)[1] == draws[0]
-    for P in draws:
-        assert _same_outcome(P, 2) == (True, None, 21861)
+
+    def draw(n: int, d: int) -> PointConfiguration:
+        return moment_points([Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, n + 1)], d)
+
+    P = draw(10, 5)
+    assert avg_stable_placement(2, 4, 5, 10, seed=0)[1] == P
+    assert _same_outcome(P, 2) == (True, None, 21861)
+    for _ in range(2):
+        assert _same_outcome(draw(8, 3), 2) == (True, None, 2345)
 
 
 def test_scan_stops_at_the_elimination_oracles_cap():

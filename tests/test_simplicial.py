@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from kneser_tverberg.experiments import _random_antichain
 from kneser_tverberg.simplicial import (
     GROUND_LIMIT,
     SimplicialComplex,
+    _mask,
+    _minimal_transversals,
     complex_from_forbidden,
     simplex_complex,
 )
@@ -125,6 +128,16 @@ def test_forbidden_roundtrip_random():
         assert set(K.minimal_nonfaces()) == anti
         # rebuild from the recovered antichain: same complex
         assert complex_from_forbidden(K.minimal_nonfaces(), n) == K
+
+
+def test_minimal_transversals_of_minimal_transversals_give_back_the_antichain():
+    rng = random.Random(12)
+    for n in range(1, 13):
+        for _ in range(10):
+            G = sorted(_mask(g) for g in _random_antichain(rng, n))
+            assert sorted(_minimal_transversals(_minimal_transversals(G))) == G
+    assert _minimal_transversals([]) == [0]
+    assert _minimal_transversals([0]) == []
 
 
 def test_faces_sorted_canonically():
