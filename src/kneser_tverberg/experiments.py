@@ -293,10 +293,10 @@ def verify_constraint(max_vertices: int = DEFAULT_VERTEX_LIMIT) -> list[Experime
     """
     instances = [
         (f"constraint-kneser-{k}-{n}", simplex_complex(n - 1).skeleton(k - 2), n)
-        for k, n in ((2, 5), (2, 6), (2, 7), (3, 7))
+        for k, n in KNESER_INSTANCES
     ] + [
         (f"constraint-schrijver-{k}-{n}", complex_from_forbidden(s_stable_subsets(k, n, 2), n), n)
-        for k, n in ((2, 5), (2, 6), (3, 7))
+        for k, n, _ in SCHRIJVER_INSTANCES
     ]
     out = []
     for name, K, n in instances:

@@ -768,11 +768,9 @@ def strong_general_position_report(
     return bad is None, bad, checked
 
 
-def is_strong_general_position(
-    P: PointConfiguration, r: int, *, cap: int = DEFAULT_SEARCH_CAP
-) -> bool:
+def is_strong_general_position(P: PointConfiguration, r: int) -> bool:
     """Whether the configuration is in strong general position for r parts."""
-    holds, _, _ = strong_general_position_report(P, r, cap=cap)
+    holds, _, _ = strong_general_position_report(P, r)
     return holds
 
 

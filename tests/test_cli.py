@@ -209,16 +209,13 @@ def test_ignored_flags_are_refused(capsys, argv, message):
     assert message in captured.err
 
 
-def test_verify_all_matches_the_pinned_stream(capsys):
+def test_verify_all_matches_the_pinned_stream(verify_all_run):
     """`kntv verify all`, runtime_s removed, byte for byte against tests/data/verify_all.jsonl."""
-    assert main(["verify", "all"]) == 0
-    got = []
-    for line in capsys.readouterr().out.splitlines():
-        rep = json.loads(line)
-        del rep["runtime_s"]
-        got.append(json.dumps(rep) + "\n")
+    code, reports = verify_all_run
+    assert code == 0
+    got = [{k: v for k, v in rep.items() if k != "runtime_s"} for rep in reports]
     pinned = (Path(__file__).resolve().parent / "data" / "verify_all.jsonl").read_text()
-    assert "".join(got) == pinned
+    assert "".join(json.dumps(rep) + "\n" for rep in got) == pinned
 
 
 def test_table_format(capsys):
