@@ -13,8 +13,9 @@ barycentric system scaled to integers by one common denominator, the
 partition search with its verified-absence report (P is scaled to
 integers once per search, and a tuple whose per-face bounding boxes miss
 in some coordinate is rejected before any hull test), minimal
-intertwined pairs on the moment curve and separating polynomials built
-and sign-checked in integers (both read one parameter table, kept once
+intertwined pairs on the moment curve by a closed-form integer Radon
+dependence, no LP, and separating polynomials, both built and checked
+by substitution in integers (both read one parameter table, kept once
 per configuration: a common denominator q and the integer u = q*t of
 each label's curve parameter t), the strong general position test (in
 homogeneous coordinates: stacked annihilators of the lifted points,
@@ -580,26 +581,88 @@ def intertwined_pair(
     decides. With at most d+1 blocks, a polynomial of degree at most d
     with one root between each pair of consecutive blocks separates the
     parts (this is separating_polynomial), so the hulls are disjoint and
-    ValueError is raised without an LP. Otherwise the first points of
-    the first d+2 blocks alternate along the curve, and d+2 alternating
-    points on the moment curve always have meeting hulls, so one exact
-    feasibility check returns the witness; a witness for subsets of the
-    parts shows that the parts meet. The pair is minimal because fewer
-    than d+2 points on the curve are affinely independent. A check that
-    finds no witness contradicts this and raises ArithmeticError.
+    ValueError is raised. Otherwise the first points of the first d+2
+    blocks alternate along the curve: picks p_0, ..., p_(d+1) at
+    parameters t_0 < ... < t_(d+1), the ones from the first part making
+    Y1 and the others Y2. A common point of their hulls shows that the
+    parts, which contain them, meet. Its weights are in closed form.
+
+    The (d+1)-st divided difference f[t_0, ..., t_(d+1)] is the sum of
+    lambda_i f(t_i) with lambda_i = 1/prod_(j != i)(t_i - t_j). It is
+    the leading coefficient of f's interpolant of degree at most d+1, so
+    it kills every polynomial of degree at most d; on f = 1, t, ..., t^d
+    that says sum lambda_i = 0 and sum lambda_i p_i = 0, an affine
+    dependence of the picks. The sign of lambda_i is (-1)^(d+1-i), one
+    minus per later pick, so the signs alternate along the curve like
+    the sides do, and the positive lambdas are exactly one part's.
+    Dividing them, and the negated others, by their sum S gives the
+    barycentric weights of a common point. Any d+1 points on the curve
+    are affinely independent (their lifted Vandermonde matrix is
+    invertible), so the dependence is unique up to scale: the witness is
+    the only common point of the two hulls, the one any exact solver
+    would find. For the same reason the pair is minimal: without any one
+    pick, the rest are affinely independent, and disjoint parts of an
+    independent set have disjoint hulls.
+
+    The arithmetic is in integers, on the table u = q*t of _moment_parts.
+    Scaling every parameter by q > 0 scales each lambda_i by the same
+    positive q^-(d+1), so the weights w_i = L/prod_(j != i)(u_i - u_j),
+    L the least common multiple of the products, have the sides and the
+    normalised weights of the lambdas; q is back only in the point,
+    whose coordinate j is the sum over Y1 of w_i u_i^j, over S q^j.
+    Before anything is returned the witness is checked by exact
+    substitution: the table must reproduce P at every pick (q^j times
+    coordinate j is u^j), sum w_i u_i^j must vanish for j = 0..d, and
+    the positive weights must be exactly the picks of the first part.
+    A failed check raises ArithmeticError.
     """
-    A, B, _, u = _moment_parts(P, X1, X2)
+    A, B, q, u = _moment_parts(P, X1, X2)
     d = P.d
     blocks = _blocks_by_side(u, A, B)
     if len(blocks) <= d + 1:
         raise ValueError("hulls do not intersect")
     picks = [blk[0] for blk in blocks[: d + 2]]
-    Y1 = frozenset(lab for lab in picks if lab in A)
-    Y2 = frozenset(lab for lab in picks if lab in B)
-    witness = conv_intersect([P.subset(Y1), P.subset(Y2)])
-    if witness is None:
-        raise ArithmeticError("alternating points on the moment curve found no common point")
-    return IntertwinedPair(Y1, Y2, witness)
+    us = [u[lab] for lab in picks]
+    sides = [lab in A for lab in picks]
+
+    dens = [1] * (d + 2)
+    for b in range(1, d + 2):
+        for a in range(b):
+            diff = us[b] - us[a]
+            dens[b] *= diff
+            dens[a] *= -diff
+    # the last pick's product is positive; its weight goes to the first part
+    scale = lcm(*dens) if sides[-1] else -lcm(*dens)
+    w = [scale // den for den in dens]
+
+    for lab, ui in zip(picks, us):
+        x = qj = 1
+        for c in P.point(lab):
+            x *= ui
+            qj *= q
+            if c.numerator * qj != x * c.denominator:
+                raise ArithmeticError("parameter table disagrees with the configuration")
+    if [wi > 0 for wi in w] != sides:
+        raise ArithmeticError("dependence signs do not follow the parts")
+    moments = []  # sum over Y1 of w_i u_i^j, for j = 0..d
+    terms = w
+    for _ in range(d + 1):
+        if sum(terms):
+            raise ArithmeticError("divided-difference dependence failed substitution")
+        moments.append(sum(t for t, side in zip(terms, sides) if side))
+        terms = [t * x for t, x in zip(terms, us)]
+
+    S = moments[0]
+    by_label = sorted(zip(picks, w))
+    witness = ConvexWitness(
+        tuple(Fraction(m, S * q**j) for j, m in enumerate(moments[1:], 1)),
+        (
+            tuple(Fraction(wi, S) for _, wi in by_label if wi > 0),
+            tuple(Fraction(-wi, S) for _, wi in by_label if wi < 0),
+        ),
+    )
+    Y1 = frozenset(lab for lab, side in zip(picks, sides) if side)
+    return IntertwinedPair(Y1, frozenset(picks) - Y1, witness)
 
 
 def separating_polynomial(

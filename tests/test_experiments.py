@@ -115,6 +115,24 @@ def test_intertwined_matches_with_the_true_pairs():
     assert [rep.verdict for rep in verify_intertwined(max_points=5, max_d=2)] == ["match"] * 2
 
 
+def test_intertwined_sweep_solves_no_lp(monkeypatch):
+    """Separated pairs get a polynomial and intersecting ones a closed-form dependence."""
+    from kneser_tverberg import geometry, linalg
+
+    calls = []
+
+    def counting(rows, rhs, _real=linalg.feasible_nonneg):
+        calls.append(len(rows))
+        return _real(rows, rhs)
+
+    monkeypatch.setattr(linalg, "feasible_nonneg", counting)
+    monkeypatch.setattr(geometry, "feasible_nonneg", counting)
+    reports = verify_intertwined(max_points=5, max_d=3)
+    assert [rep.verdict for rep in reports] == ["match"] * 3
+    assert all(rep.computed["intersecting"] > 0 for rep in reports)
+    assert calls == []
+
+
 def test_roundtrip_experiment_small():
     rep = verify_roundtrip(count=25, max_ground=6, seed=11)
     assert rep.verdict == "match"

@@ -19,6 +19,9 @@ each oracle uses only old code):
   LP and greedy descent, on the `Fraction`-keyed `_on_moment_curve` and
   `_blocks_by_side` it called (the membership test no longer caches its
   answer on P, and the pairs no longer carry an `alternating` flag).
+- `lp_intertwined_pair`: `intertwined_pair` as it was before the
+  closed-form dependence, the block count on the parameter table and
+  then one `conv_intersect` on the picks.
 
 The new paths must give the same face lists, antichains and
 hypergraphs on seeded random K ⊆ L pairs (including K.n < L.n and
@@ -26,7 +29,9 @@ K = L), the same minimal nonfaces and forbidden-family complexes on
 random antichains, skeletons, Schrijver and average-stability families,
 cyclic polytope boundaries and the degenerate cases, and the same pair or the same error on every pair of disjoint
 subsets of up to 7 moment-curve points in R^1..R^4 and on seeded pairs
-at random rational parameters.
+at random rational parameters. Against the LP, the same pair, witness
+point and weights included, on those small pairs and on seeded pairs in
+R^1..R^6 at negative, non-integer parameters with shuffled labels.
 """
 
 import random
@@ -36,6 +41,7 @@ from typing import Iterable
 
 import pytest
 
+from kneser_tverberg import geometry
 from kneser_tverberg.experiments import _random_antichain
 from kneser_tverberg.geometry import (
     IntertwinedPair,
@@ -305,6 +311,37 @@ def descending_intertwined_pair(
     return IntertwinedPair(Y1f, Y2f, witness)
 
 
+def lp_intertwined_pair(
+    P: PointConfiguration, X1: Iterable[int], X2: Iterable[int]
+) -> IntertwinedPair:
+    """Shrink two intersecting hulls on the moment curve to a minimal pair.
+
+    The number of alternation blocks in the merged parameter order
+    decides. With at most d+1 blocks, a polynomial of degree at most d
+    with one root between each pair of consecutive blocks separates the
+    parts (this is separating_polynomial), so the hulls are disjoint and
+    ValueError is raised without an LP. Otherwise the first points of
+    the first d+2 blocks alternate along the curve, and d+2 alternating
+    points on the moment curve always have meeting hulls, so one exact
+    feasibility check returns the witness; a witness for subsets of the
+    parts shows that the parts meet. The pair is minimal because fewer
+    than d+2 points on the curve are affinely independent. A check that
+    finds no witness contradicts this and raises ArithmeticError.
+    """
+    A, B, _, u = geometry._moment_parts(P, X1, X2)
+    d = P.d
+    blocks = geometry._blocks_by_side(u, A, B)
+    if len(blocks) <= d + 1:
+        raise ValueError("hulls do not intersect")
+    picks = [blk[0] for blk in blocks[: d + 2]]
+    Y1 = frozenset(lab for lab in picks if lab in A)
+    Y2 = frozenset(lab for lab in picks if lab in B)
+    witness = conv_intersect([P.subset(Y1), P.subset(Y2)])
+    if witness is None:
+        raise ArithmeticError("alternating points on the moment curve found no common point")
+    return IntertwinedPair(Y1, Y2, witness)
+
+
 # -- random complexes ---------------------------------------------------
 
 
@@ -463,3 +500,49 @@ def test_intertwined_pair_matches_the_descent_at_random_parameters(seed):
         B = frozenset(rng.sample(rest, rng.randint(1, len(rest))))
         got = _outcome(intertwined_pair, P, A, B)
         assert got == _outcome(descending_intertwined_pair, P, A, B), (sorted(params), d, A, B)
+
+
+def test_intertwined_pair_matches_the_lp_on_every_small_moment_pair():
+    pairs = found = 0
+    for d in range(1, 5):
+        for n in range(2, 8):
+            P = moment_points(range(1, n + 1), d)
+            for A, B in _disjoint_pairs(list(range(1, n + 1))):
+                pairs += 1
+                got = _outcome(intertwined_pair, P, A, B)
+                assert got == _outcome(lp_intertwined_pair, P, A, B), (d, A, B)
+                found += isinstance(got, IntertwinedPair)
+    assert (pairs, found) == (5556, 1346)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_intertwined_pair_matches_the_lp_at_fractional_parameters(seed):
+    """Negative, non-integer parameters (q > 1), d up to 6, labels not in parameter order."""
+    rng = random.Random(seed)
+    found = 0
+    for _ in range(200):
+        d = rng.randint(1, 6)
+        n = rng.randint(d + 2, d + 5)
+        params = {Fraction(-rng.randint(1, 48), rng.randint(2, 9))}
+        while len(params) < n:
+            params.add(Fraction(rng.randint(-48, 48), rng.randint(2, 9)))
+        ts = sorted(params)
+        assert ts[0] < 0 and any(t.denominator > 1 for t in ts)
+        labels = rng.sample(range(1, 2 * n + 1), n)
+        P = PointConfiguration(d, [(lab, [t**j for j in range(1, d + 1)]) for lab, t in zip(labels, ts)])
+        # sides flip along the curve more often than not, so most draws intersect
+        A: set[int] = set()
+        B: set[int] = set()
+        side = rng.random() < 0.5
+        for lab in labels:
+            if rng.random() < 0.1:
+                continue
+            if rng.random() < 0.85:
+                side = not side
+            (A if side else B).add(lab)
+        if not A or not B:
+            continue
+        got = _outcome(intertwined_pair, P, frozenset(A), frozenset(B))
+        assert got == _outcome(lp_intertwined_pair, P, frozenset(A), frozenset(B)), (ts, d, A, B)
+        found += isinstance(got, IntertwinedPair)
+    assert found >= 100

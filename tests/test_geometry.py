@@ -257,20 +257,29 @@ def test_moment_routines_refuse_unknown_labels_alike():
             fn(P, {1, 9}, {2})
 
 
-def test_intertwined_pair_solves_one_lp_on_an_alternating_pair(monkeypatch):
-    """The fast-path witness already proves that the hulls meet; no full-pair LP."""
-    from kneser_tverberg import geometry
+def test_intertwined_pair_solves_no_lp_on_an_alternating_pair(monkeypatch):
+    """The divided-difference dependence is the witness; no hull test and no simplex."""
+    from kneser_tverberg import geometry, linalg
 
     calls = []
 
-    def counting(parts):
-        calls.append(parts)
-        return conv_intersect(parts)
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("an LP was asked for")
 
-    monkeypatch.setattr(geometry, "conv_intersect", counting)
+    for module, name in (
+        (geometry, "conv_intersect"), (geometry, "feasible_nonneg"), (linalg, "feasible_nonneg")
+    ):
+        monkeypatch.setattr(module, name, refuse)
     P = moment_points(range(1, 7), 2)
-    pair = intertwined_pair(P, frozenset({1, 3}), frozenset({2, 4}))
-    assert _alternates(pair) and len(calls) == 1
+    pair = intertwined_pair(P, frozenset({1, 3, 6}), frozenset({2, 4}))
+    monkeypatch.undo()
+    assert calls == []
+    assert (pair.part1, pair.part2) == (frozenset({1, 3}), frozenset({2, 4}))
+    # lambda_i = 1/prod_(j != i)(t_i - t_j) at t = 1..4 is -1/6, 1/2, -1/2, 1/6
+    assert pair.witness.weights == ((Fraction(1, 4), Fraction(3, 4)), (Fraction(3, 4), Fraction(1, 4)))
+    assert pair.witness.point == (Fraction(5, 2), Fraction(7))
+    assert pair.witness == conv_intersect([P.subset(pair.part1), P.subset(pair.part2)])
 
 
 def test_intertwined_pair_refuses_separated_parts_without_an_lp(monkeypatch):
@@ -285,13 +294,17 @@ def test_intertwined_pair_refuses_separated_parts_without_an_lp(monkeypatch):
     assert calls == []
 
 
-def test_intertwined_pair_fails_closed_when_the_lp_finds_no_witness(monkeypatch):
-    from kneser_tverberg import geometry
-
-    monkeypatch.setattr(geometry, "conv_intersect", lambda parts: None)
+def test_intertwined_pair_fails_closed_on_a_corrupted_parameter_table(monkeypatch):
+    """The substitution check reads P's own coordinates, not only the table it was built from."""
     P = moment_points(range(1, 5), 2)
-    with pytest.raises(ArithmeticError):
-        intertwined_pair(P, frozenset({1, 3}), frozenset({2, 4}))
+    for table in (
+        (2, {1: 1, 2: 2, 3: 3, 4: 4}),  # wrong q: the table says t = u/2
+        (1, {1: 1, 2: 2, 3: 3, 4: 5}),  # one wrong u, order kept
+        (1, {1: 0, 2: 1, 3: 2, 4: 3}),  # every u shifted: the same dependence, wrong point
+    ):
+        monkeypatch.setattr(P, "_curve", table)
+        with pytest.raises(ArithmeticError, match="parameter table"):
+            intertwined_pair(P, frozenset({1, 3}), frozenset({2, 4}))
 
 
 def test_moment_curve_checks_reject_repeated_parameters():
