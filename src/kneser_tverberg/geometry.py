@@ -17,12 +17,15 @@ intertwined pairs on the moment curve by a closed-form integer Radon
 dependence, no LP, and separating polynomials, both built and checked
 by substitution in integers (both read one parameter table, kept once
 per configuration: a common denominator q and the integer u = q*t of
-each label's curve parameter t), the strong general position test (in
-homogeneous coordinates: stacked annihilators of the lifted points,
-their echelon basis extended by one subset per level of the tuple
-search, with a pivot in the last column meaning empty hulls), one
-bounded loop of seeded draws until a configuration passes it, and the
-seeded placement routine for average-stability instances.
+each label's curve parameter t), the strong general position test (for
+two parts first a certificate, one Radon dependence of the lifted points
+per (d+2)-subset with no zero proper sub-sum, that passes a
+configuration without the tuple search; otherwise, and for three or
+more parts, the tuple search in homogeneous coordinates: stacked
+annihilators of the lifted points, their echelon basis extended by one
+subset per level, with a pivot in the last column meaning empty hulls),
+one bounded loop of seeded draws until a configuration passes it, and
+the seeded placement routine for average-stability instances.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from math import comb, lcm
 from operator import le
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .linalg import Echelon, det, extend_echelon, feasible_nonneg, nullspace
-from .linalg import rank  # noqa: F401  re-exported: perfbench wraps geometry.rank
+from .linalg import Echelon, det, extend_echelon, feasible_nonneg, nullspace, rank
 from .simplicial import SimplicialComplex, Simplex, _disjoint_tuples, complex_from_forbidden
 
 Point = tuple[Fraction, ...]
@@ -759,7 +761,97 @@ def strong_general_position_report(
     a degenerate big subset contains a small subset with the same affine
     hull, and sums beyond d+1 are unconstrained by definition). For each
     such tuple the affine hulls must intersect in the expected dimension,
-    or be empty exactly when the codimension sum reaches d+1.
+    or be empty exactly when the codimension sum reaches d+1. The tuple
+    search (_sgp_tuple_search) walks them in a fixed order and stops at
+    the first violation or when more than cap tuples would be checked.
+
+    For r = 2 one Radon dependence per (d+2)-subset decides a passing
+    configuration without the search (Perles and Sigron, "Strong general
+    position", 2014). Lift each point p to p^ = (p, 1). The certificate
+    asks, when n >= d+2, that for every (d+2)-subset U the lifted points
+    have a one-dimensional null space, spanned by lambda, and that no
+    nonempty proper S of U has sum_S lambda = 0; as sum_U lambda = 0,
+    the sums over the subsets without U's last index suffice. When n <=
+    d+1 it asks that the lifted points be linearly independent. If it
+    holds, the search would check every pair and find no violation:
+
+    1. Every (d+1)-subset W is affinely independent. Were it dependent,
+       a U containing W would have a 2-dimensional null space or a
+       dependence supported on W, a zero entry of lambda. So every
+       subset has its expected codimension d+1-|A|, the pairs checked
+       are those with |A| + |B| >= d+1, and a pair with |A| + |B| = d+1
+       spans: its lifted spans meet only in 0, the hulls are empty, and
+       the codimensions sum to d+1 as required. (For n <= d+1 the
+       independence of all n lifted points gives the same directly.)
+    2. For |A| + |B| = d+2, with U = A u B, the lifted spans together
+       span R^(d+1), so they meet in a line, spanned by sum_A lambda_i
+       p^_i (nonzero, as A is independent). Its last coordinate is
+       sum_A lambda, so the hulls meet in a point, the expected
+       dimension 0, exactly when sum_A lambda != 0.
+    3. A larger pair contains nonempty A' in A and B' in B with |A'| +
+       |B'| = d+2, whose hulls meet by step 2, and its union spans R^(d+1)
+       by step 1. So its lifted spans meet in |A| + |B| - (d+1)
+       dimensions, not all at last coordinate 0: its hulls meet in the
+       expected dimension.
+
+    The number of pairs checked is then N, the unordered pairs of
+    disjoint subsets with 1 <= |A|, |B| <= min(d+1, n) and d+1 <= |A| +
+    |B| <= n. If N exceeds cap, the search would have stopped at its
+    (cap+1)-th tuple (its first, for cap < 1), and the same
+    SearchSpaceError is raised. For r >= 3, and when the certificate
+    fails, the search decides.
+
+    Returns (holds, violating tuple or None, tuples checked).
+    """
+    if r < 2:
+        raise ValueError("need r >= 2")
+    if r == 2:
+        ipts = _scaled_integer_points(P)
+        if _two_part_radon_certificate([ipts[lab] for lab in P.labels], P.d):
+            checked = _two_part_pair_count(len(P), P.d)
+            limit = max(cap, 0)  # the search counts a tuple before it compares
+            if checked > limit:
+                raise SearchSpaceError(
+                    f"strong general position scan exceeded the cap {cap}", limit + 1, cap
+                )
+            return True, None, checked
+    return _sgp_tuple_search(P, r, cap)
+
+
+def _two_part_radon_certificate(points: Sequence[tuple[int, ...]], d: int) -> bool:
+    """The r = 2 certificate of strong_general_position_report, on integer points."""
+    lifted = [p + (1,) for p in points]
+    n = len(lifted)
+    if n <= d + 1:
+        return rank(lifted) == n
+    for U in combinations(lifted, d + 2):
+        null = nullspace(list(zip(*U)))
+        if len(null) != 1:
+            return False
+        sums = [0]
+        for lam in null[0][:-1]:
+            sums += [s + lam for s in sums]
+        if 0 in sums[1:]:
+            return False
+    return True
+
+
+def _two_part_pair_count(n: int, d: int) -> int:
+    """Pairs the r = 2 tuple search checks when every subset has its expected codimension."""
+    top = min(d + 1, n)
+    ordered = sum(
+        comb(n, a) * comb(n - a, b)
+        for a in range(1, top + 1)
+        for b in range(1, top + 1)
+        if d + 1 <= a + b <= n
+    )
+    return ordered // 2
+
+
+def _sgp_tuple_search(
+    P: PointConfiguration, r: int, cap: int
+) -> tuple[bool, Optional[tuple[Simplex, ...]], int]:
+    """The tuple search of strong_general_position_report, for any r >= 2.
 
     The test runs in homogeneous coordinates. Each point p is lifted to
     (p, 1), and each subset gets, once, an integer basis of the
@@ -773,11 +865,7 @@ def strong_general_position_report(
     stack, so a leading column d puts e_(d+1) in the row space and the
     hulls are empty (codimension d+1); otherwise the actual codimension
     is the number of rows.
-
-    Returns (holds, violating tuple or None, tuples checked).
     """
-    if r < 2:
-        raise ValueError("need r >= 2")
     d = P.d
     ipts = _scaled_integer_points(P)
     labels = P.labels

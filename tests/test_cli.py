@@ -174,6 +174,23 @@ def test_tverberg_sgp_report(capsys):
     assert data["violating_tuple"] == [[1, 6], [2, 3, 4, 5]]
 
 
+def test_tverberg_sgp_report_on_a_passing_configuration(capsys):
+    """The two-part certificate reports the tuple search's count, and the search's cap refusal."""
+    from kneser_tverberg.geometry import _sgp_tuple_search, moment_points
+
+    argv = ["tverberg", "--sgp", "--moment", "1,2,4,8,16,32", "-d", "3"]
+    assert _sgp_tuple_search(moment_points([1, 2, 4, 8, 16, 32], 3), 2, 10**6) == (True, None, 220)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "strong_general_position": True,
+        "tuples_checked": 220,
+    }
+    assert main([*argv, "--cap", "219"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cap" in captured.err
+
+
 def test_tverberg_cap_refusal(capsys):
     code = main(
         ["tverberg", "--moment", ",".join(map(str, range(1, 13))), "-d", "2", "-r", "3", "--cap", "10"]

@@ -368,6 +368,30 @@ def test_sgp_frozen_counterexample():
     assert not is_strong_general_position(P, 2)
 
 
+def test_sgp_two_parts_pass_on_the_certificate_alone(monkeypatch):
+    """A passing two-part scan takes no echelon step; a failing one still walks to its violation."""
+    from kneser_tverberg import geometry
+
+    calls = []
+    real = geometry.extend_echelon
+
+    def counting(basis, rows):
+        calls.append(len(rows))
+        return real(basis, rows)
+
+    monkeypatch.setattr(geometry, "extend_echelon", counting)
+    _, P = avg_stable_placement(2, 4, 5, 10, seed=0)
+    assert strong_general_position_report(P, 2) == (True, None, 21861)
+    assert calls == []
+    Q = moment_points(range(1, 7), 4)
+    assert strong_general_position_report(Q, 2) == (
+        False,
+        (frozenset({1, 6}), frozenset({2, 3, 4, 5})),
+        61,
+    )
+    assert calls
+
+
 def test_searches_leave_no_reference_cycles():
     """The nested DFS helpers must not keep their working sets alive.
 

@@ -11,6 +11,12 @@ geometry carries an echelon basis of that stack down its search
 instead; all three must return the same (holds, violating tuple, tuples
 checked) triple, DFS order and all, and must stop at the same count
 when the cap is exceeded.
+
+For two parts the public report first tries a certificate, one Radon
+dependence per (d+2)-subset, and only falls back to the tuple search
+when it fails. So every oracle comparison here checks the public report
+and the tuple search (_sgp_tuple_search) alike, and the certificate path
+is checked against the tuple search on its own below.
 """
 
 import random
@@ -25,6 +31,8 @@ from kneser_tverberg.geometry import (
     PointConfiguration,
     SearchSpaceError,
     _scaled_integer_points,
+    _sgp_tuple_search,
+    _two_part_pair_count,
     avg_stable_placement,
     moment_points,
     strong_general_position_report,
@@ -230,6 +238,11 @@ def _random_configuration(rng: random.Random, d: int, n: int) -> PointConfigurat
     return PointConfiguration(d, {i + 1: p for i, p in enumerate(pts)})
 
 
+def _jittered_moment_points(rng: random.Random, n: int, d: int) -> PointConfiguration:
+    """Moment-curve points at i + eps_i, jittered as avg_stable_placement draws them."""
+    return moment_points([Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, n + 1)], d)
+
+
 def test_scan_matches_barycentric_oracle_on_random_configurations():
     rng = random.Random(20)
     violating = 0
@@ -239,7 +252,9 @@ def test_scan_matches_barycentric_oracle_on_random_configurations():
         n = rng.randint(2, d + 3)
         P = _random_configuration(rng, d, n)
         got = strong_general_position_report(P, r)
-        assert got == oracle_report(P, r), (P.to_json_dict(), r)
+        want = oracle_report(P, r)
+        assert got == want, (P.to_json_dict(), r)
+        assert _sgp_tuple_search(P, r, DEFAULT_SEARCH_CAP) == want, (P.to_json_dict(), r)
         violating += not got[0]
     # the generator must exercise both outcomes
     assert 50 < violating < 200
@@ -248,21 +263,28 @@ def test_scan_matches_barycentric_oracle_on_random_configurations():
 def test_scan_matches_oracle_on_moment_curves():
     for d, n, r in ((2, 6, 3), (3, 6, 2), (4, 6, 2), (4, 7, 2)):
         P = moment_points(range(1, n + 1), d)
-        assert strong_general_position_report(P, r) == oracle_report(P, r)
+        want = oracle_report(P, r)
+        assert strong_general_position_report(P, r) == want
+        assert _sgp_tuple_search(P, r, DEFAULT_SEARCH_CAP) == want
 
 
 def _same_outcome(P: PointConfiguration, r: int, cap: int = DEFAULT_SEARCH_CAP):
-    """The scan and the per-tuple elimination agree, cap overruns included."""
+    """The public report, the tuple search and the per-tuple elimination agree, cap overruns included."""
+    scans = (
+        lambda: strong_general_position_report(P, r, cap=cap),
+        lambda: _sgp_tuple_search(P, r, cap),
+    )
     try:
         want = elimination_report(P, r, cap=cap)
     except SearchSpaceError as exc:
-        with pytest.raises(SearchSpaceError) as got:
-            strong_general_position_report(P, r, cap=cap)
-        assert (got.value.estimate, got.value.cap) == (exc.estimate, exc.cap)
+        for scan in scans:
+            with pytest.raises(SearchSpaceError) as got:
+                scan()
+            assert (got.value.estimate, got.value.cap) == (exc.estimate, exc.cap)
         return None
-    got = strong_general_position_report(P, r, cap=cap)
-    assert got == want, (P.to_json_dict(), r)
-    return got
+    for scan in scans:
+        assert scan() == want, (P.to_json_dict(), r)
+    return want
 
 
 def test_scan_matches_elimination_oracle_on_random_configurations():
@@ -285,15 +307,11 @@ def test_scan_matches_elimination_oracle_on_avg_stable_draws():
     every tuple.
     """
     rng = random.Random(0)
-
-    def draw(n: int, d: int) -> PointConfiguration:
-        return moment_points([Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, n + 1)], d)
-
-    P = draw(10, 5)
+    P = _jittered_moment_points(rng, 10, 5)
     assert avg_stable_placement(2, 4, 5, 10, seed=0)[1] == P
     assert _same_outcome(P, 2) == (True, None, 21861)
     for _ in range(2):
-        assert _same_outcome(draw(8, 3), 2) == (True, None, 2345)
+        assert _same_outcome(_jittered_moment_points(rng, 8, 3), 2) == (True, None, 2345)
 
 
 def test_scan_stops_at_the_elimination_oracles_cap():
@@ -302,3 +320,92 @@ def test_scan_stops_at_the_elimination_oracles_cap():
     for cap in (1, 5, full - 1):
         assert _same_outcome(P, 2, cap=cap) is None
     assert _same_outcome(P, 2, cap=full) == strong_general_position_report(P, 2)
+
+
+# -- the two-part certificate against the tuple search ------------------
+
+
+def _outcome(scan):
+    try:
+        return scan()
+    except SearchSpaceError as exc:
+        return ("SearchSpaceError", str(exc), exc.estimate, exc.cap)
+
+
+def _certificate_matches_search(P: PointConfiguration, caps=(DEFAULT_SEARCH_CAP,)):
+    """Same triple or same cap error from the public report and the tuple search at r = 2.
+
+    Returns the tuple search's outcome at the first cap.
+    """
+    outcomes = [_outcome(lambda: _sgp_tuple_search(P, 2, cap)) for cap in caps]
+    for cap, want in zip(caps, outcomes):
+        got = _outcome(lambda: strong_general_position_report(P, 2, cap=cap))
+        assert got == want, (P.to_json_dict(), cap)
+    return outcomes[0]
+
+
+def test_certificate_matches_the_tuple_search_on_planted_degeneracies():
+    rng = random.Random(20)
+    holds = 0
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        n = rng.randint(2, d + 3)
+        holds += _certificate_matches_search(_random_configuration(rng, d, n))[0]
+    # both outcomes, and both sides of n = d + 2
+    assert 50 < holds < 250
+
+
+def test_certificate_matches_the_tuple_search_on_moment_curves():
+    """Jittered draws pass; equally spaced parameters give both outcomes."""
+    rng = random.Random(3)
+    spaced_holds = []
+    sizes = [
+        (n, d)
+        for d in range(1, 6)
+        for n in range(d + 2, 13)
+        if _two_part_pair_count(n, d) <= 8000
+    ]
+    assert (12, 1) in sizes and (9, 5) in sizes
+    for n, d in sizes:
+        want = (True, None, _two_part_pair_count(n, d))
+        assert _certificate_matches_search(_jittered_moment_points(rng, n, d)) == want
+        spaced_holds.append(_certificate_matches_search(moment_points(range(1, n + 1), d))[0])
+    assert 0 < sum(spaced_holds) < len(spaced_holds)
+
+
+def test_certificate_matches_the_tuple_search_on_few_points():
+    """n <= d + 1: the certificate asks for independent lifted points, the search decides the rest."""
+    rng = random.Random(5)
+    for d in range(1, 6):
+        assert _certificate_matches_search(PointConfiguration(d, {})) == (True, None, 0)
+        for n in range(1, d + 2):
+            P = _random_configuration(rng, d, n)
+            _certificate_matches_search(P)
+            _certificate_matches_search(_jittered_moment_points(rng, n, d))
+    one = PointConfiguration(3, {1: (1, 2, 3)})
+    assert _certificate_matches_search(one) == (True, None, 0)
+    triangle = PointConfiguration(2, {1: (0, 0), 2: (1, 0), 3: (0, 1)})
+    assert _certificate_matches_search(triangle) == (True, None, 3)
+    collinear = PointConfiguration(2, {1: (0, 0), 2: (1, 1), 3: (2, 2)})
+    assert _certificate_matches_search(collinear)[0] is False
+    repeated = PointConfiguration(2, {1: (0, 0), 2: (1, 2), 3: (0, 0)})
+    assert _certificate_matches_search(repeated)[0] is False
+    # a repeated point fails the certificate, but in R^3 no pair of three points
+    # has codimensions summing to d+1, so the search passes with nothing checked
+    repeated = PointConfiguration(3, {1: (0, 0, 0), 2: (1, 2, 3), 3: (0, 0, 0)})
+    assert _certificate_matches_search(repeated) == (True, None, 0)
+
+
+def test_certificate_stops_at_the_tuple_search_cap():
+    rng = random.Random(11)
+    configurations = [
+        _jittered_moment_points(rng, 8, 3),
+        _jittered_moment_points(rng, 7, 4),
+        _jittered_moment_points(rng, 4, 3),
+        moment_points(range(1, 7), 4),
+        PointConfiguration(2, {1: (0, 0), 2: (1, 0), 3: (0, 1), 4: (1, 1)}),
+    ]
+    for P in configurations:
+        N = _sgp_tuple_search(P, 2, DEFAULT_SEARCH_CAP)[2]
+        caps = (N, N - 1, 1, 5, 0, -1)
+        assert _certificate_matches_search(P, caps)[2] == N
