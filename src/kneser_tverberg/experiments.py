@@ -40,14 +40,16 @@ from .geometry import (
     DEFAULT_SEARCH_CAP,
     PointConfiguration,
     TverbergCertificate,
+    _blocks_by_side,
+    _curve_table,
+    _intertwined_from_blocks,
+    _separating_from_blocks,
     avg_stable_placement,
     cyclic_missing_faces,
     draw_until_sgp,
     gale_facets,
     hull_facets_oracle,
-    intertwined_pair,
     moment_points,
-    separating_polynomial,
     tverberg_search,
 )
 from .hypergraphs import (
@@ -471,6 +473,10 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
     the input parts, in the same roles, and their merged order has
     len(Y1) + len(Y2) blocks, one label each. Labels of moment_points
     follow the parameter order, so the merged order is the sorted labels.
+
+    Each pair is split into alternation blocks once, and that split
+    feeds both separating_polynomial's kernel and, when it finds no
+    polynomial, intertwined_pair's.
     """
     out = []
     for d in range(1, max_d + 1):
@@ -483,6 +489,7 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
         want = {d // 2 + 1, (d + 1) // 2 + 1}
         for n in range(2, max_points + 1):
             P = moment_points(range(1, n + 1), d)
+            q, u = _curve_table(P)
             labels = list(range(1, n + 1))
             for amask in range(1, 1 << n):
                 A = frozenset(labels[i] for i in range(n) if amask >> i & 1)
@@ -493,12 +500,12 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
                     if min(A) > min(B):
                         continue
                     pairs += 1
-                    cert = separating_polynomial(P, A, B)
-                    if cert is not None:
+                    split = (A, B, q, u, _blocks_by_side(u, A, B))
+                    if _separating_from_blocks(P, *split) is not None:
                         separated += 1
                         continue
                     intersecting += 1
-                    pair = intertwined_pair(P, A, B)
+                    pair = _intertwined_from_blocks(P, *split)
                     # the two sizes in want sum to d + 2; for even d both parts take the one size
                     if {len(pair.part1), len(pair.part2)} == want:
                         good_sizes += 1

@@ -12,7 +12,8 @@ against), convex hull intersection by phase-1 simplex on the
 barycentric system scaled to integers by one common denominator, the
 partition search with its verified-absence report (P is scaled to
 integers once per search, and a tuple whose per-face bounding boxes miss
-in some coordinate is rejected before any hull test), minimal
+in some coordinate is rejected before any hull test, as is a pair on the
+moment curve with at most d+1 alternation blocks), minimal
 intertwined pairs on the moment curve by a closed-form integer Radon
 dependence, no LP, and separating polynomials, both built and checked
 by substitution in integers (both read one parameter table, kept once
@@ -73,7 +74,7 @@ class PointConfiguration:
         self.labels = tuple(labels)
         self._coords = tuple(coords)
         self._index = {lab: i for i, lab in enumerate(labels)}
-        # None until _moment_parts decides it; then False off the curve,
+        # None until _curve_table decides it; then False off the curve,
         # or (q, {label: q*t}) with q the common denominator of the parameters t
         self._curve: Optional[tuple[int, dict[int, int]] | bool] = None
 
@@ -444,6 +445,18 @@ def tverberg_search(
     only tuples whose boxes meet go to conv_intersect. Its own box
     check, in its own scale, would reject exactly the same tuples,
     because positive scales preserve every comparison within an axis.
+
+    For r = 2 on the moment curve at distinct parameters (_curve_table),
+    a pair whose boxes meet is next split into alternation blocks in
+    parameter order (_blocks_by_side). With at most d+1 blocks it counts
+    as examined and is rejected with no hull test: one root between each
+    two consecutive blocks gives a polynomial of degree at most d, an
+    affine functional on the curve, that is positive on one part and
+    negative on the other (separating_polynomial). That holds for any
+    distinct parameters, not only in strong general position, so the
+    rule does not depend on moment_pruning. With d+2 or more blocks the
+    hulls meet (intertwined_pair), and the pair goes to conv_intersect
+    as before, so every certificate is the one the LP finds.
     """
     if r < 2:
         raise ValueError("need r >= 2")
@@ -484,11 +497,14 @@ def tverberg_search(
     boxes = [_box([ipts[lab] for lab in f]) for f in face_sets]
     face_points = [P.subset(f) for f in face_sets]
     max_size = sizes[-1] if sizes else 0
+    curve = _curve_table(P) if r == 2 else False
     examined = 0
     for total in range(threshold, r * max_size + 1):
         for t in _disjoint_tuples(masks, sizes, r, total):
             examined += 1
             if not _boxes_meet([boxes[i] for i in t]):
+                continue
+            if curve and len(_blocks_by_side(curve[1], face_sets[t[0]], face_sets[t[1]])) <= d + 1:
                 continue
             witness = conv_intersect([face_points[i] for i in t])
             if witness is None:
@@ -521,29 +537,18 @@ class IntertwinedPair:
     witness: ConvexWitness
 
 
-def _moment_parts(
-    P: PointConfiguration, X1: Iterable[int], X2: Iterable[int]
-) -> tuple[frozenset[int], frozenset[int], int, dict[int, int]]:
-    """Two parts of a moment-curve configuration, with its parameter table.
+def _curve_table(P: PointConfiguration) -> tuple[int, dict[int, int]] | bool:
+    """The parameter table of a moment-curve configuration, or False.
 
-    The parts must be nonempty disjoint sets of labels of P, and P must
-    consist of points (t, t^2, ..., t^d) at pairwise distinct parameters
-    t, or ValueError is raised. Distinct parameters are part of the
-    test: the moment-curve routines read alternation blocks off the
-    parameter order, which two labels on one parameter leave undefined.
-
-    Returns (A, B, q, u): the parts as frozensets, the common multiple q
-    of the parameter denominators, and the integer u = q*t of every
-    label. Since q > 0, u orders the labels as t does. Membership and
-    the table are decided on the first call and kept on P.
+    P is on the curve when its points are (t, t^2, ..., t^d) at pairwise
+    distinct parameters t. Distinct parameters are part of the test: the
+    moment-curve routines read alternation blocks off the parameter
+    order, which two labels on one parameter leave undefined. On the
+    curve the table is (q, u): the common multiple q of the parameter
+    denominators and the integer u = q*t of every label. Since q > 0, u
+    orders the labels as t does. The answer is decided on the first call
+    and kept on P.
     """
-    A = frozenset(X1)
-    B = frozenset(X2)
-    if not A or not B or A & B:
-        raise ValueError("parts must be nonempty and disjoint")
-    missing = sorted(lab for lab in A | B if lab not in P._index)
-    if missing:
-        raise ValueError(f"labels {missing} not in the configuration")
     if P._curve is None:
         ts = [c[0] for c in P._coords]
         if len(set(ts)) == len(ts) and all(
@@ -555,9 +560,30 @@ def _moment_parts(
             }
         else:
             P._curve = False
-    if not P._curve:
+    return P._curve
+
+
+def _moment_parts(
+    P: PointConfiguration, X1: Iterable[int], X2: Iterable[int]
+) -> tuple[frozenset[int], frozenset[int], int, dict[int, int]]:
+    """Two parts of a moment-curve configuration, with its parameter table.
+
+    The parts must be nonempty disjoint sets of labels of P, and P must
+    lie on the moment curve at distinct parameters (_curve_table), or
+    ValueError is raised. Returns (A, B, q, u): the parts as frozensets
+    and the table (q, u) of _curve_table.
+    """
+    A = frozenset(X1)
+    B = frozenset(X2)
+    if not A or not B or A & B:
+        raise ValueError("parts must be nonempty and disjoint")
+    missing = sorted(lab for lab in A | B if lab not in P._index)
+    if missing:
+        raise ValueError(f"labels {missing} not in the configuration")
+    curve = _curve_table(P)
+    if not curve:
         raise ValueError("configuration must lie on the moment curve at distinct parameters")
-    q, u = P._curve
+    q, u = curve
     return A, B, q, u
 
 
@@ -606,7 +632,7 @@ def intertwined_pair(
     pick, the rest are affinely independent, and disjoint parts of an
     independent set have disjoint hulls.
 
-    The arithmetic is in integers, on the table u = q*t of _moment_parts.
+    The arithmetic is in integers, on the table u = q*t of _curve_table.
     Scaling every parameter by q > 0 scales each lambda_i by the same
     positive q^-(d+1), so the weights w_i = L/prod_(j != i)(u_i - u_j),
     L the least common multiple of the products, have the sides and the
@@ -619,8 +645,19 @@ def intertwined_pair(
     A failed check raises ArithmeticError.
     """
     A, B, q, u = _moment_parts(P, X1, X2)
+    return _intertwined_from_blocks(P, A, B, q, u, _blocks_by_side(u, A, B))
+
+
+def _intertwined_from_blocks(
+    P: PointConfiguration,
+    A: frozenset[int],
+    B: frozenset[int],
+    q: int,
+    u: Mapping[int, int],
+    blocks: list[list[int]],
+) -> IntertwinedPair:
+    """intertwined_pair on parts already split: _moment_parts, then _blocks_by_side."""
     d = P.d
-    blocks = _blocks_by_side(u, A, B)
     if len(blocks) <= d + 1:
         raise ValueError("hulls do not intersect")
     picks = [blk[0] for blk in blocks[: d + 2]]
@@ -681,7 +718,7 @@ def separating_polynomial(
     count is d+2 or more (in which case the hulls do intersect).
 
     The polynomial is built in integers, on the parameter table u = q*t
-    of _moment_parts. Each root (lo + hi)/2 between blocks becomes the
+    of _curve_table. Each root (lo + hi)/2 between blocks becomes the
     factor 2u - (q*lo + q*hi). Their product g(u) = sum c_i u^i equals
     (2q)^m times the monic product of the (t - root) factors, m the
     number of roots, so it has the same sign at every point; the sign
@@ -691,7 +728,18 @@ def separating_polynomial(
     back.
     """
     A, B, q, u = _moment_parts(P, X1, X2)
-    blocks = _blocks_by_side(u, A, B)
+    return _separating_from_blocks(P, A, B, q, u, _blocks_by_side(u, A, B))
+
+
+def _separating_from_blocks(
+    P: PointConfiguration,
+    A: frozenset[int],
+    B: frozenset[int],
+    q: int,
+    u: Mapping[int, int],
+    blocks: list[list[int]],
+) -> Optional[tuple[Fraction, ...]]:
+    """separating_polynomial on parts already split: _moment_parts, then _blocks_by_side."""
     if len(blocks) >= P.d + 2:
         return None
     coeffs = [1]

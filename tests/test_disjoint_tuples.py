@@ -24,6 +24,7 @@ from kneser_tverberg.geometry import (
     TverbergCertificate,
     conv_intersect,
     moment_points,
+    separating_polynomial,
     tverberg_search,
 )
 from kneser_tverberg.hypergraphs import generalized_kneser, kneser_hypergraph
@@ -115,11 +116,28 @@ def boxes_overlap(parts):
     )
 
 
+def on_moment_curve(P):
+    """Whether every point is (t, t^2, ..., t^d), at pairwise distinct t, by taking powers."""
+    ts = [P.point(lab)[0] for lab in P.labels]
+    return len(set(ts)) == len(ts) and all(
+        P.point(lab) == tuple(t**j for j in range(1, P.d + 1)) for lab, t in zip(P.labels, ts)
+    )
+
+
+def block_count(P, X1, X2):
+    """Side changes along the merged labels sorted by their first coordinate, plus one."""
+    merged = sorted(X1 | X2, key=lambda lab: P.point(lab)[0])
+    return 1 + sum((a in X1) != (b in X1) for a, b in zip(merged, merged[1:]))
+
+
 def oracle_search(P, r, restrict_to=None, moment_pruning=False):
-    """(tuples examined, tuples whose boxes overlap, {part: {label: weight}}, point).
+    """(tuples examined, tuples hull-tested, pairs rejected on blocks, {part: {label: weight}}, point).
 
     Tuples go in the old search order, up to and including the first
-    one whose hulls meet; the last two are None on absence.
+    one whose hulls meet; the last two are None on absence. A tuple is
+    hull-tested when its boxes overlap, unless it is a pair on the
+    moment curve with at most d+1 alternation blocks: such a pair is
+    among the block rejections. Both lists hold tuples of label sets.
     """
     d = P.d
     pos = {lab: i for i, lab in enumerate(P.labels)}
@@ -135,17 +153,22 @@ def oracle_search(P, r, restrict_to=None, moment_pruning=False):
     sizes = [len(f) for f in face_sets]
     threshold = max(r, (r - 1) * (d + 1) + 1) if moment_pruning else r
     admitted = admitted_oracle(masks, sizes, r, threshold)
-    overlapping = 0
+    curve = r == 2 and on_moment_curve(P)
+    tested = []
+    rejected = []
     for examined, t in enumerate(admitted, 1):
         points = [P.subset(face_sets[i]) for i in t]
         if not boxes_overlap(points):
             continue
-        overlapping += 1
+        if curve and block_count(P, face_sets[t[0]], face_sets[t[1]]) <= d + 1:
+            rejected.append((face_sets[t[0]], face_sets[t[1]]))
+            continue
+        tested.append(tuple(face_sets[i] for i in t))
         w = conv_intersect(points)
         if w is not None:
             parts = {face_sets[i]: dict(zip(sorted(face_sets[i]), wi)) for i, wi in zip(t, w.weights)}
-            return examined, overlapping, parts, w.point
-    return len(admitted), overlapping, None, None
+            return examined, tested, rejected, parts, w.point
+    return len(admitted), tested, rejected, None, None
 
 
 def fixtures():
@@ -193,9 +216,9 @@ def test_search_matches_the_old_order_on_every_fixture(monkeypatch):
     for P, r, restrict, pruning in fixtures():
         calls.clear()
         out = tverberg_search(P, r, restrict, moment_pruning=pruning)
-        examined, overlapping, parts, point = oracle_search(P, r, restrict, pruning)
-        # one hull test per tuple whose bounding boxes meet, none for the rest
-        assert len(calls) == overlapping
+        examined, tested, _, parts, point = oracle_search(P, r, restrict, pruning)
+        # one hull test per tuple whose bounding boxes meet and that no block count rejects
+        assert len(calls) == len(tested)
         if isinstance(out, AbsenceReport):
             seen["absence"] += 1
             assert parts is None and out.tuples_examined == examined
@@ -205,6 +228,110 @@ def test_search_matches_the_old_order_on_every_fixture(monkeypatch):
             assert out.point == point
             assert {p: dict(w) for p, w in zip(out.parts, out.weights)} == parts
     assert seen["certificate"] >= 10 and seen["absence"] >= 3
+
+
+def moment_fixtures():
+    """The two-part fixtures on the moment curve, as (P, restrict_to, moment_pruning)."""
+    return [(P, restrict, pruning) for P, r, restrict, pruning in fixtures() if r == 2 and on_moment_curve(P)]
+
+
+def jittered_moment_draws():
+    """Seeded moment-curve configurations at negative and non-integer parameters, d = 1..5."""
+    rng = random.Random(16)
+    out = []
+    for d in range(1, 6):
+        for _ in range(4):
+            n = rng.randint(d + 1, d + 3)  # d+1 points have no Radon partition: an absence
+            params = set()
+            while len(params) < n:
+                params.add(Fraction(rng.randint(-40, 40), rng.randint(1, 7)))
+            out.append((moment_points(sorted(params), d), None, rng.random() < 0.5))
+    return out
+
+
+@pytest.mark.parametrize("configs", [moment_fixtures, jittered_moment_draws], ids=["fixtures", "jittered"])
+def test_block_count_rejects_only_pairs_the_lp_separates(monkeypatch, configs):
+    """Each pair rejected on its block count is LP-infeasible and has a separating polynomial.
+
+    The search's hull tests must be exactly the oracle's, in order, and
+    every pair it hands to conv_intersect has d+2 or more blocks.
+    """
+    sent = []
+
+    def recording(parts):
+        sent.append(parts)
+        return conv_intersect(parts)
+
+    monkeypatch.setattr(geometry, "conv_intersect", recording)
+    rejections = 0
+    for P, restrict, pruning in configs():
+        sent.clear()
+        out = tverberg_search(P, 2, restrict, moment_pruning=pruning)
+        _, tested, rejected, parts, _ = oracle_search(P, 2, restrict, pruning)
+        assert (parts is None) == isinstance(out, AbsenceReport)
+        by_point = {P.point(lab): lab for lab in P.labels}
+        assert [tuple(frozenset(by_point[p] for p in part) for part in call) for call in sent] == tested
+        for X1, X2 in tested:
+            assert block_count(P, X1, X2) >= P.d + 2
+        for X1, X2 in rejected:
+            assert conv_intersect([P.subset(X1), P.subset(X2)]) is None
+            assert separating_polynomial(P, X1, X2) is not None
+        rejections += len(rejected)
+    assert rejections > 0
+
+
+def test_a_nudged_moment_point_gets_no_block_count_rejection(monkeypatch):
+    """Off the curve by one coordinate, every pair whose boxes meet goes to the LP."""
+    calls = []
+
+    def counting(parts):
+        calls.append(len(parts))
+        return conv_intersect(parts)
+
+    monkeypatch.setattr(geometry, "conv_intersect", counting)
+    on = moment_points(range(1, 7), 3)
+    nudged = PointConfiguration(
+        3, {lab: (4, 16, 64 + Fraction(1, 1000)) if lab == 4 else on.point(lab) for lab in on.labels}
+    )
+    assert not on_moment_curve(nudged)
+    for P in (on, nudged):
+        calls.clear()
+        out = tverberg_search(P, 2)
+        _, tested, rejected, parts, point = oracle_search(P, 2)
+        assert isinstance(out, TverbergCertificate) and out.point == point
+        assert {p: dict(w) for p, w in zip(out.parts, out.weights)} == parts
+        # off the curve the oracle hull-tests every tuple whose boxes overlap
+        assert len(calls) == len(tested)
+        assert (rejected != []) == (P is on)
+
+
+def test_avg_stable_two_part_sweep_makes_no_hull_test(monkeypatch):
+    """avg-stable-2-4-10: the restricted r = 2 sweep is decided by boxes and block counts alone."""
+    from kneser_tverberg import experiments
+    from kneser_tverberg.experiments import verify_avg_stable
+
+    calls = []
+    lowers = []
+
+    def counting(parts):
+        calls.append(len(parts))
+        return conv_intersect(parts)
+
+    def keeping(*args, **kwargs):
+        lowers.append(certified_lower_bound(*args, **kwargs))
+        return lowers[-1]
+
+    monkeypatch.setattr(geometry, "conv_intersect", counting)
+    monkeypatch.setattr(experiments, "certified_lower_bound", keeping)
+    rep = verify_avg_stable(2, 4, 10, 0, max_vertices=64)
+    assert rep.verdict == "match"
+    assert calls == []
+    # the report the sweep gave when every pair whose boxes meet went to the LP (139 of them)
+    assert [lower.absence for lower in lowers] == [
+        AbsenceReport(
+            r=2, n_faces=185, tuples_examined=215, min_total_size=7, restricted=True, moment_pruning=True
+        )
+    ]
 
 
 def test_kneser_bound_sweep_rejects_every_pair_on_its_boxes(monkeypatch):

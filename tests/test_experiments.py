@@ -78,7 +78,7 @@ def test_mismatch_is_reported_not_raised():
     assert rep.claimed["chi"] != rep.computed["chi"]
 
 
-def _swapped(P, A, B):
+def _swapped(P, A, B, *split):
     """The true pair with its parts in the wrong roles."""
     pair = intertwined_pair(P, A, B)
     return IntertwinedPair(pair.part2, pair.part1, pair.witness)
@@ -90,7 +90,7 @@ def _alternates(Y1, Y2):
     return all((a in Y1) != (b in Y1) for a, b in zip(merged, merged[1:]))
 
 
-def _clumped(P, A, B):
+def _clumped(P, A, B, *split):
     """Parts of the true sizes inside A and B that do not alternate, where some exist."""
     pair = intertwined_pair(P, A, B)
     for Y1 in map(frozenset, combinations(sorted(A), len(pair.part1))):
@@ -102,7 +102,8 @@ def _clumped(P, A, B):
 
 @pytest.mark.parametrize("fake", [_swapped, _clumped])
 def test_intertwined_checks_alternation_not_the_flag(monkeypatch, fake):
-    monkeypatch.setattr(experiments, "intertwined_pair", fake)
+    # the sweep hands each pair's block split to intertwined_pair's kernel
+    monkeypatch.setattr(experiments, "_intertwined_from_blocks", fake)
     reports = verify_intertwined(max_points=5, max_d=2)
     assert [rep.verdict for rep in reports] == ["mismatch", "mismatch"]
     for rep in reports:
@@ -131,6 +132,23 @@ def test_intertwined_sweep_solves_no_lp(monkeypatch):
     assert [rep.verdict for rep in reports] == ["match"] * 3
     assert all(rep.computed["intersecting"] > 0 for rep in reports)
     assert calls == []
+
+
+def test_intertwined_sweep_splits_each_pair_once(monkeypatch):
+    """One block split per pair feeds both the polynomial and the minimal pair."""
+    from kneser_tverberg import geometry
+
+    calls = []
+
+    def counting(u, X1, X2, _real=geometry._blocks_by_side):
+        calls.append((X1, X2))
+        return _real(u, X1, X2)
+
+    monkeypatch.setattr(experiments, "_blocks_by_side", counting)
+    monkeypatch.setattr(geometry, "_blocks_by_side", counting)
+    reports = verify_intertwined(max_points=5, max_d=3)
+    assert [rep.verdict for rep in reports] == ["match"] * 3
+    assert len(calls) == sum(rep.computed["pairs"] for rep in reports)
 
 
 def test_roundtrip_experiment_small():
