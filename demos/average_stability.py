@@ -31,7 +31,7 @@ d = (r * (k - 1) - 1) // (r - 1)
 K, P = avg_stable_placement(r, k, d, n)
 print(f"placement: {len(P)} jittered moment-curve points in R^{d}, strong general position")
 
-search = tverberg_search(P, r, restrict_to=K, moment_pruning=True)
+search = tverberg_search(P, r, restrict_to=K, codim_pruning=True)
 absence = not hasattr(search, "point")
 print(f"absence of {r} disjoint intersecting faces: {absence} "
       f"({search.tuples_examined} tuples examined)")

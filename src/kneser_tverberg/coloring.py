@@ -111,14 +111,14 @@ def certified_lower_bound(
     r: int,
     *,
     cap: int = DEFAULT_SEARCH_CAP,
-    moment_pruning: bool = False,
+    codim_pruning: bool = False,
 ) -> LowerBound | TverbergCertificate:
     """The main theorem's chromatic lower bound for K placed at P, or why it fails.
 
     Runs the partition search over the faces of K. On absence, returns
     the floor-formula bound for the disjointness hypergraph of K's
     minimal nonfaces; when some r disjoint faces do meet, returns that
-    certificate instead, and the placement proves nothing. moment_pruning
+    certificate instead, and the placement proves nothing. codim_pruning
     is passed to the search, and the caller owns its justification
     (see tverberg_search).
 
@@ -130,7 +130,7 @@ def certified_lower_bound(
     one short. The argument that closes the gap is an equivariant map,
     not an affine placement.
     """
-    search = tverberg_search(P, r, restrict_to=K, cap=cap, moment_pruning=moment_pruning)
+    search = tverberg_search(P, r, restrict_to=K, cap=cap, codim_pruning=codim_pruning)
     if isinstance(search, TverbergCertificate):
         return search
     return LowerBound(K, P, r, bound_floor_formula(K.n - 1, r, P.d), search)

@@ -24,8 +24,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from math import ceil, comb
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .coloring import (
     DEFAULT_VERTEX_LIMIT,
@@ -127,7 +128,7 @@ def verify_kneser(k: int, n: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> E
     For k >= 2 the lower bound is certified, not searched for: the
     (k-2)-skeleton of the simplex on 1..n, whose minimal nonfaces are
     the k-subsets, is placed on the moment curve in R^(2k-3), and a sweep
-    of every pair of disjoint faces (no moment pruning) finds no meeting
+    of every pair of disjoint faces (no codimension pruning) finds no meeting
     hulls, so the floor formula gives n - 2k + 2. The solver starts
     there. For k = 1 the dimension would be -1, and the solver's own
     refutation is used.
@@ -420,14 +421,12 @@ def verify_stable_faces(n: int, d: int) -> ExperimentReport:
 # -- affine partition searches ------------------------------------------
 
 
-def verify_tverberg_random(r: int, d: int, count: int = 25, seed: int = 0) -> ExperimentReport:
-    """Random configurations of (r-1)(d+1)+1 points always partition.
+def _random_sgp_draws(r: int, d: int, seed: int) -> Iterator[PointConfiguration]:
+    """The configurations verify_tverberg_random searches, in order, without end.
 
-    Each configuration is resampled until it passes the strong general
-    position test, then searched; the claim is a certificate every time,
-    and every certificate is re-verified from scratch.
+    Each has (r-1)(d+1)+1 points with coordinates k/64, |k| <= 4096,
+    and is resampled until it passes the strong general position test.
     """
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     n_points = (r - 1) * (d + 1) + 1
 
@@ -440,11 +439,29 @@ def verify_tverberg_random(r: int, d: int, count: int = 25, seed: int = 0) -> Ex
             },
         )
 
+    while True:
+        yield draw_until_sgp(draw, r)
+
+
+def verify_tverberg_random(r: int, d: int, count: int = 25, seed: int = 0) -> ExperimentReport:
+    """Random configurations of (r-1)(d+1)+1 points always partition.
+
+    Each configuration is resampled until it passes the strong general
+    position test, then searched; the claim is a certificate every time,
+    and every certificate is re-verified from scratch.
+
+    The search starts at total size (r-1)(d+1)+1 (codim_pruning): strong
+    general position in Perles and Sigron's sense keeps the hulls of
+    every smaller tuple apart. The claim needs no proof that the draws
+    have it: were the floor ever to hide the only partitions, the report
+    would be a mismatch, never a false claim.
+    """
+    t0 = time.perf_counter()
+    n_points = (r - 1) * (d + 1) + 1
     found = 0
     verified = 0
-    for _ in range(count):
-        P = draw_until_sgp(draw, r)
-        out = tverberg_search(P, r)
+    for P in islice(_random_sgp_draws(r, d, seed), count):
+        out = tverberg_search(P, r, codim_pruning=True)
         if isinstance(out, TverbergCertificate):
             found += 1
             if out.verify(P):
@@ -602,7 +619,7 @@ def verify_avg_stable(
         notes.append("formula target below 1, clamped")
 
     K, P = avg_stable_placement(r, k, d, n, seed=seed)
-    certified = certified_lower_bound(K, P, r, cap=cap, moment_pruning=True)
+    certified = certified_lower_bound(K, P, r, cap=cap, codim_pruning=True)
     absence = isinstance(certified, LowerBound)
     computed["absence_verified"] = absence
     lower = max(1, certified.bound) if absence else 1

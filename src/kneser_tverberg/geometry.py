@@ -239,8 +239,11 @@ class ConvexWitness:
 def conv_intersect(parts: Sequence[Sequence[Sequence]]) -> Optional[ConvexWitness]:
     """A point in the intersection of the convex hulls, or None.
 
-    Exact phase-1 simplex on the combined barycentric system. All
-    coordinates are scaled by one common multiple L of their
+    Exact: the combined barycentric system goes to feasible_nonneg. It
+    has (r-1)d + r equations for r parts in R^d, so parts of total size
+    at most (r-1)(d+1)+1 give no more unknowns than equations, and one
+    elimination decides them; larger tuples go to the phase-1 simplex.
+    All coordinates are scaled by one common multiple L of their
     denominators, so the system is built in integers: coordinate rows
     L*p with right-hand side 0 and one barycentric row of L's per part
     with right-hand side L, which is L times the rational system and
@@ -381,9 +384,10 @@ class AbsenceReport:
     """Negative search outcome: every admissible face tuple was checked.
 
     min_total_size records the pruning threshold on the summed part
-    sizes (equal to r when nothing was pruned); moment_pruning tells
-    whether the threshold came from the codimension rule, which is only
-    sound for moment-curve configurations in strong general position.
+    sizes (equal to r when nothing was pruned); codim_pruning tells
+    whether the threshold came from the codimension rule, which is
+    sound only where every tuple whose codimensions sum above d has
+    disjoint hulls (see tverberg_search).
     """
 
     r: int
@@ -391,7 +395,7 @@ class AbsenceReport:
     tuples_examined: int
     min_total_size: int
     restricted: bool
-    moment_pruning: bool
+    codim_pruning: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -401,7 +405,7 @@ class AbsenceReport:
             "tuples_examined": self.tuples_examined,
             "min_total_size": self.min_total_size,
             "restricted": self.restricted,
-            "moment_pruning": self.moment_pruning,
+            "codim_pruning": self.codim_pruning,
         }
 
 
@@ -418,7 +422,7 @@ def tverberg_search(
     restrict_to: Optional[SimplicialComplex] = None,
     *,
     cap: int = DEFAULT_SEARCH_CAP,
-    moment_pruning: bool = False,
+    codim_pruning: bool = False,
 ) -> TverbergCertificate | AbsenceReport:
     """Find r disjoint faces whose hulls meet, or verify there are none.
 
@@ -429,11 +433,21 @@ def tverberg_search(
     subsets). With restrict_to the parts must be faces of that complex,
     whose vertex labels must be exactly the labels of P.
 
-    moment_pruning drops tuples whose summed sizes leave a total
-    codimension above d. That is justified only for configurations on
-    the moment curve that passed the strong general position test; the
-    caller owns that justification, and the returned report carries the
-    flag so downstream consumers can see what the sweep relied on.
+    codim_pruning drops every tuple whose codimensions d+1-|F| sum
+    above d, that is every tuple of total size below (r-1)(d+1)+1. That
+    is sound only when all those tuples have disjoint hulls, as strong
+    general position in Perles and Sigron's sense asks: the affine
+    hulls of disjoint sets meet in codimension min(d+1, sum of their
+    codimensions), codimension d+1 meaning empty. The rule needs no
+    moment curve. The caller owns that justification, and the returned
+    report carries the flag so downstream consumers can see what the
+    sweep relied on. Passing strong_general_position_report alone does
+    not justify it: the scan leaves sums beyond d+1 unchecked, so the
+    collinear points (0,0,0), (1,1,1), (2,2,2) in R^3 pass for r = 2,
+    yet the hulls of {1, 3} and {2} meet, and a pruned search on them
+    reports an absence with no tuple examined. On the floor itself, a
+    tuple of total size (r-1)(d+1)+1 gives conv_intersect a square
+    system, which one elimination decides.
 
     Tuples are checked in order of increasing total size, ties in face
     order, so outcomes are deterministic. Raises SearchSpaceError when
@@ -454,7 +468,7 @@ def tverberg_search(
     affine functional on the curve, that is positive on one part and
     negative on the other (separating_polynomial). That holds for any
     distinct parameters, not only in strong general position, so the
-    rule does not depend on moment_pruning. With d+2 or more blocks the
+    rule does not depend on codim_pruning. With d+2 or more blocks the
     hulls meet (intertwined_pair), and the pair goes to conv_intersect
     as before, so every certificate is the one the LP finds.
     """
@@ -489,7 +503,7 @@ def tverberg_search(
         )
 
     threshold = r
-    if moment_pruning:
+    if codim_pruning:
         # total codimension sum((d+1) - size_i) must stay at most d
         threshold = max(threshold, (r - 1) * (d + 1) + 1)
 
@@ -521,7 +535,7 @@ def tverberg_search(
                 raise ArithmeticError("internal certificate failed its own verification")
             return cert
     return AbsenceReport(
-        r, nf, examined, threshold, restrict_to is not None, moment_pruning
+        r, nf, examined, threshold, restrict_to is not None, codim_pruning
     )
 
 
@@ -805,13 +819,19 @@ def strong_general_position_report(
 
     Checks every tuple of s pairwise disjoint nonempty subsets, 2 <= s
     <= r, each of at most d+1 points, whose expected codimensions sum to
-    at most d+1 (larger subsets and larger sums impose no constraint:
-    a degenerate big subset contains a small subset with the same affine
-    hull, and sums beyond d+1 are unconstrained by definition). For each
-    such tuple the affine hulls must intersect in the expected dimension,
-    or be empty exactly when the codimension sum reaches d+1. The tuple
-    search (_sgp_tuple_search) walks them in a fixed order and stops at
-    the first violation or when more than cap tuples would be checked.
+    at most d+1. Larger subsets impose no constraint: a degenerate big
+    subset contains a small subset with the same affine hull. Larger
+    sums are not checked. That is this package's convention, not Perles
+    and Sigron's definition, under which such hulls must be empty, and
+    the tuple search sums each subset's actual codimension, so a
+    degenerate subset can carry a meeting tuple past d+1 unseen: the
+    collinear points (0,0,0), (1,1,1), (2,2,2) in R^3 pass for r = 2
+    with no tuple checked, yet the hulls of {1, 3} and {2} meet. For
+    each checked tuple the affine hulls must intersect in the expected
+    dimension, or be empty exactly when the codimension sum reaches d+1.
+    The tuple search (_sgp_tuple_search) walks them in a fixed order and
+    stops at the first violation or when more than cap tuples would be
+    checked.
 
     For r = 2 one Radon dependence per (d+2)-subset decides a passing
     configuration without the search (Perles and Sigron, "Strong general

@@ -7,9 +7,11 @@ clarity and exactness over asymptotics: one fraction-free elimination
 on integers behind ranks, pivot columns, integer null spaces and
 determinants; an echelon basis of primitive integer rows that grows by
 a few rows at a time, for searches that stack rows level by level; and
-a phase-1 simplex with Bland's rule for nonnegative feasibility,
-pivoting on an integer tableau. Denominators are cleared before any of
-these loops runs; Fractions appear only in what is returned.
+nonnegative feasibility, decided by that same elimination when the
+system has at most one solution and otherwise by a phase-1 simplex
+with Bland's rule, pivoting on an integer tableau. Denominators are
+cleared before any of these loops runs; Fractions appear only in what
+is returned.
 """
 
 from __future__ import annotations
@@ -210,7 +212,25 @@ def _pivot_row(row: list[int], prow: list[int], p: int, f: int, div: int) -> lis
 def feasible_nonneg(rows: Sequence[Row], rhs: Sequence[Number]) -> Optional[list[Fraction]]:
     """Find x >= 0 with A x = b, or None if the system is infeasible.
 
-    Phase-1 simplex over the rationals. One artificial variable per
+    A system with no more columns than rows (n <= m) is first decided
+    by one fraction-free elimination, the null space of [A | -b]. That
+    null space is {(x, t) : A x = t b}. If A x = b has a solution x0,
+    then (x0, 1) lies in it, and so does (y, 0) for every y in the null
+    space of A: a solution means a dimension of at least 1 + dim ker A.
+    So when the basis has at most one vector:
+    - no vector, or one vector v with v[n] = 0: A x = b has no solution,
+      and the answer is None;
+    - one vector with v[n] != 0: ker A = 0, so the first n columns are
+      pivot columns, the one free column is n, and nullspace makes v
+      positive there, v[n] > 0. The unique solution is x0 = v[:n] /
+      v[n], returned when it is nonnegative; otherwise the answer is
+      None.
+    Either way the feasible set has at most one point, and the simplex
+    below would return exactly that point or None, so the answer is the
+    same. With two or more basis vectors, and whenever n > m (the null
+    space then has at least n + 1 - m >= 2 vectors), the simplex decides.
+
+    The simplex is phase 1 over the rationals. One artificial variable per
     equation; Bland's smallest-index rule for both the entering and the
     leaving choice, which guarantees termination without any notion of
     tolerance. The artificial variables are allowed to re-enter the
@@ -242,6 +262,15 @@ def feasible_nonneg(rows: Sequence[Row], rhs: Sequence[Number]) -> Optional[list
         return []
     if n == 0:
         return [] if all(Fraction(b) == 0 for b in rhs) else None
+    if n <= m:
+        null = nullspace([[*row, -b] for row, b in zip(rows, rhs)])
+        if len(null) <= 1:
+            if not null or not null[0][n]:
+                return None
+            v = null[0]
+            if min(v[:n]) < 0:
+                return None
+            return [Fraction(x, v[n]) for x in v[:n]]
 
     aug = [[*row, b] for row, b in zip(rows, rhs)]
     if not all(type(x) is int for row in aug for x in row):

@@ -8,7 +8,7 @@ and sorts by (total, tuple). The walk must yield the same sequence.
 import gc
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -90,7 +90,7 @@ def test_walk_matches_the_sorted_enumeration(make):
         masks, sizes = make(rng)
         r = rng.randint(2, 4)
         d = rng.randint(1, 3)
-        # no pruning, moment pruning's (r-1)(d+1)+1, and a threshold beyond reach
+        # no pruning, codimension pruning's (r-1)(d+1)+1, and a threshold beyond reach
         for threshold in (r, (r - 1) * (d + 1) + 1, r * 4 + 1):
             assert walk(masks, sizes, r, threshold) == admitted_oracle(masks, sizes, r, threshold)
 
@@ -130,7 +130,7 @@ def block_count(P, X1, X2):
     return 1 + sum((a in X1) != (b in X1) for a, b in zip(merged, merged[1:]))
 
 
-def oracle_search(P, r, restrict_to=None, moment_pruning=False):
+def oracle_search(P, r, restrict_to=None, codim_pruning=False):
     """(tuples examined, tuples hull-tested, pairs rejected on blocks, {part: {label: weight}}, point).
 
     Tuples go in the old search order, up to and including the first
@@ -151,7 +151,7 @@ def oracle_search(P, r, restrict_to=None, moment_pruning=False):
     face_sets.sort(key=lambda f: (len(f), tuple(sorted(f))))
     masks = [sum(1 << pos[lab] for lab in f) for f in face_sets]
     sizes = [len(f) for f in face_sets]
-    threshold = max(r, (r - 1) * (d + 1) + 1) if moment_pruning else r
+    threshold = max(r, (r - 1) * (d + 1) + 1) if codim_pruning else r
     admitted = admitted_oracle(masks, sizes, r, threshold)
     curve = r == 2 and on_moment_curve(P)
     tested = []
@@ -215,7 +215,7 @@ def test_search_matches_the_old_order_on_every_fixture(monkeypatch):
     seen = {"certificate": 0, "absence": 0}
     for P, r, restrict, pruning in fixtures():
         calls.clear()
-        out = tverberg_search(P, r, restrict, moment_pruning=pruning)
+        out = tverberg_search(P, r, restrict, codim_pruning=pruning)
         examined, tested, _, parts, point = oracle_search(P, r, restrict, pruning)
         # one hull test per tuple whose bounding boxes meet and that no block count rejects
         assert len(calls) == len(tested)
@@ -231,7 +231,7 @@ def test_search_matches_the_old_order_on_every_fixture(monkeypatch):
 
 
 def moment_fixtures():
-    """The two-part fixtures on the moment curve, as (P, restrict_to, moment_pruning)."""
+    """The two-part fixtures on the moment curve, as (P, restrict_to, codim_pruning)."""
     return [(P, restrict, pruning) for P, r, restrict, pruning in fixtures() if r == 2 and on_moment_curve(P)]
 
 
@@ -266,7 +266,7 @@ def test_block_count_rejects_only_pairs_the_lp_separates(monkeypatch, configs):
     rejections = 0
     for P, restrict, pruning in configs():
         sent.clear()
-        out = tverberg_search(P, 2, restrict, moment_pruning=pruning)
+        out = tverberg_search(P, 2, restrict, codim_pruning=pruning)
         _, tested, rejected, parts, _ = oracle_search(P, 2, restrict, pruning)
         assert (parts is None) == isinstance(out, AbsenceReport)
         by_point = {P.point(lab): lab for lab in P.labels}
@@ -305,6 +305,24 @@ def test_a_nudged_moment_point_gets_no_block_count_rejection(monkeypatch):
         assert (rejected != []) == (P is on)
 
 
+@pytest.mark.parametrize(
+    "r, d, count", [(2, 1, 25), (2, 2, 25), (3, 1, 25), (3, 2, 10), (2, 3, 10), (4, 1, 10)]
+)
+def test_size_floor_finds_the_unpruned_certificate_on_random_draws(r, d, count):
+    """verify_tverberg_random's seed-0 draws: the search from (r-1)(d+1)+1 ends where the full one does.
+
+    The unpruned search is the oracle. Below the floor it finds nothing,
+    so both return the same certificate, point and weights included.
+    """
+    from kneser_tverberg.experiments import _random_sgp_draws
+
+    for P in islice(_random_sgp_draws(r, d, 0), count):
+        want = tverberg_search(P, r)
+        assert isinstance(want, TverbergCertificate)
+        assert sum(map(len, want.parts)) == (r - 1) * (d + 1) + 1
+        assert tverberg_search(P, r, codim_pruning=True) == want
+
+
 def test_avg_stable_two_part_sweep_makes_no_hull_test(monkeypatch):
     """avg-stable-2-4-10: the restricted r = 2 sweep is decided by boxes and block counts alone."""
     from kneser_tverberg import experiments
@@ -329,7 +347,7 @@ def test_avg_stable_two_part_sweep_makes_no_hull_test(monkeypatch):
     # the report the sweep gave when every pair whose boxes meet went to the LP (139 of them)
     assert [lower.absence for lower in lowers] == [
         AbsenceReport(
-            r=2, n_faces=185, tuples_examined=215, min_total_size=7, restricted=True, moment_pruning=True
+            r=2, n_faces=185, tuples_examined=215, min_total_size=7, restricted=True, codim_pruning=True
         )
     ]
 

@@ -431,6 +431,23 @@ def test_sgp_detects_collinear_triple():
     assert not holds
 
 
+def test_sgp_scan_leaves_sums_beyond_d_plus_one_unchecked():
+    """The scan's convention, pinned: three collinear points in R^3 pass for two parts.
+
+    {1, 3} and {2} meet, so the size floor would hide the only partition:
+    passing the scan alone does not justify codim_pruning.
+    """
+    P = PointConfiguration(3, {1: (0, 0, 0), 2: (1, 1, 1), 3: (2, 2, 2)})
+    assert strong_general_position_report(P, 2) == (True, None, 0)
+    assert conv_intersect([P.subset({1, 3}), P.subset({2})]) is not None
+    full = tverberg_search(P, 2)
+    assert isinstance(full, TverbergCertificate)
+    assert full.parts == (frozenset({1, 3}), frozenset({2}))
+    assert tverberg_search(P, 2, codim_pruning=True) == AbsenceReport(
+        r=2, n_faces=7, tuples_examined=0, min_total_size=5, restricted=False, codim_pruning=True
+    )
+
+
 def test_avg_stable_placement_properties():
     from itertools import combinations
 

@@ -48,7 +48,7 @@ def test_certified_path_matches_the_refutation(k, n):
     lower = kneser_bound(k, n)
     assert isinstance(lower, LowerBound)
     assert lower.bound == n - 2 * k + 2
-    assert lower.absence.restricted and not lower.absence.moment_pruning
+    assert lower.absence.restricted and not lower.absence.codim_pruning
     assert lower.absence.tuples_examined == disjoint_pairs(k, n)
 
     solver = chromatic_number(H, max_vertices=MAX_VERTICES)

@@ -4,12 +4,14 @@ The oracle below is the earlier Fraction tableau of
 linalg.feasible_nonneg, kept here verbatim: Bland's rule for entering
 and leaving, artificials free to re-enter, every entry a Fraction. The
 integer tableau in linalg must take the same pivot steps and so return
-the same x (or None) on every system, and conv_intersect, which now
+the same x (or None) on every system; so must the elimination that
+decides systems with at most one solution. conv_intersect, which now
 builds its system in integers, must return the same witness as the
 earlier rational construction solved by the oracle.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -21,7 +23,7 @@ from kneser_tverberg.geometry import (
     moment_points,
     tverberg_search,
 )
-from kneser_tverberg.linalg import feasible_nonneg
+from kneser_tverberg.linalg import feasible_nonneg, rank
 
 Number = Fraction | int
 Row = Sequence[Number]
@@ -210,15 +212,30 @@ def _random_system(rng: random.Random) -> tuple[list[list[Number]], list[Number]
 
 
 def test_matches_oracle_on_random_systems():
+    """Every branch of feasible_nonneg is hit, the elimination's and the simplex's.
+
+    With no more columns than rows and full column rank, one elimination
+    decides, feasible or not; rank-deficient square-or-tall systems and
+    wide ones reach the simplex unless the elimination finds no solution.
+    """
     rng = random.Random(40)
     feasible = 0
+    branches = Counter()
     for _ in range(2000):
         A, b = _random_system(rng)
         got = feasible_nonneg(A, b)
         assert got == oracle_feasible_nonneg(A, b), (A, b)
         feasible += got is not None
-    # the generator must exercise both outcomes
+        n = len(A[0])
+        if n > len(A):
+            branches["wide"] += 1
+        elif rank(A) < n:
+            branches["deficient"] += 1
+        else:
+            branches["full rank, feasible" if got is not None else "full rank, infeasible"] += 1
+    # the generator must exercise both outcomes and every branch
     assert 500 < feasible < 1500
+    assert len(branches) == 4 and min(branches.values()) > 150, branches
 
 
 def test_int_and_fraction_copies_agree():
