@@ -5,9 +5,12 @@ hyperedge is monochromatic. The exact chromatic number is found by
 resolving feasibility for increasing k with one of two backtracking
 kernels: a saturation-guided (DSATUR) search for graphs, and a
 static-order search over color-class bitmasks for arity three and up.
-The static-order kernel also finds every witness: run in vertex id
-order, it returns the lexicographically least proper coloring, which
-makes results reproducible across runs and platforms.
+chromatic_number also runs the static-order kernel in vertex id order
+at chi, for the lexicographically least proper coloring, which makes
+its witness reproducible across runs and platforms. Callers that read
+only chi or the node counts run the decision ladder alone (_chi), and
+a single feasibility decision (_decide) settles whether a vertex
+deletion still needs chi colors.
 
 A certified lower bound from the main theorem lets the solver skip the
 exhaustive refutation below chi: place a complex in R^d so that no r
@@ -303,6 +306,82 @@ def _first_coloring(H: Hypergraph, k: int, order: Sequence[int], budget: _Budget
         del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
 
 
+def _kernel_inputs(H: Hypergraph) -> tuple[Optional[list[int]], list[int], list[int]]:
+    """Adjacency masks (graphs only), degrees and the static order (-degree, id) of H."""
+    n = H.n_vertices
+    adj = None
+    if H.r == 2:
+        adj = _adjacency_masks(H)
+        degrees = [a.bit_count() for a in adj]
+    else:
+        degrees = [0] * n
+        for e in H.edges:
+            for v in e:
+                degrees[v] += 1
+    return adj, degrees, sorted(range(n), key=lambda v: (-degrees[v], v))
+
+
+def _decide(
+    H: Hypergraph,
+    k: int,
+    budget: _Budget,
+    inputs: Optional[tuple[Optional[list[int]], list[int], list[int]]] = None,
+) -> Optional[list[int]]:
+    """One feasibility decision: a proper k-coloring of H, or None when there is none.
+
+    DSATUR for graphs, the static-order kernel in degree order otherwise;
+    the nodes go to budget. inputs is _kernel_inputs(H), when the caller
+    already has it. Any k >= 0 is decided, the empty hypergraph being
+    0-colorable and an edgeless one 1-colorable.
+    """
+    adj, degrees, order = _kernel_inputs(H) if inputs is None else inputs
+    if adj is not None:
+        return _feasible_graph(adj, degrees, k, budget)
+    return _first_coloring(H, k, order, budget)
+
+
+def _chi(
+    H: Hypergraph, max_vertices: int = DEFAULT_VERTEX_LIMIT, lower: Optional[LowerBound] = None
+) -> tuple[int, list[int], int, Optional[int], Optional[int]]:
+    """The decision ladder of chromatic_number, with no lex-least witness.
+
+    Returns (chi, the decision search's coloring at chi, search_nodes,
+    refuted_k, refutation_nodes); the numbers are chromatic_number's and
+    the same checks are made. For callers that read only chi or the node
+    counts.
+    """
+    n = H.n_vertices
+    if n > max_vertices:
+        raise ValueError(f"vertex count {n} exceeds the limit {max_vertices}")
+    if lower is not None:
+        K = lower.complex
+        if H != generalized_kneser(K, simplex_complex(K.n - 1), lower.r):
+            raise ValueError("the lower bound is certified for a different hypergraph")
+    if n == 0:
+        return 0, [], 0, None, None
+    if not H.edges:
+        return 1, [1] * n, 0, None, None
+
+    inputs = _kernel_inputs(H)
+    adj, _, order = inputs
+    start = max(2, _greedy_clique_size(adj, order)) if adj is not None else 2
+    if lower is not None:
+        start = max(start, lower.bound)
+
+    total_nodes = 0
+    refuted_k = None
+    refutation_nodes = None
+    for k in range(start, n + 1):
+        budget = _Budget()
+        found = _decide(H, k, budget, inputs)
+        total_nodes += budget.nodes
+        if found is not None:
+            return k, found, total_nodes, refuted_k, refutation_nodes
+        refuted_k = k
+        refutation_nodes = budget.nodes
+    raise ArithmeticError("no feasible palette up to the vertex count")
+
+
 def chromatic_number(
     H: Hypergraph, max_vertices: int = DEFAULT_VERTEX_LIMIT, lower: Optional[LowerBound] = None
 ) -> ChromaticResult:
@@ -317,52 +396,20 @@ def chromatic_number(
     disjointness hypergraph of its complex's minimal nonfaces, or
     ValueError is raised. Refuses hypergraphs with more than
     max_vertices vertices.
+
+    The returned coloring is not the decision search's: a second search
+    in vertex id order finds the lexicographically least proper
+    chi-coloring, so the witness does not depend on the search heuristics.
+    Its nodes are not counted in search_nodes. Callers that read only chi
+    or the node counts run the ladder alone (_chi).
     """
-    n = H.n_vertices
-    if n > max_vertices:
-        raise ValueError(f"vertex count {n} exceeds the limit {max_vertices}")
-    if lower is not None:
-        K = lower.complex
-        if H != generalized_kneser(K, simplex_complex(K.n - 1), lower.r):
-            raise ValueError("the lower bound is certified for a different hypergraph")
-    if n == 0:
-        return ChromaticResult(0, Coloring(0, ()), 0, None, None, lower)
-    if not H.edges:
-        return ChromaticResult(1, Coloring(1, (1,) * n), 0, None, None, lower)
-
-    if H.r == 2:
-        adj = _adjacency_masks(H)
-        degrees = [a.bit_count() for a in adj]
-    else:
-        degrees = [0] * n
-        for e in H.edges:
-            for v in e:
-                degrees[v] += 1
-    order = sorted(range(n), key=lambda v: (-degrees[v], v))
-    start = max(2, _greedy_clique_size(adj, order)) if H.r == 2 else 2
-    if lower is not None:
-        start = max(start, lower.bound)
-
-    total_nodes = 0
-    refuted_k = None
-    refutation_nodes = None
-    for k in range(start, n + 1):
-        budget = _Budget()
-        if H.r == 2:
-            found = _feasible_graph(adj, degrees, k, budget)
-        else:
-            found = _first_coloring(H, k, order, budget)
-        total_nodes += budget.nodes
-        if found is not None:
-            witness = _first_coloring(H, k, range(n), _Budget())
-            if witness is None:
-                raise ArithmeticError("witness search failed at the established chromatic number")
-            return ChromaticResult(
-                k, Coloring(k, tuple(witness)), total_nodes, refuted_k, refutation_nodes, lower
-            )
-        refuted_k = k
-        refutation_nodes = budget.nodes
-    raise ArithmeticError("no feasible palette up to the vertex count")
+    chi, _, search_nodes, refuted_k, refutation_nodes = _chi(H, max_vertices, lower)
+    witness = _first_coloring(H, chi, range(H.n_vertices), _Budget())
+    if witness is None:
+        raise ArithmeticError("witness search failed at the established chromatic number")
+    return ChromaticResult(
+        chi, Coloring(chi, tuple(witness)), search_nodes, refuted_k, refutation_nodes, lower
+    )
 
 
 @dataclass(frozen=True)

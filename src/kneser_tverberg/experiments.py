@@ -30,11 +30,16 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .coloring import (
     DEFAULT_VERTEX_LIMIT,
+    Coloring,
     LowerBound,
+    _Budget,
+    _chi,
+    _decide,
     bound_floor_formula,
     certified_lower_bound,
     chromatic_number,
     greedy_least_label,
+    is_proper,
     verify_constraint_property,
 )
 from .geometry import (
@@ -144,16 +149,16 @@ def verify_kneser(k: int, n: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> E
         lower = certified_lower_bound(K, moment_points(range(1, n + 1), 2 * k - 3), 2)
         if not isinstance(lower, LowerBound):
             raise ArithmeticError("disjoint faces meet on the moment curve below dimension 2k - 2")
-    res = chromatic_number(H, max_vertices=max_vertices, lower=lower)
+    chi, _, search_nodes, _, _ = _chi(H, max_vertices, lower)
     greedy = greedy_least_label(H, 2, n - 1, max_colors=target)
     claimed = {"chi": target, "greedy_colors": target, "greedy_proper": True}
     computed = {
-        "chi": res.chi,
+        "chi": chi,
         "greedy_colors": greedy.colors_used,
         "greedy_proper": greedy.proper,
         "vertices": H.n_vertices,
         "edges": H.n_edges,
-        "search_nodes": res.search_nodes,
+        "search_nodes": search_nodes,
         "chi_source": "solver" if lower is None else "certified_bound",
     }
     if lower is not None:
@@ -175,23 +180,33 @@ def verify_schrijver(
 
     Claim: still n - 2k + 2. With check_critical, also claim that every
     single-vertex deletion is colorable with one color fewer.
+
+    The criticality check makes one decision per deletion, at chi - 1,
+    and builds no lex-least witness. That decides chi(H - v): it is at
+    most chi, since a coloring of H restricts to H - v, and at least
+    chi - 1, since a proper coloring of H - v plus a new color for v is
+    proper on H (every edge through v has another vertex, of another
+    color). So H - v is (chi - 1)-colorable exactly when chi(H - v) is
+    chi - 1, and chi otherwise; deletion_chis lists these values. Each
+    (chi - 1)-coloring found is rechecked on H - v, and an improper one
+    raises ArithmeticError.
     """
     t0 = time.perf_counter()
     target = n - 2 * k + 2
     H = intersection_hypergraph(s_stable_subsets(k, n, 2), 2)
-    res = chromatic_number(H, max_vertices=max_vertices)
+    chi = _chi(H, max_vertices)[0]
     claimed = {"chi": target}
-    computed: dict = {"chi": res.chi, "vertices": H.n_vertices, "edges": H.n_edges}
+    computed: dict = {"chi": chi, "vertices": H.n_vertices, "edges": H.n_edges}
     if check_critical:
-        drops = [
-            chromatic_number(
-                H.induced([u for u in range(H.n_vertices) if u != v]),
-                max_vertices=max_vertices,
-            ).chi
-            for v in range(H.n_vertices)
-        ]
+        drops = []
+        for v in range(H.n_vertices):
+            sub = H.induced([u for u in range(H.n_vertices) if u != v])
+            found = _decide(sub, chi - 1, _Budget())
+            if found is not None and not is_proper(sub, Coloring(chi - 1, tuple(found)))[0]:
+                raise ArithmeticError("deletion coloring is not proper")
+            drops.append(chi if found is None else chi - 1)
         claimed["vertex_critical"] = True
-        computed["vertex_critical"] = all(c == res.chi - 1 for c in drops)
+        computed["vertex_critical"] = all(c == chi - 1 for c in drops)
         computed["deletion_chis"] = sorted(set(drops))
     return _finish(
         f"schrijver-{k}-{n}",
@@ -266,8 +281,8 @@ def verify_dismantle(count: int = 100, max_ground: int = 7, seed: int = 0) -> Ex
         fam = [
             frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(m)
         ]
-        chi_full = chromatic_number(intersection_hypergraph(fam, 2)).chi
-        chi_min = chromatic_number(intersection_hypergraph(minimize_system(fam), 2)).chi
+        chi_full = _chi(intersection_hypergraph(fam, 2))[0]
+        chi_min = _chi(intersection_hypergraph(minimize_system(fam), 2))[0]
         if chi_full == chi_min:
             agree += 1
     claimed = {"agreements": count}
@@ -343,9 +358,9 @@ def verify_spherical(
     N = K.n - 1
     target = N + 1 - d
     H = generalized_kneser(K, simplex_complex(N), 2)
-    res = chromatic_number(H, max_vertices=max_vertices)
+    chi = _chi(H, max_vertices)[0]
     claimed = {"chi": target}
-    computed = {"chi": res.chi, "vertices": H.n_vertices, "edges": H.n_edges}
+    computed = {"chi": chi, "vertices": H.n_vertices, "edges": H.n_edges}
     return _finish(
         f"spherical-{sphere}",
         {"sphere": sphere, "sphere_asserted": True, "d": d, "N": N},
@@ -493,7 +508,9 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
 
     Each pair is split into alternation blocks once, and that split
     feeds both separating_polynomial's kernel and, when it finds no
-    polynomial, intertwined_pair's.
+    polynomial, intertwined_pair's. The first kernel hands back the
+    verified integer polynomial, and the sweep reads only whether there
+    is one, so no Fraction coefficient is built.
     """
     out = []
     for d in range(1, max_d + 1):
@@ -517,12 +534,12 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
                     if min(A) > min(B):
                         continue
                     pairs += 1
-                    split = (A, B, q, u, _blocks_by_side(u, A, B))
-                    if _separating_from_blocks(P, *split) is not None:
+                    blocks = _blocks_by_side(u, A, B)
+                    if _separating_from_blocks(P, A, B, u, blocks) is not None:
                         separated += 1
                         continue
                     intersecting += 1
-                    pair = _intertwined_from_blocks(P, *split)
+                    pair = _intertwined_from_blocks(P, A, B, q, u, blocks)
                     # the two sizes in want sum to d + 2; for even d both parts take the one size
                     if {len(pair.part1), len(pair.part2)} == want:
                         good_sizes += 1
@@ -628,7 +645,7 @@ def verify_avg_stable(
     if H.n_vertices == 0:
         chi: Optional[int] = 0
     elif H.n_vertices <= max_vertices:
-        chi = chromatic_number(H, max_vertices=max_vertices).chi
+        chi = _chi(H, max_vertices)[0]
         computed["chi_source"] = "solver"
     else:
         greedy = greedy_least_label(H, r, n - 1, max_colors=target)
@@ -731,7 +748,7 @@ def verify_bound_pipeline(
     absence = isinstance(certified, LowerBound)
     N = K.n - 1
     H = generalized_kneser(K, simplex_complex(N), r)
-    res = chromatic_number(H, max_vertices=max_vertices)
+    chi = _chi(H, max_vertices)[0]
     greedy = greedy_least_label(H, r, N)
     w = width(K, r)
     kb = Fraction(w, r - 1)
@@ -739,8 +756,8 @@ def verify_bound_pipeline(
         "absence_verified": absence,
         "bound_applicable": absence,
         "floor_formula": bound_floor_formula(N, r, d),
-        "chi": res.chi,
-        "bound_respected": (res.chi >= certified.bound) if absence else None,
+        "chi": chi,
+        "bound_respected": (chi >= certified.bound) if absence else None,
         "width": w,
         "kriz": str(kb),
         "kriz_ceiling": ceil(kb),

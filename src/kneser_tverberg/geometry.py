@@ -742,18 +742,26 @@ def separating_polynomial(
     back.
     """
     A, B, q, u = _moment_parts(P, X1, X2)
-    return _separating_from_blocks(P, A, B, q, u, _blocks_by_side(u, A, B))
+    coeffs = _separating_from_blocks(P, A, B, u, _blocks_by_side(u, A, B))
+    if coeffs is None:
+        return None
+    den = (2 * q) ** (len(coeffs) - 1)
+    return tuple(Fraction(c * q**i, den) for i, c in enumerate(coeffs))
 
 
 def _separating_from_blocks(
     P: PointConfiguration,
     A: frozenset[int],
     B: frozenset[int],
-    q: int,
     u: Mapping[int, int],
     blocks: list[list[int]],
-) -> Optional[tuple[Fraction, ...]]:
-    """separating_polynomial on parts already split: _moment_parts, then _blocks_by_side."""
+) -> Optional[list[int]]:
+    """separating_polynomial's integer g on parts already split, verified, or None.
+
+    The parts come from _moment_parts and the blocks from _blocks_by_side.
+    Returns the coefficients c_i of g (constant first), positive on A and
+    negative on B at every u-value, with no Fraction built.
+    """
     if len(blocks) >= P.d + 2:
         return None
     coeffs = [1]
@@ -783,8 +791,7 @@ def _separating_from_blocks(
     for lab in sorted(B):
         if value(lab) >= 0:
             raise ArithmeticError("separating certificate failed verification")
-    den = (2 * q) ** (len(coeffs) - 1)
-    return tuple(Fraction(c * q**i, den) for i, c in enumerate(coeffs))
+    return coeffs
 
 
 # -- strong general position ------------------------------------------

@@ -7,6 +7,9 @@ import pytest
 from kneser_tverberg.coloring import (
     ChromaticResult,
     Coloring,
+    _Budget,
+    _chi,
+    _decide,
     bound_floor_formula,
     chromatic_number,
     extend_coloring,
@@ -16,6 +19,7 @@ from kneser_tverberg.coloring import (
     kriz_bound,
     verify_constraint_property,
 )
+from kneser_tverberg.experiments import verify_schrijver
 from kneser_tverberg.hypergraphs import (
     Hypergraph,
     generalized_kneser,
@@ -260,6 +264,12 @@ def test_searches_leave_no_reference_cycles():
         chromatic_number(kneser_hypergraph(3, 2, 6))  # arity 3: the static-order kernel
         assert gc.collect() == 0
         verify_constraint_property(K, L, 2, chromatic_number(generalized_kneser(K, L, 2)).coloring)
+        assert gc.collect() == 0
+        _chi(kneser_hypergraph(2, 2, 6))  # the decision ladder alone
+        assert gc.collect() == 0
+        _decide(kneser_hypergraph(3, 2, 6), 2, _Budget())
+        assert gc.collect() == 0
+        verify_schrijver(2, 6, check_critical=True)  # one decision per deletion
         assert gc.collect() == 0
     finally:
         gc.enable()

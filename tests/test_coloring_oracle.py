@@ -6,6 +6,12 @@ copied verbatim below from the solver before `_first_coloring` took over
 both. At every palette size k the solver tries, the new kernel must
 return the same coloring as the old one, and at arity three and up the
 same feasibility node count.
+
+The decision ladder `_chi` and the one-decision criticality check are
+held against the paths they replaced: `old_chromatic_number` is the
+solver from before the ladder and the witness were split, and
+`old_criticality` the loop `verify_schrijver` ran before it decided each
+deletion at chi - 1 alone, both copied verbatim.
 """
 
 import random
@@ -15,18 +21,32 @@ from typing import Optional
 import pytest
 
 from kneser_tverberg.coloring import (
+    DEFAULT_VERTEX_LIMIT,
+    ChromaticResult,
+    Coloring,
+    LowerBound,
     _Budget,
     _adjacency_masks,
+    _chi,
+    _decide,
+    _feasible_graph,
     _first_coloring,
+    _greedy_clique_size,
+    certified_lower_bound,
     chromatic_number,
+    is_proper,
 )
-from kneser_tverberg.experiments import FAMILIES
+from kneser_tverberg.experiments import FAMILIES, verify_schrijver
+from kneser_tverberg.geometry import moment_points
 from kneser_tverberg.hypergraphs import (
     Hypergraph,
+    generalized_kneser,
     intersection_hypergraph,
     kneser_hypergraph,
+    minimize_system,
     s_stable_subsets,
 )
+from kneser_tverberg.simplicial import simplex_complex
 
 
 def _feasible_uniform(H: Hypergraph, k: int, budget: _Budget) -> Optional[list[int]]:
@@ -194,3 +214,188 @@ FAMILY_HYPERGRAPHS = dict(family_hypergraphs())
 @pytest.mark.parametrize("name", list(FAMILY_HYPERGRAPHS))
 def test_family_instances(name):
     assert_same_searches(FAMILY_HYPERGRAPHS[name], name)
+
+
+def old_chromatic_number(
+    H: Hypergraph, max_vertices: int = DEFAULT_VERTEX_LIMIT, lower: Optional[LowerBound] = None
+) -> ChromaticResult:
+    """Exact weak chromatic number with a certificate.
+
+    Feasibility is decided for k = lower bound, lower bound + 1, ... in
+    turn; the first feasible k is returned together with the node count
+    of the failed search at k - 1 (when one was run), so the result
+    carries both halves of the proof. The lower bound is a greedy clique
+    size for graphs and 2 otherwise, raised to lower.bound when a
+    certified bound is given; that bound must be for H itself, the
+    disjointness hypergraph of its complex's minimal nonfaces, or
+    ValueError is raised. Refuses hypergraphs with more than
+    max_vertices vertices.
+    """
+    n = H.n_vertices
+    if n > max_vertices:
+        raise ValueError(f"vertex count {n} exceeds the limit {max_vertices}")
+    if lower is not None:
+        K = lower.complex
+        if H != generalized_kneser(K, simplex_complex(K.n - 1), lower.r):
+            raise ValueError("the lower bound is certified for a different hypergraph")
+    if n == 0:
+        return ChromaticResult(0, Coloring(0, ()), 0, None, None, lower)
+    if not H.edges:
+        return ChromaticResult(1, Coloring(1, (1,) * n), 0, None, None, lower)
+
+    if H.r == 2:
+        adj = _adjacency_masks(H)
+        degrees = [a.bit_count() for a in adj]
+    else:
+        degrees = [0] * n
+        for e in H.edges:
+            for v in e:
+                degrees[v] += 1
+    order = sorted(range(n), key=lambda v: (-degrees[v], v))
+    start = max(2, _greedy_clique_size(adj, order)) if H.r == 2 else 2
+    if lower is not None:
+        start = max(start, lower.bound)
+
+    total_nodes = 0
+    refuted_k = None
+    refutation_nodes = None
+    for k in range(start, n + 1):
+        budget = _Budget()
+        if H.r == 2:
+            found = _feasible_graph(adj, degrees, k, budget)
+        else:
+            found = _first_coloring(H, k, order, budget)
+        total_nodes += budget.nodes
+        if found is not None:
+            witness = _first_coloring(H, k, range(n), _Budget())
+            if witness is None:
+                raise ArithmeticError("witness search failed at the established chromatic number")
+            return ChromaticResult(
+                k, Coloring(k, tuple(witness)), total_nodes, refuted_k, refutation_nodes, lower
+            )
+        refuted_k = k
+        refutation_nodes = budget.nodes
+    raise ArithmeticError("no feasible palette up to the vertex count")
+
+
+def old_criticality(H: Hypergraph, chi: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> dict:
+    """verify_schrijver's criticality check before it made one decision per deletion."""
+    computed = {}
+    drops = [
+        chromatic_number(
+            H.induced([u for u in range(H.n_vertices) if u != v]),
+            max_vertices=max_vertices,
+        ).chi
+        for v in range(H.n_vertices)
+    ]
+    computed["vertex_critical"] = all(c == chi - 1 for c in drops)
+    computed["deletion_chis"] = sorted(set(drops))
+    return computed
+
+
+def assert_ladder_matches(H: Hypergraph, lower: Optional[LowerBound] = None) -> None:
+    """_chi and chromatic_number against the old solver, field by field."""
+    old = old_chromatic_number(H, lower=lower)
+    assert chromatic_number(H, lower=lower) == old
+    chi, found, nodes, refuted_k, refutation_nodes = _chi(H, lower=lower)
+    assert (chi, nodes, refuted_k, refutation_nodes) == (
+        old.chi, old.search_nodes, old.refuted_k, old.refutation_nodes
+    )
+    assert is_proper(H, Coloring(chi, tuple(found)))[0]
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (2, 7), (2, 8), (3, 7)])
+def test_criticality_matches_the_old_loop(k, n):
+    H = intersection_hypergraph(s_stable_subsets(k, n, 2), 2)
+    rep = verify_schrijver(k, n, check_critical=True)
+    want = old_criticality(H, chromatic_number(H).chi)
+    got = {key: rep.computed[key] for key in want}
+    assert got == want
+    assert rep.computed["chi"] == old_chromatic_number(H).chi
+
+
+def kneser_family(k, n, s):
+    return [frozenset(c) for c in combinations(range(1, n + 1), k)]
+
+
+def stable_plus_one(k, n, s):
+    return list(s_stable_subsets(k, n, s)) + [frozenset(range(1, k + 1))]
+
+
+@pytest.mark.parametrize("family", [kneser_family, stable_plus_one], ids=["kneser", "stable-plus-one"])
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (2, 7), (3, 7)])
+def test_criticality_matches_the_old_loop_where_it_fails(monkeypatch, family, k, n):
+    """Families that are not vertex-critical: no deletion drops (Kneser), or only some do."""
+    from kneser_tverberg import experiments
+
+    monkeypatch.setattr(experiments, "s_stable_subsets", family)
+    H = intersection_hypergraph(family(k, n, 2), 2)
+    rep = verify_schrijver(k, n, check_critical=True)
+    want = old_criticality(H, chromatic_number(H).chi)
+    assert not want["vertex_critical"]
+    assert {key: rep.computed[key] for key in want} == want
+    assert rep.verdict == "mismatch"
+
+
+@pytest.mark.parametrize("r", [2, 3], ids=["graphs", "3-uniform"])
+def test_one_decision_at_chi_minus_one_gives_each_deletion_chi(r):
+    """The lemma the criticality check rests on, where deletions do and do not lower chi."""
+    rng = random.Random(7100 + r)
+    lowered = kept = 0
+    for _ in range(40):
+        H = random_hypergraph(rng, r)
+        chi = chromatic_number(H).chi
+        for v in range(H.n_vertices):
+            sub = H.induced([u for u in range(H.n_vertices) if u != v])
+            found = _decide(sub, chi - 1, _Budget())
+            assert (chi if found is None else chi - 1) == chromatic_number(sub).chi
+            if found is None:
+                kept += 1
+            else:
+                lowered += 1
+                assert is_proper(sub, Coloring(chi - 1, tuple(found)))[0]
+    assert lowered and kept
+
+
+def dismantle_families(seed: int, count: int, max_ground: int = 9):
+    """verify_dismantle's seeded families, each with its minimization."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, max_ground)
+        m = rng.randint(1, 18)
+        fam = [frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(m)]
+        yield fam
+        yield list(minimize_system(fam))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ladder_matches_on_dismantle_families(seed):
+    for fam in dismantle_families(seed, 100):
+        assert_ladder_matches(intersection_hypergraph(fam, 2))
+
+
+@pytest.mark.parametrize("name", ["kneser3-2-6", "kneser3-2-7", "kneser-2-6", "schrijver-2-6"])
+def test_ladder_matches_on_family_instances(name):
+    assert_ladder_matches(FAMILY_HYPERGRAPHS[name])
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (2, 7), (3, 7)])
+def test_ladder_matches_from_a_certified_bound(k, n):
+    """verify_kneser's start: the floor bound of the (k-2)-skeleton on the moment curve."""
+    lower = certified_lower_bound(
+        simplex_complex(n - 1).skeleton(k - 2), moment_points(range(1, n + 1), 2 * k - 3), 2
+    )
+    assert isinstance(lower, LowerBound)
+    assert_ladder_matches(kneser_hypergraph(2, k, n), lower)
+
+
+def test_decide_at_the_smallest_palettes():
+    """The criticality check decides at chi - 1, which can be 1 or 0."""
+    empty = Hypergraph(2, (), ())
+    assert _decide(empty, 0, _Budget()) == []
+    for r in (2, 3):
+        edgeless = Hypergraph(r, tuple(frozenset({i}) for i in range(1, 4)), ())
+        assert _decide(edgeless, 1, _Budget()) == [1, 1, 1]
+        assert _decide(edgeless, 0, _Budget()) is None
+    assert _decide(kneser_hypergraph(2, 2, 5), 1, _Budget()) is None
+    assert _decide(kneser_hypergraph(3, 2, 6), 1, _Budget()) is None

@@ -17,6 +17,7 @@ from kneser_tverberg.experiments import (
     verify_nonprimepower,
     verify_pipeline,
     verify_roundtrip,
+    verify_schrijver,
     verify_spherical,
     verify_stable_faces,
     verify_tverberg_random,
@@ -68,6 +69,22 @@ def test_kneser_experiment_matches():
     assert rep.claimed["chi"] == 3
     assert rep.computed["chi"] == 3
     assert rep.provenance
+
+
+def test_schrijver_9_3_is_vertex_critical():
+    """SG(9,3): 30 vertices, chi 5, and every deletion 4-colorable."""
+    rep = verify_schrijver(3, 9, check_critical=True)
+    assert rep.verdict == "match"
+    assert rep.computed["chi"] == 5
+    assert rep.computed["vertex_critical"] is True
+    assert rep.computed["deletion_chis"] == [4]
+
+
+def test_an_improper_deletion_coloring_raises(monkeypatch):
+    """A deletion coloring that fails its recheck cannot become a verdict."""
+    monkeypatch.setattr(experiments, "_decide", lambda H, k, budget: [1] * H.n_vertices)
+    with pytest.raises(ArithmeticError):
+        verify_schrijver(2, 5, check_critical=True)
 
 
 def test_mismatch_is_reported_not_raised():
