@@ -240,6 +240,8 @@ def verify_roundtrip(count: int = 200, max_ground: int = 8, seed: int = 0) -> Ex
     same canonical order; they are compared with minimize_system(G)
     directly.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     agree = 0
@@ -272,6 +274,8 @@ def verify_dismantle(count: int = 100, max_ground: int = 7, seed: int = 0) -> Ex
     minimal members extends by giving each superset the color of a
     member inside it.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     agree = 0
@@ -539,7 +543,7 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
                         separated += 1
                         continue
                     intersecting += 1
-                    pair = _intertwined_from_blocks(P, A, B, q, u, blocks)
+                    pair = _intertwined_from_blocks(P, A, q, u, blocks)
                     # the two sizes in want sum to d + 2; for even d both parts take the one size
                     if {len(pair.part1), len(pair.part2)} == want:
                         good_sizes += 1
@@ -857,6 +861,13 @@ class RunOptions(NamedTuple):
     max_vertices: int
 
 
+def _flag(value: int) -> bool:
+    """A 0/1 instance parameter as a bool; any other value is a usage error."""
+    if value not in (0, 1):
+        raise ValueError(f"a flag parameter is 0 or 1, got {value}")
+    return bool(value)
+
+
 class Family(NamedTuple):
     """Default instances, type and allowed counts of instance parameters, runner.
 
@@ -877,7 +888,7 @@ FAMILIES = {
     ),
     "schrijver": Family(
         SCHRIJVER_INSTANCES, int, (2, 3),
-        lambda o, k, n, crit=0: [verify_schrijver(k, n, bool(crit), o.max_vertices)],
+        lambda o, k, n, crit=0: [verify_schrijver(k, n, _flag(crit), o.max_vertices)],
     ),
     "roundtrip": Family(((200,),), int, (1,), lambda o, m: [verify_roundtrip(m, seed=o.seed)]),
     "dismantle": Family(((100,),), int, (1,), lambda o, m: [verify_dismantle(m, seed=o.seed)]),

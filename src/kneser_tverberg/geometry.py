@@ -39,7 +39,7 @@ from math import comb, lcm
 from operator import le
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .linalg import Echelon, det, extend_echelon, feasible_nonneg, nullspace, rank
+from .linalg import Echelon, extend_echelon, feasible_nonneg, nullspace, rank
 from .simplicial import SimplicialComplex, Simplex, _disjoint_tuples, complex_from_forbidden
 
 Point = tuple[Fraction, ...]
@@ -161,32 +161,34 @@ def gale_facets(n: int, d: int) -> tuple[Simplex, ...]:
 def hull_facets_oracle(P: PointConfiguration) -> tuple[Simplex, ...]:
     """Facets of the convex hull by definition, for simplicial hulls.
 
-    A d-subset spans a facet iff every remaining point lies strictly on
-    one common side of its affine hull, decided by exact determinant
-    signs. Subsets whose hull is degenerate or that have points on both
-    sides (or on the hyperplane) are rejected, so for configurations in
-    general position this is the full facet list.
+    A d-subset S spans a facet iff every remaining point lies strictly
+    on one common side of its affine hull. The hyperplanes a.x + b = 0
+    through S are the null space of the lifted points (p, 1) of S: one
+    vector (a, b) when S is affinely independent, more when it is
+    degenerate, and then S is rejected. A remaining point q lies on the
+    side sign(a.q + b); a subset with points on both sides, or on the
+    hyperplane, is rejected too, so for configurations in general
+    position this is the full facet list.
     """
-    d = P.d
     labels = P.labels
-    if len(labels) < d + 1:
+    if len(labels) < P.d + 1:
         raise ValueError("need at least d+1 points")
     out = []
-    for S in combinations(labels, d):
-        base = P.point(S[0])
-        rows = [tuple(x - y for x, y in zip(P.point(lab), base)) for lab in S[1:]]
+    for S in combinations(labels, P.d):
+        null = nullspace([(*P.point(lab), 1) for lab in S])
+        if len(null) > 1:
+            continue
+        *a, b = null[0]
         sign = 0
-        good = True
         for lab in labels:
             if lab in S:
                 continue
-            dval = det(rows + [tuple(x - y for x, y in zip(P.point(lab), base))])
-            s = (dval > 0) - (dval < 0)
+            val = sum(x * y for x, y in zip(a, P.point(lab))) + b
+            s = (val > 0) - (val < 0)
             if s == 0 or (sign and s != sign):
-                good = False
                 break
             sign = s
-        if good:
+        else:
             out.append(frozenset(S))
     return tuple(sorted(out, key=lambda f: tuple(sorted(f))))
 
@@ -659,13 +661,12 @@ def intertwined_pair(
     A failed check raises ArithmeticError.
     """
     A, B, q, u = _moment_parts(P, X1, X2)
-    return _intertwined_from_blocks(P, A, B, q, u, _blocks_by_side(u, A, B))
+    return _intertwined_from_blocks(P, A, q, u, _blocks_by_side(u, A, B))
 
 
 def _intertwined_from_blocks(
     P: PointConfiguration,
     A: frozenset[int],
-    B: frozenset[int],
     q: int,
     u: Mapping[int, int],
     blocks: list[list[int]],

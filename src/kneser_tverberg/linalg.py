@@ -3,15 +3,15 @@
 Everything here works on fractions.Fraction (or int) entries and returns
 exact results. The matrices that show up in this package are small and
 dense, typically fewer than fifteen rows, so the implementations favor
-clarity and exactness over asymptotics: one fraction-free elimination
-on integers behind ranks, pivot columns, integer null spaces and
-determinants; an echelon basis of primitive integer rows that grows by
-a few rows at a time, for searches that stack rows level by level; and
-nonnegative feasibility, decided by that same elimination when the
-system has at most one solution and otherwise by a phase-1 simplex
-with Bland's rule, pivoting on an integer tableau. Denominators are
-cleared before any of these loops runs; Fractions appear only in what
-is returned.
+clarity and exactness over asymptotics. There is one elimination: an
+echelon basis of primitive integer rows that grows a few rows at a
+time. Searches that stack rows level by level extend it directly;
+ranks and pivot columns are its leading columns, and integer null
+spaces are read from it by back substitution. Nonnegative feasibility
+is decided by one null space when the system has at most one solution
+and otherwise by a phase-1 simplex with Bland's rule, pivoting on an
+integer tableau. Denominators are cleared before any of these loops
+runs; Fractions appear only in what is returned.
 """
 
 from __future__ import annotations
@@ -25,70 +25,24 @@ Number = Fraction | int
 Row = Sequence[Number]
 
 
-def _integer_rows(rows: Sequence[Row]) -> tuple[list[list[int]], int]:
-    """Fresh integer copies of the rows, denominators cleared row by row.
+def _integer_rows(rows: Sequence[Row]) -> list[Sequence[int]]:
+    """The rows with denominators cleared row by row.
 
     Scaling a row by a positive integer changes neither the rank, the
     pivot columns, the null space nor the sign pattern questions we ask
-    downstream. Rows that are already integers are copied as they are.
-    Also returns the product of the row multipliers, by which the
-    determinant of a square matrix grows.
+    downstream. Rows that are already integers are kept as they are.
     """
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
-    out: list[list[int]] = []
-    scale = 1
+    out: list[Sequence[int]] = []
     for row in rows:
         if all(type(x) is int for x in row):
-            out.append(list(row))
+            out.append(row)
             continue
         fracs = [Fraction(x) for x in row]
         mult = lcm(*[f.denominator for f in fracs])
-        scale *= mult
         out.append([f.numerator * (mult // f.denominator) for f in fracs])
-    return out, scale
-
-
-def _echelon(mat: list[list[int]]) -> tuple[list[int], int]:
-    """Fraction-free row echelon form of an integer matrix, in place.
-
-    Eliminates column by column and returns the pivot columns in order
-    and the sign of the row permutation the pivoting applied. Afterwards
-    row i < len(pivots) has its leading entry in column pivots[i]; the
-    rows below the pivot rows are zero. This is Bareiss's elimination
-    (Bareiss 1968) on plain Python integers: every division is exact by
-    the Sylvester determinant identity, and the last pivot of a square
-    matrix of full rank is its determinant up to that sign. A nonzero
-    remainder raises rather than silently flooring.
-    """
-    m = len(mat)
-    width = len(mat[0]) if m else 0
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    for c in range(width):
-        r = len(pivots)
-        piv = next((i for i in range(r, m) if mat[i][c]), -1)
-        if piv < 0:
-            continue
-        if piv != r:
-            mat[r], mat[piv] = mat[piv], mat[r]
-            sign = -sign
-        lead = mat[r]
-        p = lead[c]
-        for i in range(r + 1, m):
-            cur = mat[i]
-            f = cur[c]
-            for j in range(c, width):
-                q, rem = divmod(p * cur[j] - f * lead[j], prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination produced a non-integer")
-                cur[j] = q
-        prev = p
-        pivots.append(c)
-        if r + 1 == m:
-            break
-    return pivots, sign
+    return out
 
 
 Echelon = list[tuple[int, list[int]]]
@@ -103,13 +57,14 @@ def extend_echelon(basis: Echelon, rows: Sequence[Sequence[int]]) -> Echelon:
     order (a basis row is zero before its leading column, so clearing
     one leading column leaves the earlier ones clear), divided by the
     gcd of its entries and, if anything is left, inserted at its own
-    leading column. The input basis is not modified, so a search can
-    hand one basis to many extensions.
+    leading column. Neither the input basis nor the rows are modified,
+    so a search can hand one basis to many extensions.
 
-    The leading columns of such a basis are the pivot columns of its row
-    space, exactly as pivot_columns() returns them: their number is the
-    rank, and the last unit vector lies in the row space iff the last
-    column leads.
+    The leading columns depend only on the row space: column c leads
+    iff column c of the stacked rows is not a combination of the
+    columns before it. So they are the pivot columns, their number is
+    the rank, and the last unit vector lies in the row space iff the
+    last column leads.
     """
     out = list(basis)
     for row in rows:
@@ -119,51 +74,55 @@ def extend_echelon(basis: Echelon, rows: Sequence[Sequence[int]]) -> Echelon:
             if f:
                 p = b[c]
                 cur = [p * x - f * y for x, y in zip(cur, b)]
-        lead = next((j for j, x in enumerate(cur) if x), -1)
-        if lead >= 0:
-            g = gcd(*cur)
-            insort(out, (lead, [x // g for x in cur]))
+        for lead, v in enumerate(cur):
+            if v:
+                g = gcd(*cur)
+                insort(out, (lead, [x // g for x in cur]))
+                break
     return out
 
 
 def rank(rows: Sequence[Row]) -> int:
     """Rank of a matrix given as a sequence of equal-length rows."""
-    return len(_echelon(_integer_rows(rows)[0])[0])
+    return len(extend_echelon([], _integer_rows(rows)))
 
 
 def pivot_columns(rows: Sequence[Row]) -> list[int]:
     """Indices of the columns that are not combinations of earlier columns.
 
-    These are the pivot columns of the row echelon form; there are
+    These are the leading columns of extend_echelon; there are
     rank(rows) of them. A pivot in the last column says that the last
     unit vector lies in the row space.
     """
-    return _echelon(_integer_rows(rows)[0])[0]
+    return [c for c, _ in extend_echelon([], _integer_rows(rows))]
 
 
 def nullspace(rows: Sequence[Row]) -> list[list[int]]:
     """Integer basis of {x : A x = 0}, one primitive vector per free column.
 
-    The basis vector for free column f has a positive entry at f, zeros
-    at the other free columns and gcd 1; together they number width -
-    rank(rows). Each is found by integer back substitution through the
-    echelon form of rank().
+    The free columns are those that are not pivot columns; there are
+    width - rank(rows) of them. The basis vector for free column f has
+    a positive entry at f, zeros at the other free columns and gcd 1.
+    That vector is canonical: the pivot columns are a basis of the
+    column space, so fixing the free entries fixes the pivot entries,
+    and the solution with x[f] = 1 and the other free entries 0 is
+    unique; scaling it to a primitive integer vector, positive at f, is
+    unique too. Any exact elimination returns the same basis. Each is
+    found by integer back substitution through the echelon basis of
+    extend_echelon.
     """
     if not rows:
         raise ValueError("a null space needs at least one row to fix its width")
-    mat, _ = _integer_rows(rows)
-    pivots, _ = _echelon(mat)
+    echelon = extend_echelon([], _integer_rows(rows))
     width = len(rows[0])
-    pivot_set = set(pivots)
+    pivot_set = {c for c, _ in echelon}
     basis: list[list[int]] = []
     for f in range(width):
         if f in pivot_set:
             continue
         x = [0] * width
         x[f] = 1
-        for i in range(len(pivots) - 1, -1, -1):
-            c = pivots[i]
-            row = mat[i]
+        for c, row in reversed(echelon):
             s = sum(row[j] * x[j] for j in range(c + 1, width))
             if s:
                 # scale x so that row[c] * x[c] = -s has an integer solution
@@ -177,25 +136,6 @@ def nullspace(rows: Sequence[Row]) -> list[list[int]]:
             g = -g
         basis.append([v // g for v in x])
     return basis
-
-
-def det(rows: Sequence[Row]) -> Fraction:
-    """Determinant of a square matrix, exact.
-
-    Clears denominators row by row, runs the fraction-free elimination
-    and divides its signed last pivot by the product of the row
-    multipliers.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return Fraction(1)
-    mat, scale = _integer_rows(rows)
-    pivots, sign = _echelon(mat)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * mat[-1][-1], scale)
 
 
 def _pivot_row(row: list[int], prow: list[int], p: int, f: int, div: int) -> list[int]:
@@ -213,8 +153,8 @@ def feasible_nonneg(rows: Sequence[Row], rhs: Sequence[Number]) -> Optional[list
     """Find x >= 0 with A x = b, or None if the system is infeasible.
 
     A system with no more columns than rows (n <= m) is first decided
-    by one fraction-free elimination, the null space of [A | -b]. That
-    null space is {(x, t) : A x = t b}. If A x = b has a solution x0,
+    by the canonical null space basis of [A | -b], which nullspace reads
+    from one echelon basis. That null space is {(x, t) : A x = t b}. If A x = b has a solution x0,
     then (x0, 1) lies in it, and so does (y, 0) for every y in the null
     space of A: a solution means a dimension of at least 1 + dim ker A.
     So when the basis has at most one vector:

@@ -247,6 +247,24 @@ def test_verify_all_rejects_params(capsys):
     assert main(["verify", "all", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "schrijver", "2", "5", "7"], "0 or 1"),
+        (["verify", "schrijver", "2", "5", "-1"], "0 or 1"),
+        (["verify", "roundtrip", "-3"], "nonnegative"),
+        (["verify", "dismantle", "-1"], "nonnegative"),
+    ],
+    ids=["schrijver-flag-7", "schrijver-flag-minus-1", "roundtrip-negative", "dismantle-negative"],
+)
+def test_bad_instance_values_exit_two(capsys, argv, message):
+    """A criticality flag other than 0 or 1, or a negative count, is a usage error, not a verdict."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_verify_mismatch_exit_one(monkeypatch, capsys):
     stub = ExperimentReport(
         "kneser-stub", {}, {"chi": 99}, {"chi": 3}, "mismatch", 0.0

@@ -95,9 +95,14 @@ def test_mismatch_is_reported_not_raised():
     assert rep.claimed["chi"] != rep.computed["chi"]
 
 
-def _swapped(P, A, B, *split):
+def _other_part(A, blocks):
+    """The second part of a block split: every label in the blocks outside A."""
+    return frozenset(lab for blk in blocks for lab in blk) - A
+
+
+def _swapped(P, A, q, u, blocks):
     """The true pair with its parts in the wrong roles."""
-    pair = intertwined_pair(P, A, B)
+    pair = intertwined_pair(P, A, _other_part(A, blocks))
     return IntertwinedPair(pair.part2, pair.part1, pair.witness)
 
 
@@ -107,8 +112,9 @@ def _alternates(Y1, Y2):
     return all((a in Y1) != (b in Y1) for a, b in zip(merged, merged[1:]))
 
 
-def _clumped(P, A, B, *split):
+def _clumped(P, A, q, u, blocks):
     """Parts of the true sizes inside A and B that do not alternate, where some exist."""
+    B = _other_part(A, blocks)
     pair = intertwined_pair(P, A, B)
     for Y1 in map(frozenset, combinations(sorted(A), len(pair.part1))):
         for Y2 in map(frozenset, combinations(sorted(B), len(pair.part2))):
