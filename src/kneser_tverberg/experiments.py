@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -475,6 +475,8 @@ def verify_tverberg_random(r: int, d: int, count: int = 25, seed: int = 0) -> Ex
     have it: were the floor ever to hide the only partitions, the report
     would be a mismatch, never a false claim.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     t0 = time.perf_counter()
     n_points = (r - 1) * (d + 1) + 1
     found = 0
@@ -498,7 +500,7 @@ def verify_tverberg_random(r: int, d: int, count: int = 25, seed: int = 0) -> Ex
 
 
 def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentReport]:
-    """Minimal intertwined pairs, exhaustively per dimension.
+    """Minimal intertwined pairs, exhaustively, one report per dimension 1..max_d.
 
     For every pair of disjoint nonempty subsets of up to max_points
     moment-curve points: either a separating polynomial of degree at
@@ -510,60 +512,74 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
     len(Y1) + len(Y2) blocks, one label each. Labels of moment_points
     follow the parameter order, so the merged order is the sorted labels.
 
-    Each pair is split into alternation blocks once, and that split
-    feeds both separating_polynomial's kernel and, when it finds no
-    polynomial, intertwined_pair's. The first kernel hands back the
-    verified integer polynomial, and the sweep reads only whether there
-    is one, so no Fraction coefficient is built.
+    One pass over the pairs serves every dimension. moment_points(1..n, d)
+    has the table q = 1, u = label for every d, so a pair's block split
+    does not depend on d: it is made once. With m blocks, m <= max_d + 1,
+    separating_polynomial's kernel builds and verifies the one integer
+    polynomial of degree m - 1, which separates the parts in every
+    dimension d >= m - 1; each d <= m - 2 gets intertwined_pair's integer
+    kernel on that dimension's configuration, and the sweep reads Y1 and
+    Y2 off the signs of the verified dependence, with no Fraction built.
+    No split is kept past its pair; the pass holds only the current n's
+    configurations, one per dimension. The reports share the pass's wall
+    time: each runtime_s is the elapsed time of the whole sweep divided
+    by max_d.
     """
-    out = []
-    for d in range(1, max_d + 1):
-        t0 = time.perf_counter()
-        pairs = 0
-        intersecting = 0
-        separated = 0
-        good_sizes = 0
-        alternating = 0
-        want = {d // 2 + 1, (d + 1) // 2 + 1}
-        for n in range(2, max_points + 1):
-            P = moment_points(range(1, n + 1), d)
-            q, u = _curve_table(P)
-            labels = list(range(1, n + 1))
-            for amask in range(1, 1 << n):
-                A = frozenset(labels[i] for i in range(n) if amask >> i & 1)
-                rest = [lab for lab in labels if lab not in A]
-                rn = len(rest)
-                for bmask in range(1, 1 << rn):
-                    B = frozenset(rest[i] for i in range(rn) if bmask >> i & 1)
-                    if min(A) > min(B):
-                        continue
-                    pairs += 1
-                    blocks = _blocks_by_side(u, A, B)
-                    if _separating_from_blocks(P, A, B, u, blocks) is not None:
-                        separated += 1
-                        continue
-                    intersecting += 1
-                    pair = _intertwined_from_blocks(P, A, q, u, blocks)
+    if max_d < 1 or max_points < 2:
+        raise ValueError(f"need max_points >= 2 and max_d >= 1, got {max_points} and {max_d}")
+    t0 = time.perf_counter()
+    dims = range(1, max_d + 1)
+    pairs = 0
+    intersecting = [0] * (max_d + 1)
+    separated = [0] * (max_d + 1)
+    good_sizes = [0] * (max_d + 1)
+    alternating = [0] * (max_d + 1)
+    want = [{d // 2 + 1, (d + 1) // 2 + 1} for d in range(max_d + 1)]
+    for n in range(2, max_points + 1):
+        Ps = [None] + [moment_points(range(1, n + 1), d) for d in dims]
+        top = Ps[max_d]
+        q, u = _curve_table(top)
+        labels = list(range(1, n + 1))
+        for amask in range(1, 1 << n):
+            A = frozenset(labels[i] for i in range(n) if amask >> i & 1)
+            rest = [lab for lab in labels if lab not in A]
+            rn = len(rest)
+            for bmask in range(1, 1 << rn):
+                B = frozenset(rest[i] for i in range(rn) if bmask >> i & 1)
+                if min(A) > min(B):
+                    continue
+                pairs += 1
+                blocks = _blocks_by_side(u, A, B)
+                m = len(blocks)
+                if m <= max_d + 1 and _separating_from_blocks(top, A, B, u, blocks) is not None:
+                    for d in range(m - 1, max_d + 1):
+                        separated[d] += 1
+                for d in range(1, min(m - 2, max_d) + 1):
+                    intersecting[d] += 1
+                    picks, w = _intertwined_from_blocks(Ps[d], A, q, u, blocks)
+                    Y1 = frozenset(lab for lab, wi in zip(picks, w) if wi > 0)
+                    Y2 = frozenset(picks) - Y1
                     # the two sizes in want sum to d + 2; for even d both parts take the one size
-                    if {len(pair.part1), len(pair.part2)} == want:
-                        good_sizes += 1
-                    Y1, Y2 = pair.part1, pair.part2
+                    if {len(Y1), len(Y2)} == want[d]:
+                        good_sizes[d] += 1
                     merged = sorted(Y1 | Y2)
                     switches = sum((a in Y1) != (b in Y1) for a, b in zip(merged, merged[1:]))
                     if Y1 <= A and Y2 <= B and switches + 1 == len(Y1) + len(Y2):
-                        alternating += 1
+                        alternating[d] += 1
+    out = []
+    for d in dims:
         claimed = {
-            "alternating": intersecting,
-            "good_sizes": intersecting,
+            "alternating": intersecting[d],
+            "good_sizes": intersecting[d],
             "accounted": pairs,
         }
         computed = {
-            "alternating": alternating,
-            "good_sizes": good_sizes,
-            "accounted": separated + intersecting,
+            "alternating": alternating[d],
+            "good_sizes": good_sizes[d],
+            "accounted": separated[d] + intersecting[d],
             "pairs": pairs,
-            "intersecting": intersecting,
-            "separated": separated,
+            "intersecting": intersecting[d],
+            "separated": separated[d],
         }
         out.append(
             _finish(
@@ -575,7 +591,8 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
                 provenance="alternating minimal pair criterion",
             )
         )
-    return out
+    share = (time.perf_counter() - t0) / max_d
+    return [replace(rep, runtime_s=share) for rep in out]
 
 
 # -- average stability --------------------------------------------------

@@ -658,10 +658,29 @@ def intertwined_pair(
     substitution: the table must reproduce P at every pick (q^j times
     coordinate j is u^j), sum w_i u_i^j must vanish for j = 0..d, and
     the positive weights must be exactly the picks of the first part.
-    A failed check raises ArithmeticError.
+    A failed check raises ArithmeticError. The checks run on the integer
+    weights (_intertwined_from_blocks, which callers that read only the
+    pair call directly); only the returned witness is made of Fractions.
     """
     A, B, q, u = _moment_parts(P, X1, X2)
-    return _intertwined_from_blocks(P, A, q, u, _blocks_by_side(u, A, B))
+    picks, w = _intertwined_from_blocks(P, A, q, u, _blocks_by_side(u, A, B))
+    moments = []  # sum over Y1 of w_i u_i^j, for j = 0..d
+    terms = [wi if wi > 0 else 0 for wi in w]
+    for _ in range(P.d + 1):
+        moments.append(sum(terms))
+        terms = [t * u[lab] for t, lab in zip(terms, picks)]
+
+    S = moments[0]
+    by_label = sorted(zip(picks, w))
+    witness = ConvexWitness(
+        tuple(Fraction(m, S * q**j) for j, m in enumerate(moments[1:], 1)),
+        (
+            tuple(Fraction(wi, S) for _, wi in by_label if wi > 0),
+            tuple(Fraction(-wi, S) for _, wi in by_label if wi < 0),
+        ),
+    )
+    Y1 = frozenset(lab for lab, wi in zip(picks, w) if wi > 0)
+    return IntertwinedPair(Y1, frozenset(picks) - Y1, witness)
 
 
 def _intertwined_from_blocks(
@@ -670,8 +689,19 @@ def _intertwined_from_blocks(
     q: int,
     u: Mapping[int, int],
     blocks: list[list[int]],
-) -> IntertwinedPair:
-    """intertwined_pair on parts already split: _moment_parts, then _blocks_by_side."""
+) -> tuple[list[int], list[int]]:
+    """intertwined_pair's integer dependence on parts already split, verified.
+
+    The parts come from _moment_parts and the blocks from _blocks_by_side.
+    Returns (picks, w): the first labels of the first d+2 blocks, in
+    parameter order, and their integer weights, w_i = L/prod_(j != i)(u_i - u_j)
+    up to one common sign, positive exactly on the picks in A. Every
+    check of intertwined_pair runs here, with no Fraction built: the
+    table against P at every pick, the signs against the parts, and
+    sum w_i u_i^j = 0 for j = 0..d.
+    Raises ValueError on d+1 or fewer blocks, ArithmeticError on a
+    failed check.
+    """
     d = P.d
     if len(blocks) <= d + 1:
         raise ValueError("hulls do not intersect")
@@ -698,25 +728,12 @@ def _intertwined_from_blocks(
                 raise ArithmeticError("parameter table disagrees with the configuration")
     if [wi > 0 for wi in w] != sides:
         raise ArithmeticError("dependence signs do not follow the parts")
-    moments = []  # sum over Y1 of w_i u_i^j, for j = 0..d
     terms = w
     for _ in range(d + 1):
         if sum(terms):
             raise ArithmeticError("divided-difference dependence failed substitution")
-        moments.append(sum(t for t, side in zip(terms, sides) if side))
         terms = [t * x for t, x in zip(terms, us)]
-
-    S = moments[0]
-    by_label = sorted(zip(picks, w))
-    witness = ConvexWitness(
-        tuple(Fraction(m, S * q**j) for j, m in enumerate(moments[1:], 1)),
-        (
-            tuple(Fraction(wi, S) for _, wi in by_label if wi > 0),
-            tuple(Fraction(-wi, S) for _, wi in by_label if wi < 0),
-        ),
-    )
-    Y1 = frozenset(lab for lab, side in zip(picks, sides) if side)
-    return IntertwinedPair(Y1, frozenset(picks) - Y1, witness)
+    return picks, w
 
 
 def separating_polynomial(

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from kneser_tverberg import experiments
+from kneser_tverberg import experiments, geometry
 from kneser_tverberg.experiments import (
     ALL_EXPERIMENTS,
     FAMILIES,
@@ -24,10 +24,8 @@ from kneser_tverberg.experiments import (
 )
 from kneser_tverberg.geometry import (
     DEFAULT_SGP_ATTEMPTS,
-    IntertwinedPair,
     PointConfiguration,
     draw_until_sgp,
-    intertwined_pair,
     moment_points,
 )
 from kneser_tverberg.hypergraphs import width
@@ -101,9 +99,9 @@ def _other_part(A, blocks):
 
 
 def _swapped(P, A, q, u, blocks):
-    """The true pair with its parts in the wrong roles."""
-    pair = intertwined_pair(P, A, _other_part(A, blocks))
-    return IntertwinedPair(pair.part2, pair.part1, pair.witness)
+    """The true dependence with its parts in the wrong roles."""
+    picks, w = geometry._intertwined_from_blocks(P, A, q, u, blocks)
+    return picks, [-wi for wi in w]
 
 
 def _alternates(Y1, Y2):
@@ -115,17 +113,18 @@ def _alternates(Y1, Y2):
 def _clumped(P, A, q, u, blocks):
     """Parts of the true sizes inside A and B that do not alternate, where some exist."""
     B = _other_part(A, blocks)
-    pair = intertwined_pair(P, A, B)
-    for Y1 in map(frozenset, combinations(sorted(A), len(pair.part1))):
-        for Y2 in map(frozenset, combinations(sorted(B), len(pair.part2))):
-            if not _alternates(Y1, Y2):
-                return IntertwinedPair(Y1, Y2, pair.witness)
-    return pair
+    picks, w = geometry._intertwined_from_blocks(P, A, q, u, blocks)
+    size1 = sum(wi > 0 for wi in w)
+    for Y1 in combinations(sorted(A), size1):
+        for Y2 in combinations(sorted(B), len(picks) - size1):
+            if not _alternates(frozenset(Y1), frozenset(Y2)):
+                return list(Y1 + Y2), [1] * len(Y1) + [-1] * len(Y2)
+    return picks, w
 
 
 @pytest.mark.parametrize("fake", [_swapped, _clumped])
 def test_intertwined_checks_alternation_not_the_flag(monkeypatch, fake):
-    # the sweep hands each pair's block split to intertwined_pair's kernel
+    # the sweep reads each minimal pair off the signs of the integer kernel's dependence
     monkeypatch.setattr(experiments, "_intertwined_from_blocks", fake)
     reports = verify_intertwined(max_points=5, max_d=2)
     assert [rep.verdict for rep in reports] == ["mismatch", "mismatch"]
@@ -141,7 +140,7 @@ def test_intertwined_matches_with_the_true_pairs():
 
 def test_intertwined_sweep_solves_no_lp(monkeypatch):
     """Separated pairs get a polynomial and intersecting ones a closed-form dependence."""
-    from kneser_tverberg import geometry, linalg
+    from kneser_tverberg import linalg
 
     calls = []
 
@@ -158,20 +157,47 @@ def test_intertwined_sweep_solves_no_lp(monkeypatch):
 
 
 def test_intertwined_sweep_splits_each_pair_once(monkeypatch):
-    """One block split per pair feeds both the polynomial and the minimal pair."""
-    from kneser_tverberg import geometry
+    """One block split and at most one polynomial per pair serve every dimension."""
+    splits = []
+    polynomials = []
 
-    calls = []
-
-    def counting(u, X1, X2, _real=geometry._blocks_by_side):
-        calls.append((X1, X2))
+    def counting_split(u, X1, X2, _real=geometry._blocks_by_side):
+        splits.append((X1, X2))
         return _real(u, X1, X2)
 
-    monkeypatch.setattr(experiments, "_blocks_by_side", counting)
-    monkeypatch.setattr(geometry, "_blocks_by_side", counting)
+    def counting_polynomial(P, A, B, u, blocks, _real=geometry._separating_from_blocks):
+        polynomials.append((A, B))
+        return _real(P, A, B, u, blocks)
+
+    monkeypatch.setattr(experiments, "_blocks_by_side", counting_split)
+    monkeypatch.setattr(geometry, "_blocks_by_side", counting_split)
+    monkeypatch.setattr(experiments, "_separating_from_blocks", counting_polynomial)
+    monkeypatch.setattr(geometry, "_separating_from_blocks", counting_polynomial)
     reports = verify_intertwined(max_points=5, max_d=3)
     assert [rep.verdict for rep in reports] == ["match"] * 3
-    assert len(calls) == sum(rep.computed["pairs"] for rep in reports)
+    pairs = reports[0].computed["pairs"]
+    assert all(rep.computed["pairs"] == pairs for rep in reports)
+    assert len(splits) == pairs
+    assert len(polynomials) <= pairs
+    # every pair with at most max_d + 1 blocks, separated at d = max_d, gets its one polynomial
+    assert len(polynomials) == reports[-1].computed["separated"]
+
+
+def test_intertwined_reports_share_the_sweep_time():
+    reports = verify_intertwined(max_points=4, max_d=3)
+    assert len({rep.runtime_s for rep in reports}) == 1
+
+
+@pytest.mark.parametrize("max_points, max_d", [(5, 0), (1, 2), (5, -1), (0, 3)])
+def test_intertwined_sweep_refuses_an_empty_range(max_points, max_d):
+    """No dimension or no pair would leave vacuous reports; the sweep raises instead."""
+    with pytest.raises(ValueError, match="max_points >= 2 and max_d >= 1"):
+        verify_intertwined(max_points, max_d)
+
+
+def test_tverberg_random_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="count must be nonnegative, got -4"):
+        verify_tverberg_random(2, 1, -4)
 
 
 def test_roundtrip_experiment_small():
@@ -207,8 +233,6 @@ def test_tverberg_random_small():
 
 def test_random_sgp_resampling_is_bounded(monkeypatch):
     import random
-
-    from kneser_tverberg import geometry
 
     draws = []
 
