@@ -29,7 +29,10 @@ print(f"  {H.n_vertices} vertices, {H.n_edges} hyperedges")
 
 d = (r * (k - 1) - 1) // (r - 1)
 K, P = avg_stable_placement(r, k, d, n)
-print(f"placement: {len(P)} jittered moment-curve points in R^{d}, strong general position")
+print(f"placement: {len(P)} jittered moment-curve points in R^{d}, at distinct parameters")
+# Two parts of at most d+1 points in all have at most d+1 alternation
+# blocks along the curve, so a polynomial of degree at most d separates
+# them: the search may start at total size d+2 with no further check.
 
 search = tverberg_search(P, r, restrict_to=K, codim_pruning=True)
 absence = not hasattr(search, "point")

@@ -52,7 +52,6 @@ from .geometry import (
     _separating_from_blocks,
     avg_stable_placement,
     cyclic_missing_faces,
-    draw_until_sgp,
     gale_facets,
     hull_facets_oracle,
     moment_points,
@@ -440,17 +439,15 @@ def verify_stable_faces(n: int, d: int) -> ExperimentReport:
 # -- affine partition searches ------------------------------------------
 
 
-def _random_sgp_draws(r: int, d: int, seed: int) -> Iterator[PointConfiguration]:
+def _random_draws(r: int, d: int, seed: int) -> Iterator[PointConfiguration]:
     """The configurations verify_tverberg_random searches, in order, without end.
 
-    Each has (r-1)(d+1)+1 points with coordinates k/64, |k| <= 4096,
-    and is resampled until it passes the strong general position test.
+    Each has (r-1)(d+1)+1 points with coordinates k/64, |k| <= 4096.
     """
     rng = random.Random(seed)
     n_points = (r - 1) * (d + 1) + 1
-
-    def draw() -> PointConfiguration:
-        return PointConfiguration(
+    while True:
+        yield PointConfiguration(
             d,
             {
                 lab: tuple(Fraction(rng.randrange(-4096, 4097), 64) for _ in range(d))
@@ -458,22 +455,22 @@ def _random_sgp_draws(r: int, d: int, seed: int) -> Iterator[PointConfiguration]
             },
         )
 
-    while True:
-        yield draw_until_sgp(draw, r)
-
 
 def verify_tverberg_random(r: int, d: int, count: int = 25, seed: int = 0) -> ExperimentReport:
     """Random configurations of (r-1)(d+1)+1 points always partition.
 
-    Each configuration is resampled until it passes the strong general
-    position test, then searched; the claim is a certificate every time,
-    and every certificate is re-verified from scratch.
+    Each configuration is drawn once and searched from total size
+    n = (r-1)(d+1)+1 (codim_pruning); the claim is a certificate every
+    time, and every certificate is re-verified from scratch.
 
-    The search starts at total size (r-1)(d+1)+1 (codim_pruning): strong
-    general position in Perles and Sigron's sense keeps the hulls of
-    every smaller tuple apart. The claim needs no proof that the draws
-    have it: were the floor ever to hide the only partitions, the report
-    would be a mismatch, never a false claim.
+    The floor hides no partition, degenerate draws included, so the
+    search needs no unpruned fallback. Tverberg's theorem gives the n
+    points an r-partition whose hulls meet, and Caratheodory's theorem
+    shrinks each part to at most d+1 points that still hold the common
+    point. Adding the unused points back keeps the hulls meeting, since
+    hulls only grow, and they always fit, since r(d+1) >= n. That gives
+    a meeting tuple of faces of total exactly n, the only total the
+    search walks.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -481,7 +478,7 @@ def verify_tverberg_random(r: int, d: int, count: int = 25, seed: int = 0) -> Ex
     n_points = (r - 1) * (d + 1) + 1
     found = 0
     verified = 0
-    for P in islice(_random_sgp_draws(r, d, seed), count):
+    for P in islice(_random_draws(r, d, seed), count):
         out = tverberg_search(P, r, codim_pruning=True)
         if isinstance(out, TverbergCertificate):
             found += 1
@@ -624,12 +621,13 @@ def verify_avg_stable(
 
     Pipeline: build the hypergraph on the t-stable-on-average k-subsets
     with t = r(k-3)/(2(k-1)) + 1, place the complex of all other faces
-    on the moment curve in strong general position, verify absence of
-    r-fold intersections among its faces, and pin the chromatic number
-    between the resulting floor-formula lower bound and the capped
-    least-label greedy upper bound. When the vertex count is small
-    enough the exact solver cross-checks the pinch; when the formula
-    target degenerates below 1 it is clamped and flagged.
+    on the moment curve (in strong general position for r >= 3; see
+    avg_stable_placement), verify absence of r-fold intersections among
+    its faces, and pin the chromatic number between the resulting
+    floor-formula lower bound and the capped least-label greedy upper
+    bound. When the vertex count is small enough the exact solver
+    cross-checks the pinch; when the formula target degenerates below 1
+    it is clamped and flagged.
     """
     t0 = time.perf_counter()
     if not _is_prime_power(r):

@@ -25,8 +25,9 @@ configuration without the tuple search; otherwise, and for three or
 more parts, the tuple search in homogeneous coordinates: stacked
 annihilators of the lifted points, their echelon basis extended by one
 subset per level, with a pivot in the last column meaning empty hulls),
-one bounded loop of seeded draws until a configuration passes it, and
-the seeded placement routine for average-stability instances.
+and the seeded placement routine for average-stability instances, whose
+draws must pass that test, within a bounded number of tries, only for
+three or more parts.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 from operator import le
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import Echelon, extend_echelon, feasible_nonneg, nullspace, rank
 from .simplicial import SimplicialComplex, Simplex, _disjoint_tuples, complex_from_forbidden
@@ -437,19 +438,30 @@ def tverberg_search(
 
     codim_pruning drops every tuple whose codimensions d+1-|F| sum
     above d, that is every tuple of total size below (r-1)(d+1)+1. That
-    is sound only when all those tuples have disjoint hulls, as strong
-    general position in Perles and Sigron's sense asks: the affine
-    hulls of disjoint sets meet in codimension min(d+1, sum of their
-    codimensions), codimension d+1 meaning empty. The rule needs no
-    moment curve. The caller owns that justification, and the returned
-    report carries the flag so downstream consumers can see what the
-    sweep relied on. Passing strong_general_position_report alone does
-    not justify it: the scan leaves sums beyond d+1 unchecked, so the
-    collinear points (0,0,0), (1,1,1), (2,2,2) in R^3 pass for r = 2,
-    yet the hulls of {1, 3} and {2} meet, and a pruned search on them
-    reports an absence with no tuple examined. On the floor itself, a
-    tuple of total size (r-1)(d+1)+1 gives conv_intersect a square
-    system, which one elimination decides.
+    never turns a certificate into an absence in three cases:
+    - An unrestricted search with n >= (r-1)(d+1)+1 points, always.
+      Tverberg's theorem gives r parts whose hulls meet; Caratheodory's
+      theorem shrinks each to at most d+1 points that keep the common
+      point; adding unused points back keeps the hulls meeting (hulls
+      only grow), and the parts have room for r(d+1) >= (r-1)(d+1)+1
+      points. So some meeting tuple has total at least the floor,
+      degenerate configurations included.
+    - r = 2 at distinct moment-curve parameters: a pair below the floor
+      has at most d+1 alternation blocks, so the block rule below
+      separates it anyway.
+    - Otherwise, strong general position in Perles and Sigron's sense,
+      which the caller's scan owns: the affine hulls of disjoint sets
+      meet in codimension min(d+1, sum of their codimensions),
+      codimension d+1 meaning empty. Passing
+      strong_general_position_report alone does not prove it: the scan
+      leaves sums beyond d+1 unchecked, so the collinear points
+      (0,0,0), (1,1,1), (2,2,2) in R^3 pass for r = 2, yet the hulls of
+      {1, 3} and {2} meet, and a pruned search on them (3 points, too
+      few for the first case) reports an absence with no tuple examined.
+    The returned report carries the flag so downstream consumers can see
+    what the sweep relied on. On the floor itself, a tuple of total size
+    (r-1)(d+1)+1 gives conv_intersect a square system, which one
+    elimination decides.
 
     Tuples are checked in order of increasing total size, ties in face
     order, so outcomes are deterministic. Raises SearchSpaceError when
@@ -1018,23 +1030,6 @@ def is_strong_general_position(P: PointConfiguration, r: int) -> bool:
     return holds
 
 
-def draw_until_sgp(draw: Callable[[], PointConfiguration], r: int) -> PointConfiguration:
-    """The first of up to DEFAULT_SGP_ATTEMPTS draws in strong general position for r parts.
-
-    Fails closed: after that many failed draws it raises ValueError
-    rather than looping on. draw is called once per attempt and nothing
-    else is drawn in between, so a seeded draw gives the same sequence
-    of configurations wherever it is used.
-    """
-    for _ in range(DEFAULT_SGP_ATTEMPTS):
-        P = draw()
-        if is_strong_general_position(P, r):
-            return P
-    raise ValueError(
-        f"no strong general position configuration found in {DEFAULT_SGP_ATTEMPTS} attempts"
-    )
-
-
 # -- seeded placements for average-stability instances ----------------
 
 
@@ -1051,9 +1046,15 @@ def avg_stable_placement(
     The complex on 1..n has exactly the k-subsets that are t-stable on
     average as its minimal nonfaces, with t = r(k-3)/(2(k-1)) + 1. The
     points are moment-curve points at parameters i + eps_i with seeded
-    rational jitters eps_i in [0, 1/2), redrawn until the configuration
-    passes the strong general position test; after DEFAULT_SGP_ATTEMPTS
-    failed draws it raises ValueError.
+    rational jitters eps_i in [0, 1/2), so the parameters are distinct.
+
+    For r = 2 the first draw is kept. codim_pruning skips the pairs with
+    |A| + |B| <= d+1; such a pair has at most d+1 alternation blocks,
+    and a polynomial of degree at most d separates it at any distinct
+    parameters (see tverberg_search). For r >= 3 the configuration is
+    redrawn until it passes the strong general position test; after
+    DEFAULT_SGP_ATTEMPTS failed draws it raises ValueError rather than
+    looping on.
     """
     if r < 2 or k < 2 or d < 1 or n < 1:
         raise ValueError("need r >= 2, k >= 2, d >= 1, n >= 1")
@@ -1077,9 +1078,11 @@ def avg_stable_placement(
     )
 
     rng = random.Random(seed)
-
-    def draw() -> PointConfiguration:
+    for _ in range(DEFAULT_SGP_ATTEMPTS):
         params = [Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, n + 1)]
-        return moment_points(params, d)
-
-    return K, draw_until_sgp(draw, r)
+        P = moment_points(params, d)
+        if r == 2 or is_strong_general_position(P, r):
+            return K, P
+    raise ValueError(
+        f"no strong general position configuration found in {DEFAULT_SGP_ATTEMPTS} attempts"
+    )

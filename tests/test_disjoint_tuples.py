@@ -314,13 +314,65 @@ def test_size_floor_finds_the_unpruned_certificate_on_random_draws(r, d, count):
     The unpruned search is the oracle. Below the floor it finds nothing,
     so both return the same certificate, point and weights included.
     """
-    from kneser_tverberg.experiments import _random_sgp_draws
+    from kneser_tverberg.experiments import _random_draws
 
-    for P in islice(_random_sgp_draws(r, d, 0), count):
+    for P in islice(_random_draws(r, d, 0), count):
         want = tverberg_search(P, r)
         assert isinstance(want, TverbergCertificate)
         assert sum(map(len, want.parts)) == (r - 1) * (d + 1) + 1
         assert tverberg_search(P, r, codim_pruning=True) == want
+
+
+def _check_floor_search(P, r):
+    """The search from n = (r-1)(d+1)+1 certifies P, with the unpruned search as the oracle.
+
+    Tverberg's theorem, Caratheodory's theorem and adding the unused
+    points back give a meeting tuple of total exactly n, so the floor
+    hides no partition whatever P is. Where the oracle's first
+    certificate already has total n, both walks reach it first.
+    """
+    n = (r - 1) * (P.d + 1) + 1
+    want = tverberg_search(P, r)
+    got = tverberg_search(P, r, codim_pruning=True)
+    assert isinstance(want, TverbergCertificate) and want.verify(P)
+    assert isinstance(got, TverbergCertificate) and got.verify(P)
+    assert sum(map(len, got.parts)) == n
+    if sum(map(len, want.parts)) == n:
+        assert got == want
+
+
+@pytest.mark.parametrize("r, d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_size_floor_certifies_degenerate_grid_draws(r, d, s):
+    """Seeded draws on the grid [-s, s]^d, where repeated and collinear points are common."""
+    from kneser_tverberg.geometry import is_strong_general_position
+
+    rng = random.Random(f"floor-{r}-{d}-{s}")
+    n = (r - 1) * (d + 1) + 1
+    degenerate = 0
+    for _ in range(20):
+        P = PointConfiguration(
+            d, {lab: tuple(rng.randint(-s, s) for _ in range(d)) for lab in range(1, n + 1)}
+        )
+        degenerate += not is_strong_general_position(P, r)
+        _check_floor_search(P, r)
+    assert degenerate > 0
+
+
+@pytest.mark.parametrize(
+    "r, points",
+    [
+        (2, {1: (0, 0), 2: (1, 1), 3: (2, 2), 4: (3, 3)}),  # collinear in the plane
+        (2, {1: (0, 0, 0), 2: (0, 0, 0), 3: (1, 0, 0), 4: (0, 1, 0), 5: (0, 0, 1)}),
+        (3, {lab: (0,) for lab in range(1, 6)}),  # one point five times
+    ],
+)
+def test_size_floor_certifies_configurations_off_strong_general_position(r, points):
+    from kneser_tverberg.geometry import is_strong_general_position
+
+    P = PointConfiguration(len(points[1]), points)
+    assert not is_strong_general_position(P, r)
+    _check_floor_search(P, r)
 
 
 def test_avg_stable_two_part_sweep_makes_no_hull_test(monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,12 +23,7 @@ from kneser_tverberg.experiments import (
     verify_stable_faces,
     verify_tverberg_random,
 )
-from kneser_tverberg.geometry import (
-    DEFAULT_SGP_ATTEMPTS,
-    PointConfiguration,
-    draw_until_sgp,
-    moment_points,
-)
+from kneser_tverberg.geometry import DEFAULT_SGP_ATTEMPTS, moment_points
 from kneser_tverberg.hypergraphs import width
 
 
@@ -232,8 +228,6 @@ def test_tverberg_random_small():
 
 
 def test_random_sgp_resampling_is_bounded(monkeypatch):
-    import random
-
     draws = []
 
     def never(P, r):
@@ -241,29 +235,38 @@ def test_random_sgp_resampling_is_bounded(monkeypatch):
         return False
 
     monkeypatch.setattr(geometry, "is_strong_general_position", never)
-    P = moment_points([1, 2, 3, 4], 2)
+    # at r >= 3 the placement redraws, at most DEFAULT_SGP_ATTEMPTS times
     with pytest.raises(ValueError, match=f"in {DEFAULT_SGP_ATTEMPTS} attempts"):
-        draw_until_sgp(lambda: P, 2)
-    assert draws == [P] * DEFAULT_SGP_ATTEMPTS
-    # both seeded callers go through it
-    draws.clear()
-    with pytest.raises(ValueError, match=f"in {DEFAULT_SGP_ATTEMPTS} attempts"):
-        verify_tverberg_random(2, 2, count=1, seed=0)
+        geometry.avg_stable_placement(3, 4, 4, 7, seed=0)
     assert len(draws) == DEFAULT_SGP_ATTEMPTS
-    with pytest.raises(ValueError, match=f"in {DEFAULT_SGP_ATTEMPTS} attempts"):
-        geometry.avg_stable_placement(2, 4, 5, 8, seed=0)
-    assert len(draws) == 2 * DEFAULT_SGP_ATTEMPTS
     # the draws themselves are unchanged: the first one is what an
     # unbounded loop would have tested first
     rng = random.Random(0)
-    first = {
-        lab: tuple(Fraction(rng.randrange(-4096, 4097), 64) for _ in range(2))
-        for lab in range(1, 5)
-    }
-    assert draws[0] == PointConfiguration(2, first)
+    params = [Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, 8)]
+    assert draws[0] == moment_points(params, 4)
+
+
+def test_theorem_covered_draws_make_no_scan_call(monkeypatch):
+    calls = []
+
+    def report(P, r, **kw):
+        calls.append(P)
+        return False, None, 0
+
+    def never(P, r):
+        calls.append(P)
+        return False
+
+    monkeypatch.setattr(geometry, "strong_general_position_report", report)
+    monkeypatch.setattr(geometry, "is_strong_general_position", never)
+    rep = verify_tverberg_random(2, 2, count=1, seed=0)
+    assert rep.verdict == "match"
+    _, P = geometry.avg_stable_placement(2, 4, 5, 8, seed=0)
+    assert calls == []
+    # the placement is the first draw
     rng = random.Random(0)
     params = [Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, 9)]
-    assert draws[DEFAULT_SGP_ATTEMPTS] == moment_points(params, 5)
+    assert P == moment_points(params, 5)
 
 
 def test_pipeline_instances_match():
