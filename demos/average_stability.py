@@ -9,9 +9,8 @@ hypergraph, placement, absence, and the pinch between the floor bound
 and the greedy upper bound.
 """
 
-from fractions import Fraction
-
 from kneser_tverberg import (
+    avg_stability_parameter,
     avg_stable_placement,
     bound_floor_formula,
     greedy_least_label,
@@ -20,7 +19,7 @@ from kneser_tverberg import (
 )
 
 r, k, n = 2, 4, 10
-t = Fraction(r * (k - 3), 2 * (k - 1)) + 1
+t = avg_stability_parameter(r, k)
 print(f"stability threshold t = r(k-3)/(2(k-1)) + 1 = {t}")
 
 H = stable_avg_hypergraph(r, k, n, t)

@@ -58,6 +58,7 @@ from .geometry import (
     tverberg_search,
 )
 from .hypergraphs import (
+    avg_stability_parameter,
     generalized_kneser,
     intersection_hypergraph,
     kneser_hypergraph,
@@ -636,7 +637,7 @@ def verify_avg_stable(
         raise ValueError("(r-1) must divide (n-1)")
     if k < 4:
         raise ValueError("need k >= 4")
-    t = Fraction(r * (k - 3), 2 * (k - 1)) + 1
+    t = avg_stability_parameter(r, k)
     raw_target = ceil(Fraction(n - r * (k - 1), r - 1))
     degenerate = raw_target < 1
     target = max(1, raw_target)

@@ -40,6 +40,7 @@ from math import comb, lcm
 from operator import le
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .hypergraphs import avg_stability_parameter, is_t_stable_on_average
 from .linalg import Echelon, extend_echelon, feasible_nonneg, nullspace, rank
 from .simplicial import SimplicialComplex, Simplex, _disjoint_tuples, complex_from_forbidden
 
@@ -1058,7 +1059,7 @@ def avg_stable_placement(
     """
     if r < 2 or k < 2 or d < 1 or n < 1:
         raise ValueError("need r >= 2, k >= 2, d >= 1, n >= 1")
-    t = Fraction(r * (k - 3), 2 * (k - 1)) + 1
+    t = avg_stability_parameter(r, k)
     if t < 1:
         raise ValueError(f"stability parameter {t} below 1")
     if (r - 1) * d <= r * (k - 2):
@@ -1066,16 +1067,8 @@ def avg_stable_placement(
     if t >= Fraction(r - 1, k - 1) * (d // 2) + 1:
         raise ValueError("stability parameter too large for the dimension")
 
-    from .hypergraphs import is_t_stable_on_average
-
-    forbidden = [
-        set(c)
-        for c in combinations(range(1, n + 1), k)
-        if is_t_stable_on_average(c, n, t)
-    ]
-    K = complex_from_forbidden(forbidden, n) if forbidden else SimplicialComplex(
-        n, [range(1, n + 1)]
-    )
+    forbidden = [c for c in combinations(range(1, n + 1), k) if is_t_stable_on_average(c, n, t)]
+    K = complex_from_forbidden(forbidden, n)
 
     rng = random.Random(seed)
     for _ in range(DEFAULT_SGP_ATTEMPTS):

@@ -192,28 +192,47 @@ def gap_vector(subset: Iterable[int], n: int) -> GapVector:
     return GapVector(tuple(gaps), frozenset(elems), n)
 
 
+def avg_stability_parameter(r: int, k: int) -> Fraction:
+    """The stability parameter t = r(k-3)/(2(k-1)) + 1 of the average-stability bound.
+
+    The paper's average-stability application restricts KG^r(n,k) to
+    the k-subsets of 1..n that are t-stable on average at this t.
+    """
+    return Fraction(r * (k - 3), 2 * (k - 1)) + 1
+
+
 def is_t_stable_on_average(subset: Iterable[int], n: int, t: Fraction | int) -> bool:
     """Average-stability test via the largest cyclic gap.
 
     A k-subset, k >= 2, qualifies iff after deleting its widest gap the
     remaining k-1 gaps average at least t-1, equivalently
-    t <= (n - k - max gap)/(k - 1) + 1. Exact rational comparison.
+    t <= (n - k - max gap)/(k - 1) + 1. With t = p/q, q > 0, that is
+    (p - q)(k - 1) <= (n - k - max gap) q: exact, with the denominators
+    cleared, so no Fraction is built per subset.
     """
     gv = gap_vector(subset, n)
     k = len(gv.set)
     if k < 2:
         raise ValueError("average stability needs subsets of size at least 2")
-    bound = Fraction(n - k - max(gv.gaps), k - 1) + 1
-    return Fraction(t) <= bound
+    p, q = t.as_integer_ratio()
+    return (p - q) * (k - 1) <= (n - k - max(gv.gaps)) * q
 
 
 def stable_avg_hypergraph(r: int, k: int, n: int, t: Fraction | int) -> Hypergraph:
-    """Kneser hypergraph induced on the k-subsets that are t-stable on average."""
+    """Kneser hypergraph induced on the k-subsets that are t-stable on average.
+
+    The k-subsets are filtered first and the disjointness hypergraph is
+    built on the survivors alone: the same vertices, canonically ordered,
+    and the same edges in lexicographic order as KG^r(n,k) restricted to
+    them, without building the rest of KG^r(n,k).
+    """
     if k < 2:
         raise ValueError("average stability needs k >= 2")
-    H = kneser_hypergraph(r, k, n)
-    keep = [i for i, v in enumerate(H.vertices) if is_t_stable_on_average(v, n, t)]
-    return H.induced(keep)
+    if n < k:
+        raise ValueError("need 1 <= k <= n")
+    return Hypergraph.from_sets(
+        r, [c for c in combinations(range(1, n + 1), k) if is_t_stable_on_average(c, n, t)]
+    )
 
 
 def width(K: SimplicialComplex, r: int) -> int:

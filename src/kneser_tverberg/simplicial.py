@@ -10,7 +10,14 @@ Minimal nonfaces and forbidden-family complexes share one kernel,
 `_minimal_transversals`: the minimal nonfaces are the minimal
 transversals of the facet complements, and the facets of the largest
 complex avoiding an antichain G are the complements of the minimal
-transversals of G. Everything is intended for desk-scale ground sets:
+transversals of G. The kernel adds one edge e at a time, and a
+candidate t|v (t missing e, v in e) can only be blocked by a transversal
+h with h ∩ e = {v}; so each such h is filed under v as h - v, and the
+candidate is tested against the rests under its own v alone. Inclusion
+tests between members of a family (the constructor's maximality filter,
+the forbidden family's antichain check) go through `_maximal`, which
+compares a set only with strictly larger ones, since a proper superset
+is strictly larger. Everything is intended for desk-scale ground sets:
 enumerating faces walks subsets of the facets, and face enumeration,
 minimal nonfaces and the forbidden-family builder refuse to run for n
 above `GROUND_LIMIT`.
@@ -58,21 +65,51 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
     t|v <= t'|v' would put t below t' (v' is in e, t misses e), and t, t'
     are incomparable; one t's candidates differ in their bit of e. And
     t|v <= h in `hit` would force t = h, yet h meets e and t does not.
+
+    The check itself is keyed by the one shared vertex. Since t misses
+    e, (t|v) & e = v, so h <= t|v forces h & e = v and h - v <= t; the
+    converse is immediate. So a member of `hit` that meets e in two or
+    more bits never blocks a candidate, and each one meeting e in the
+    single bit v is stored as h - v under v and tested only against the
+    candidates t|v. The output, order included, is the unkeyed one.
     """
     trans = [0]
     for e in edges:
-        hit = [t for t in trans if t & e]
-        bits = [1 << i for i in range(e.bit_length()) if e >> i & 1]
-        out = hit[:]
+        hit: list[int] = []
+        miss: list[int] = []
         for t in trans:
-            if t & e:
-                continue
+            (hit if t & e else miss).append(t)
+        rests: dict[int, list[int]] = {}
+        for h in hit:
+            v = h & e
+            if not v & (v - 1):
+                rests.setdefault(v, []).append(h ^ v)
+        bits = [1 << i for i in range(e.bit_length()) if e >> i & 1]
+        for t in miss:
             for v in bits:
-                c = t | v
-                if not any(h & c == h for h in hit):
-                    out.append(c)
-        trans = out
+                if not any(rest & t == rest for rest in rests.get(v, ())):
+                    hit.append(t | v)
+        trans = hit
     return trans
+
+
+def _maximal(sets: Iterable[Simplex]) -> list[Simplex]:
+    """The members of a family of distinct sets that lie in no other member.
+
+    A proper superset is strictly larger, so with the family sorted by
+    decreasing size each set is compared only with the sets before its
+    own size, and a uniform family needs no comparison at all.
+    """
+    ordered = sorted(sets, key=len, reverse=True)
+    out: list[Simplex] = []
+    larger: list[Simplex] = []
+    size = -1
+    for i, f in enumerate(ordered):
+        if len(f) != size:
+            size, larger = len(f), ordered[:i]
+        if not larger or not any(f < g for g in larger):
+            out.append(f)
+    return out
 
 
 def _disjoint_tuples(
@@ -136,9 +173,8 @@ class SimplicialComplex:
         for f in sets:
             if f and (min(f) < 1 or max(f) > n):
                 raise ValueError(f"facet {sorted(f)} is not a subset of 1..{n}")
-        maximal = [f for f in sets if not any(f < g for g in sets)]
         self.n = n
-        self.facets = tuple(sorted(maximal, key=_face_key))
+        self.facets = tuple(sorted(_maximal(sets), key=_face_key))
         # A list first: a tuple grown from a generator is reallocated as it
         # grows, which fragments the heap, and peak RSS creeps up call after call.
         self._facet_masks = tuple([_mask(f) for f in self.facets])
@@ -268,9 +304,8 @@ def complex_from_forbidden(forbidden: Iterable[Iterable[int]], n: int) -> Simpli
             raise ValueError("forbidden sets must be nonempty")
         if min(g) < 1 or max(g) > n:
             raise ValueError(f"forbidden set {sorted(g)} is not a subset of 1..{n}")
-    for g in fam:
-        if any(h < g for h in fam):
-            raise ValueError("forbidden family must be an antichain")
+    if len(_maximal(fam)) < len(fam):
+        raise ValueError("forbidden family must be an antichain")
     full = (1 << n) - 1
     transversals = _minimal_transversals([_mask(g) for g in fam])
     return SimplicialComplex(n, [_unmask(full & ~t) for t in transversals])

@@ -465,6 +465,13 @@ def test_avg_stable_placement_properties():
     assert set(K.minimal_nonfaces()) == expected
 
 
+def test_avg_stable_placement_with_nothing_to_forbid():
+    # n < k: no k-subset to forbid, so the complex is the full simplex on 1..n
+    K, P = avg_stable_placement(2, 4, 5, 3, seed=0)
+    assert K == SimplicialComplex(3, [(1, 2, 3)])
+    assert len(P) == 3
+
+
 def test_avg_stable_placement_deterministic():
     a = avg_stable_placement(2, 4, 5, 8, seed=0)
     b = avg_stable_placement(2, 4, 5, 8, seed=0)

@@ -5,6 +5,7 @@ import pytest
 
 from kneser_tverberg.hypergraphs import (
     Hypergraph,
+    avg_stability_parameter,
     cyclic_gap,
     gap_vector,
     generalized_kneser,
@@ -134,10 +135,26 @@ def test_s_stable_subsets():
 
 
 def test_avg_stability_threshold():
-    # max gap 5 on 4-subsets of 10 allows t up to (10-4-5)/3 + 1 = 4/3
+    # (1,2,3,10) has gaps (0, 0, 6, 0): max gap 6 allows t up to (10-4-6)/3 + 1 = 1
     assert is_t_stable_on_average((1, 2, 3, 10), 10, 1)
     assert not is_t_stable_on_average((1, 2, 3, 10), 10, Fraction(4, 3))
+    assert not is_t_stable_on_average((1, 2, 3, 10), 10, Fraction(1001, 1000))
+    # (1,4,7,10) has gaps (2, 2, 2, 0): max gap 2 allows t up to (10-4-2)/3 + 1 = 7/3
+    assert gap_vector((1, 4, 7, 10), 10).gaps == (2, 2, 2, 0)
     assert is_t_stable_on_average((1, 4, 7, 10), 10, 2)
+    assert is_t_stable_on_average((1, 4, 7, 10), 10, Fraction(7, 3))
+    assert not is_t_stable_on_average((1, 4, 7, 10), 10, Fraction(7, 3) + Fraction(1, 1000))
+    # an integer bound is met exactly: (1,3,5,7,9) on 10 has max gap 1, bound (10-5-1)/4 + 1 = 2
+    assert is_t_stable_on_average((1, 3, 5, 7, 9), 10, 2)
+    assert not is_t_stable_on_average((1, 3, 5, 7, 9), 10, Fraction(2001, 1000))
+
+
+def test_avg_stability_parameter():
+    # t = r(k-3)/(2(k-1)) + 1
+    assert avg_stability_parameter(2, 4) == Fraction(4, 3)
+    assert avg_stability_parameter(3, 4) == Fraction(3, 2)
+    assert avg_stability_parameter(2, 5) == Fraction(3, 2)
+    assert avg_stability_parameter(2, 3) == 1
 
 
 def test_avg_stable_contains_s_stable():

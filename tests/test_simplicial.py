@@ -111,8 +111,9 @@ def test_complex_from_forbidden_requires_antichain():
         complex_from_forbidden([(1,), (1, 2)], 3)
     with pytest.raises(ValueError):
         complex_from_forbidden([()], 3)
-    # forbidding nothing leaves the full simplex
-    assert complex_from_forbidden([], 3) == simplex_complex(2)
+    # forbidding nothing leaves the full simplex, on every ground set
+    for n in range(0, 8):
+        assert complex_from_forbidden([], n) == simplex_complex(n - 1)
 
 
 def test_forbidden_roundtrip_random():
