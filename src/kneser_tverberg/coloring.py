@@ -3,14 +3,15 @@
 A coloring assigns one of k colors to every vertex; it is proper when no
 hyperedge is monochromatic. The exact chromatic number is found by
 resolving feasibility for increasing k with one of two backtracking
-kernels: a saturation-guided (DSATUR) search for graphs, and a
-static-order search over color-class bitmasks for arity three and up.
-chromatic_number also runs the static-order kernel in vertex id order
-at chi, for the lexicographically least proper coloring, which makes
-its witness reproducible across runs and platforms. Callers that read
-only chi or the node counts run the decision ladder alone (_chi), and
-a single feasibility decision (_decide) settles whether a vertex
-deletion still needs chi colors.
+kernels, both saturation-guided (DSATUR): one over neighbor masks for
+graphs, and one for arity three and up that forward-checks edge rests
+against color-class bitmasks. chromatic_number then runs a third,
+static-order search in vertex id order at chi, for the
+lexicographically least proper coloring, which makes its witness
+reproducible across runs and platforms. Callers that read only chi or
+the node counts run the decision ladder alone (_chi), and a single
+feasibility decision (_decide) settles whether a vertex deletion still
+needs chi colors.
 
 A certified lower bound from the main theorem lets the solver skip the
 exhaustive refutation below chi: place a complex in R^d so that no r
@@ -254,10 +255,12 @@ def _feasible_graph(adj: list[int], degrees: list[int], k: int, budget: _Budget)
 def _first_coloring(H: Hypergraph, k: int, order: Sequence[int], budget: _Budget) -> Optional[list[int]]:
     """First proper k-coloring met by a depth-first search in a static vertex order.
 
-    Vertices are colored in `order`, trying colors in ascending order, at
-    most one beyond those already in use. Each edge is attached once, to
-    its vertex that comes last in `order`, as the mask of its other
-    vertices (for graphs these fold into one neighbor mask per vertex).
+    chromatic_number runs it in vertex id order for its witness; the
+    feasibility decisions are _decide's. Vertices are colored in
+    `order`, trying colors in ascending order, at most one beyond those
+    already in use. Each edge is attached once, to its vertex that comes
+    last in `order`, as the mask of its other vertices (for graphs these
+    fold into one neighbor mask per vertex).
     cls[c] is the mask of the vertices holding color c, and c is refused
     at v when an attached rest lies inside it, that is, when v would
     complete a monochromatic edge. An edge with an uncolored vertex cannot
@@ -308,38 +311,114 @@ def _first_coloring(H: Hypergraph, k: int, order: Sequence[int], budget: _Budget
         del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
 
 
-def _kernel_inputs(H: Hypergraph) -> tuple[Optional[list[int]], list[int], list[int]]:
-    """Adjacency masks (graphs only), degrees and the static order (-degree, id) of H."""
-    n = H.n_vertices
-    adj = None
+def _feasible_hypergraph(
+    rests: list[list[int]], degrees: list[int], k: int, budget: _Budget
+) -> Optional[list[int]]:
+    """Backtracking k-colorability for arity three and up, with forward checking.
+
+    rests[v] holds each edge at v as the mask of its other vertices.
+    cls[c] is the mask of the vertices holding color c, and forb[v] the
+    colors that would complete a monochromatic edge at v. Coloring v
+    with c looks at each rest of v: when exactly one vertex u of it lies
+    outside cls[c] and u is uncolored, c is forbidden at u until v is
+    uncolored again, and a vertex left with every color forbidden ends
+    the branch. A rest never lies inside cls[c], since c is not
+    forbidden at v. Vertex choice: most forbidden colors, then most
+    incident edges, then lowest id; colors are introduced canonically,
+    as in _feasible_graph.
+    """
+    n = len(rests)
+    colors = [0] * n
+    forb = [0] * n
+    cls = [0] * (k + 1)
+    full = (1 << k) - 1
+
+    def rec(done: int, used: int) -> bool:
+        budget.nodes += 1
+        if done == n:
+            return True
+        best = -1
+        best_key = None
+        for v in range(n):
+            if colors[v] == 0:
+                key = (forb[v].bit_count(), degrees[v], -v)
+                if best_key is None or key > best_key:
+                    best_key = key
+                    best = v
+        v = best
+        v_bit = 1 << v
+        avail = ~forb[v] & ((1 << min(used + 1, k)) - 1)
+        while avail:
+            bit = avail & -avail
+            avail -= bit
+            c = bit.bit_length()
+            colors[v] = c
+            cc = cls[c]
+            cls[c] = cc | v_bit
+            outside = ~(cc | v_bit)
+            touched = []
+            dead = False
+            for rest in rests[v]:
+                left = rest & outside
+                if not left & (left - 1):
+                    u = left.bit_length() - 1
+                    if colors[u] == 0 and not forb[u] & bit:
+                        forb[u] |= bit
+                        touched.append(u)
+                        if forb[u] == full:
+                            dead = True
+            if not dead and rec(done + 1, max(used, c)):
+                return True
+            for u in touched:
+                forb[u] &= ~bit
+            cls[c] = cc
+            colors[v] = 0
+        return False
+
+    try:
+        return colors if rec(0, 0) else None
+    finally:
+        del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
+
+
+def _kernel_inputs(H: Hypergraph) -> tuple[list, list[int]]:
+    """What the decision kernels read of H, built once per hypergraph.
+
+    For graphs, one adjacency mask per vertex; for arity three and up,
+    each vertex's incident edges minus itself, as masks. Then the
+    degrees: neighbors for graphs, incident edges otherwise.
+    """
     if H.r == 2:
         adj = _adjacency_masks(H)
-        degrees = [a.bit_count() for a in adj]
-    else:
-        degrees = [0] * n
-        for e in H.edges:
-            for v in e:
-                degrees[v] += 1
-    return adj, degrees, sorted(range(n), key=lambda v: (-degrees[v], v))
+        return adj, [a.bit_count() for a in adj]
+    rests: list[list[int]] = [[] for _ in range(H.n_vertices)]
+    for e in H.edges:
+        m = 0
+        for v in e:
+            m |= 1 << v
+        for v in e:
+            rests[v].append(m ^ (1 << v))
+    return rests, [len(x) for x in rests]
 
 
 def _decide(
     H: Hypergraph,
     k: int,
     budget: _Budget,
-    inputs: Optional[tuple[Optional[list[int]], list[int], list[int]]] = None,
+    inputs: Optional[tuple[list, list[int]]] = None,
 ) -> Optional[list[int]]:
     """One feasibility decision: a proper k-coloring of H, or None when there is none.
 
-    DSATUR for graphs, the static-order kernel in degree order otherwise;
-    the nodes go to budget. inputs is _kernel_inputs(H), when the caller
-    already has it. Any k >= 0 is decided, the empty hypergraph being
-    0-colorable and an edgeless one 1-colorable.
+    DSATUR for graphs (_feasible_graph), DSATUR with forward checking
+    over edge rests otherwise (_feasible_hypergraph); the nodes go to
+    budget. inputs is _kernel_inputs(H), when the caller already has it.
+    Any k >= 0 is decided, the empty hypergraph being 0-colorable and an
+    edgeless one 1-colorable.
     """
-    adj, degrees, order = _kernel_inputs(H) if inputs is None else inputs
-    if adj is not None:
-        return _feasible_graph(adj, degrees, k, budget)
-    return _first_coloring(H, k, order, budget)
+    nbrs, degrees = _kernel_inputs(H) if inputs is None else inputs
+    if H.r == 2:
+        return _feasible_graph(nbrs, degrees, k, budget)
+    return _feasible_hypergraph(nbrs, degrees, k, budget)
 
 
 def _chi(
@@ -365,8 +444,11 @@ def _chi(
         return 1, [1] * n, 0, None, None
 
     inputs = _kernel_inputs(H)
-    adj, _, order = inputs
-    start = max(2, _greedy_clique_size(adj, order)) if adj is not None else 2
+    start = 2
+    if H.r == 2:
+        adj, degrees = inputs
+        order = sorted(range(n), key=lambda v: (-degrees[v], v))
+        start = max(2, _greedy_clique_size(adj, order))
     if lower is not None:
         start = max(start, lower.bound)
 

@@ -32,6 +32,10 @@ class Hypergraph:
     vertices are distinct frozensets in lexicographic order of their
     sorted tuples; edges are sorted tuples of vertex indices, listed in
     lexicographic order. Vertex ids are positions in `vertices`.
+
+    The constructor checks its input (all but the order of the edges).
+    from_sets and induced build canonical vertices and edges by
+    construction, so they skip that check (_canonical).
     """
 
     r: int
@@ -50,14 +54,27 @@ class Hypergraph:
                 raise ValueError(f"edge {e} references a missing vertex")
 
     @classmethod
+    def _canonical(
+        cls, r: int, vertices: tuple[Simplex, ...], edges: tuple[tuple[int, ...], ...]
+    ) -> "Hypergraph":
+        """A hypergraph from parts already in canonical form, with no check."""
+        H = object.__new__(cls)
+        object.__setattr__(H, "r", r)
+        object.__setattr__(H, "vertices", vertices)
+        object.__setattr__(H, "edges", edges)
+        return H
+
+    @classmethod
     def from_sets(cls, r: int, sets: Iterable[Iterable[int]]) -> "Hypergraph":
         """Build the disjointness hypergraph of a family of sets."""
+        if r < 2:
+            raise ValueError("edge arity must be at least 2")
         verts = sorted({frozenset(s) for s in sets}, key=_face_key)
         masks = [_mask(v) for v in verts]
         # A list first: a tuple grown from a generator is reallocated as it
         # grows, which fragments the heap, and peak RSS creeps up call after call.
         edges = tuple([*_disjoint_tuples(masks, [0] * len(masks), r, 0)])
-        return cls(r, tuple(verts), edges)
+        return cls._canonical(r, tuple(verts), edges)
 
     @property
     def n_vertices(self) -> int:
@@ -80,7 +97,7 @@ class Hypergraph:
         edges = tuple(
             tuple(remap[v] for v in e) for e in self.edges if all(v in keep_set for v in e)
         )
-        return Hypergraph(self.r, tuple(self.vertices[v] for v in kept), edges)
+        return Hypergraph._canonical(self.r, tuple(self.vertices[v] for v in kept), edges)
 
     def to_json_dict(self) -> dict:
         return {

@@ -261,7 +261,7 @@ def test_searches_leave_no_reference_cycles():
         assert gc.collect() == 0
         kneser_hypergraph(3, 2, 7)
         assert gc.collect() == 0
-        chromatic_number(kneser_hypergraph(3, 2, 6))  # arity 3: the static-order kernel
+        chromatic_number(kneser_hypergraph(3, 2, 6))  # arity 3: forward checking, then the witness
         assert gc.collect() == 0
         verify_constraint_property(K, L, 2, chromatic_number(generalized_kneser(K, L, 2)).coloring)
         assert gc.collect() == 0

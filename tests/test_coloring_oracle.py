@@ -1,11 +1,17 @@
-"""The static-order coloring kernel against the two searches it replaced.
+"""The coloring kernels at arity three and up against the searches they replaced.
 
 `_feasible_uniform` (feasibility at arity three and up) and
 `_lex_least_coloring` (the witness, with its graph branch `rec2`) are
 copied verbatim below from the solver before `_first_coloring` took over
-both. At every palette size k the solver tries, the new kernel must
-return the same coloring as the old one, and at arity three and up the
-same feasibility node count.
+both. At every palette size k the solver tries, `_first_coloring` in
+degree order must return the same coloring as the old search, and at
+arity three and up the same feasibility node count.
+
+`_first_coloring` in degree order in turn decided feasibility at arity
+three and up until the forward-checking DSATUR kernel
+(`_feasible_hypergraph`, behind `_decide`) took over. At every k from 1
+to chi both must give the same verdict, and every coloring either
+returns must be proper.
 
 The decision ladder `_chi` and the one-decision criticality check are
 held against the paths they replaced: `old_chromatic_number` is the
@@ -146,8 +152,8 @@ def _lex_least_coloring(H: Hypergraph, k: int) -> list[int]:
     return colors
 
 
-def solver_order(H: Hypergraph) -> list[int]:
-    """chromatic_number's static order at arity three and up: (-incident edges, id)."""
+def degree_order(H: Hypergraph) -> list[int]:
+    """The static order the decisions used at arity three and up: (-incident edges, id)."""
     degrees = [0] * H.n_vertices
     for e in H.edges:
         for v in e:
@@ -157,7 +163,7 @@ def solver_order(H: Hypergraph) -> list[int]:
 
 # (instance, k) -> (coloring, nodes) of the old feasibility search, recorded
 # from _feasible_uniform above where rerunning it would cost seconds: its
-# refutation of k = 2 on KG^3(9,2) takes about 5 s, the new kernel's 0.1 s.
+# refutation of k = 2 on KG^3(9,2) takes about 5 s, _first_coloring's 0.1 s.
 PINNED = {("kneser3-2-9", 2): (None, 41_868)}
 
 
@@ -165,7 +171,7 @@ def assert_same_searches(H: Hypergraph, name: str = "") -> None:
     res = chromatic_number(H)
     n = H.n_vertices
     if H.r > 2:
-        order = solver_order(H)
+        order = degree_order(H)
         for k in range(2, res.chi + 1):  # every palette the solver decides at arity >= 3
             if (name, k) in PINNED:
                 old, old_nodes = PINNED[name, k]
@@ -214,6 +220,37 @@ FAMILY_HYPERGRAPHS = dict(family_hypergraphs())
 @pytest.mark.parametrize("name", list(FAMILY_HYPERGRAPHS))
 def test_family_instances(name):
     assert_same_searches(FAMILY_HYPERGRAPHS[name], name)
+
+
+def assert_same_verdicts(H: Hypergraph) -> None:
+    """_decide against _first_coloring in degree order, for every k from 1 to chi."""
+    order = degree_order(H)
+    for k in range(1, chromatic_number(H).chi + 1):
+        new = _decide(H, k, _Budget())
+        old = _first_coloring(H, k, order, _Budget())
+        assert (new is None) == (old is None), (H.r, H.n_vertices, k)
+        for found in (new, old):
+            if found is not None:
+                assert is_proper(H, Coloring(k, tuple(found)))[0], (H.r, H.n_vertices, k)
+
+
+def test_forward_checking_on_random_hypergraphs():
+    rng = random.Random(6003)  # the 150 hypergraphs of test_random_hypergraphs[3-uniform]
+    for _ in range(150):
+        assert_same_verdicts(random_hypergraph(rng, 3))
+
+
+@pytest.mark.parametrize("r,n", [(3, 6), (3, 7), (3, 8), (3, 9), (4, 10)])
+def test_forward_checking_on_kneser_hypergraphs(r, n):
+    assert_same_verdicts(kneser_hypergraph(r, 2, n))
+
+
+@pytest.mark.parametrize("n,nodes", [(8, 321), (9, 567)])
+def test_forward_checking_refutation_nodes(n, nodes):
+    """Two colors on KG^3(n,2); the static-order search took 12,452 and 41,868 nodes."""
+    budget = _Budget()
+    assert _decide(kneser_hypergraph(3, 2, n), 2, budget) is None
+    assert budget.nodes == nodes
 
 
 def old_chromatic_number(
@@ -294,12 +331,23 @@ def old_criticality(H: Hypergraph, chi: int, max_vertices: int = DEFAULT_VERTEX_
 
 
 def assert_ladder_matches(H: Hypergraph, lower: Optional[LowerBound] = None) -> None:
-    """_chi and chromatic_number against the old solver, field by field."""
+    """_chi and chromatic_number against the old solver.
+
+    Field by field for graphs. At arity three and up the old solver
+    decided with the static-order search, so the node counts differ
+    there; chi, the witness and refuted_k must not.
+    """
     old = old_chromatic_number(H, lower=lower)
-    assert chromatic_number(H, lower=lower) == old
+    new = chromatic_number(H, lower=lower)
+    if H.r == 2:
+        assert new == old
+    else:
+        assert (new.chi, new.coloring, new.refuted_k, new.lower_bound) == (
+            old.chi, old.coloring, old.refuted_k, old.lower_bound
+        )
     chi, found, nodes, refuted_k, refutation_nodes = _chi(H, lower=lower)
     assert (chi, nodes, refuted_k, refutation_nodes) == (
-        old.chi, old.search_nodes, old.refuted_k, old.refutation_nodes
+        new.chi, new.search_nodes, new.refuted_k, new.refutation_nodes
     )
     assert is_proper(H, Coloring(chi, tuple(found)))[0]
 
@@ -374,7 +422,9 @@ def test_ladder_matches_on_dismantle_families(seed):
         assert_ladder_matches(intersection_hypergraph(fam, 2))
 
 
-@pytest.mark.parametrize("name", ["kneser3-2-6", "kneser3-2-7", "kneser-2-6", "schrijver-2-6"])
+@pytest.mark.parametrize(
+    "name", ["kneser3-2-6", "kneser3-2-7", "kneser3-2-8", "kneser-2-6", "schrijver-2-6"]
+)
 def test_ladder_matches_on_family_instances(name):
     assert_ladder_matches(FAMILY_HYPERGRAPHS[name])
 

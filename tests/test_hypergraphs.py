@@ -200,8 +200,59 @@ def test_hypergraph_json_roundtrip():
     assert Hypergraph.from_json_dict(H.to_json_dict()) == H
 
 
+ONE_TWO_THREE = (frozenset({1}), frozenset({2}), frozenset({3}))
+
+INVALID_HYPERGRAPHS = {
+    "arity-one": (1, (frozenset({1}),), ()),
+    "unsorted-edge": (2, ONE_TWO_THREE, ((1, 0),)),
+    "unsorted-vertices": (2, (frozenset({2}), frozenset({1})), ()),
+    "unsorted-vertex-sets": (2, (frozenset({1, 3}), frozenset({1, 2})), ()),
+    "duplicate-vertex": (2, (frozenset({1}), frozenset({1}), frozenset({2})), ((0, 2),)),
+    "edge-too-long": (2, ONE_TWO_THREE, ((0, 1, 2),)),
+    "edge-too-short": (3, ONE_TWO_THREE, ((0, 1),)),
+    "repeated-id": (2, ONE_TWO_THREE, ((1, 1),)),
+    "repeated-id-arity-three": (3, ONE_TWO_THREE, ((0, 0, 2),)),
+    "id-too-large": (2, ONE_TWO_THREE, ((0, 3),)),
+    "negative-id": (2, ONE_TWO_THREE, ((-1, 0),)),
+}
+
+
 def test_hypergraph_validation():
-    with pytest.raises(ValueError):
-        Hypergraph(1, (frozenset({1}),), ())
-    with pytest.raises(ValueError):
-        Hypergraph(2, (frozenset({1}), frozenset({2})), ((1, 0),))
+    """The constructor and from_json_dict, which take outside input, reject each case."""
+    for r, vertices, edges in INVALID_HYPERGRAPHS.values():
+        with pytest.raises(ValueError):
+            Hypergraph(r, vertices, edges)
+        data = {
+            "r": r,
+            "vertices": [{"id": i, "set": sorted(v)} for i, v in enumerate(vertices)],
+            "edges": [list(e) for e in edges],
+        }
+        with pytest.raises(ValueError):
+            Hypergraph.from_json_dict(data)
+
+
+def test_from_sets_refuses_arity_below_two():
+    for r in (1, 0, -1):
+        with pytest.raises(ValueError, match="arity"):
+            Hypergraph.from_sets(r, [{1}, {2}])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_built_hypergraphs_pass_the_constructor_check(seed):
+    """from_sets and induced skip the constructor's check; their output passes it anyway.
+
+    The families are verify_dismantle's draws, each with its minimization.
+    """
+    rng = random.Random(seed)
+    for _ in range(100):
+        n = rng.randint(3, 9)
+        m = rng.randint(1, 18)
+        fam = [frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(m)]
+        for sets in (fam, minimize_system(fam)):
+            for r in (2, 3):
+                H = Hypergraph.from_sets(r, sets)
+                ids = range(H.n_vertices)
+                halves = [v for v in ids if rng.random() < 0.5]
+                for G in (H, H.induced(ids[1:]), H.induced(ids[::2]), H.induced(halves)):
+                    assert Hypergraph(G.r, G.vertices, G.edges) == G
+                    assert list(G.edges) == sorted(G.edges)
