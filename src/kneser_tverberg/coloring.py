@@ -124,9 +124,9 @@ def certified_lower_bound(
     minimal nonfaces; when some r disjoint faces do meet, returns that
     certificate instead, and the placement proves nothing. codim_pruning
     is passed to the search. The search is restricted to K, so pruning
-    is sound for r = 2 at distinct moment-curve parameters and otherwise
-    only on the caller's strong general position scan (see
-    tverberg_search).
+    is sound at distinct moment-curve parameters for r = 2, and for
+    r >= 3 with fewer than 3(d+2)/2 points, and otherwise only on the
+    caller's strong general position scan (see tverberg_search).
 
     For Kneser graphs KG(n, k), the (k-2)-skeleton of the simplex on n
     labels at moment-curve points in R^(2k-3) gives (n-1) - (2k-3) =

@@ -18,11 +18,13 @@ intertwined pairs on the moment curve by a closed-form integer Radon
 dependence, no LP, and separating polynomials, both built and checked
 by substitution in integers (both read one parameter table, kept once
 per configuration: a common denominator q and the integer u = q*t of
-each label's curve parameter t), the strong general position test (for
-two parts first a certificate, one Radon dependence of the lifted points
-per (d+2)-subset with no zero proper sub-sum, that passes a
-configuration without the tuple search; otherwise, and for three or
-more parts, the tuple search in homogeneous coordinates: stacked
+each label's curve parameter t), the strong general position test
+(first a certificate, one Radon dependence of the lifted points per
+(d+2)-subset with no zero proper sub-sum, that passes a configuration
+without the tuple search for two parts, and for any number of parts
+when n < 2(d+1), where no three parts fit under the codimension bound;
+otherwise, and when the certificate fails, the tuple search in
+homogeneous coordinates: stacked
 annihilators of the lifted points, their echelon basis extended by one
 subset per level, with a pivot in the last column meaning empty hulls),
 and the seeded placement routine for average-stability instances, whose
@@ -68,7 +70,9 @@ class PointConfiguration:
             raise ValueError("labels must be positive")
         coords = []
         for _, c in items:
-            c = tuple(Fraction(x) for x in c)
+            # a Fraction is immutable, so it is kept rather than copied: points
+            # built from Fractions (moment_points, another configuration's) share them
+            c = tuple(x if type(x) is Fraction else Fraction(x) for x in c)
             if len(c) != d:
                 raise ValueError(f"point of dimension {len(c)}, expected {d}")
             coords.append(c)
@@ -439,7 +443,7 @@ def tverberg_search(
 
     codim_pruning drops every tuple whose codimensions d+1-|F| sum
     above d, that is every tuple of total size below (r-1)(d+1)+1. That
-    never turns a certificate into an absence in three cases:
+    never turns a certificate into an absence in four cases:
     - An unrestricted search with n >= (r-1)(d+1)+1 points, always.
       Tverberg's theorem gives r parts whose hulls meet; Caratheodory's
       theorem shrinks each to at most d+1 points that keep the common
@@ -459,6 +463,17 @@ def tverberg_search(
       (0,0,0), (1,1,1), (2,2,2) in R^3 pass for r = 2, yet the hulls of
       {1, 3} and {2} meet, and a pruned search on them (3 points, too
       few for the first case) reports an absence with no tuple examined.
+    - r >= 3 with n < 3(d+2)/2 points, every d+1 or fewer of them
+      affinely independent, which holds at distinct moment-curve
+      parameters (a Vandermonde determinant) and on any configuration
+      that passes strong_general_position_report's two-part
+      certificate (its step 1). Two disjoint parts whose affine hulls
+      meet give a nontrivial linear dependence on their lifted union
+      (p, 1), so together they hold at least d+2 points. Three parts
+      whose hulls meet pairwise then hold at least 3(d+2)/2 points, more
+      than n. So no r >= 3 disjoint faces have meeting hulls at all, and
+      pruning every tuple is sound (avg_stable_placement(3, 4, 4, 7):
+      n = 7 < 9).
     The returned report carries the flag so downstream consumers can see
     what the sweep relied on. On the floor itself, a tuple of total size
     (r-1)(d+1)+1 gives conv_intersect a square system, which one
@@ -871,9 +886,10 @@ def strong_general_position_report(
     stops at the first violation or when more than cap tuples would be
     checked.
 
-    For r = 2 one Radon dependence per (d+2)-subset decides a passing
-    configuration without the search (Perles and Sigron, "Strong general
-    position", 2014). Lift each point p to p^ = (p, 1). The certificate
+    For r = 2, and for any r when n < 2(d+1), one Radon dependence per
+    (d+2)-subset decides a passing configuration without the search
+    (Perles and Sigron, "Strong general position", 2014; step 4 covers
+    r >= 3). Lift each point p to p^ = (p, 1). The certificate
     asks, when n >= d+2, that for every (d+2)-subset U the lifted points
     have a one-dimensional null space, spanned by lambda, and that no
     nonempty proper S of U has sum_S lambda = 0; as sum_U lambda = 0,
@@ -904,14 +920,24 @@ def strong_general_position_report(
     disjoint subsets with 1 <= |A|, |B| <= min(d+1, n) and d+1 <= |A| +
     |B| <= n. If N exceeds cap, the search would have stopped at its
     (cap+1)-th tuple (its first, for cap < 1), and the same
-    SearchSpaceError is raised. For r >= 3, and when the certificate
+    SearchSpaceError is raised.
+
+    4. For r >= 3 the same holds when n < 2(d+1). By step 1 a tuple of
+       s >= 3 disjoint parts has codimension sum s(d+1) - (its total
+       size) >= 3(d+1) - n > d+1, so the search never checks it: it
+       checks exactly the pairs the r = 2 search checks, in the same
+       order, and returns the same (True, None, N), or stops at the
+       same cap.
+
+    So the certificate decides a passing configuration for r = 2, and
+    for every r when n < 2(d+1). Otherwise, and when the certificate
     fails, the search decides.
 
     Returns (holds, violating tuple or None, tuples checked).
     """
     if r < 2:
         raise ValueError("need r >= 2")
-    if r == 2:
+    if r == 2 or len(P) < 2 * (P.d + 1):
         ipts = _scaled_integer_points(P)
         if _two_part_radon_certificate([ipts[lab] for lab in P.labels], P.d):
             checked = _two_part_pair_count(len(P), P.d)
@@ -925,7 +951,7 @@ def strong_general_position_report(
 
 
 def _two_part_radon_certificate(points: Sequence[tuple[int, ...]], d: int) -> bool:
-    """The r = 2 certificate of strong_general_position_report, on integer points."""
+    """The two-part certificate of strong_general_position_report, on integer points."""
     lifted = [p + (1,) for p in points]
     n = len(lifted)
     if n <= d + 1:
@@ -1055,7 +1081,11 @@ def avg_stable_placement(
     parameters (see tverberg_search). For r >= 3 the configuration is
     redrawn until it passes the strong general position test; after
     DEFAULT_SGP_ATTEMPTS failed draws it raises ValueError rather than
-    looping on.
+    looping on. When n < 2(d+1) the two-part certificate decides that
+    test for every r (strong_general_position_report, step 4), so a
+    passing draw takes no tuple search. When moreover n < 3(d+2)/2, as
+    for (r, k, d, n) = (3, 4, 4, 7), no r >= 3 disjoint faces can meet
+    at all, and codim_pruning is sound by tverberg_search's fourth case.
     """
     if r < 2 or k < 2 or d < 1 or n < 1:
         raise ValueError("need r >= 2, k >= 2, d >= 1, n >= 1")

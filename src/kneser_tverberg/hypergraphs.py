@@ -195,12 +195,18 @@ class GapVector:
     n: int
 
 
-def gap_vector(subset: Iterable[int], n: int) -> GapVector:
+def _sorted_elements(subset: Iterable[int], n: int) -> list[int]:
+    """The distinct elements of a nonempty subset of 1..n, sorted."""
     elems = sorted(set(subset))
     if not elems:
         raise ValueError("gap vector of the empty set is undefined")
     if elems[0] < 1 or elems[-1] > n:
         raise ValueError(f"subset must lie in 1..{n}")
+    return elems
+
+
+def gap_vector(subset: Iterable[int], n: int) -> GapVector:
+    elems = _sorted_elements(subset, n)
     gaps = []
     k = len(elems)
     for i, v in enumerate(elems):
@@ -225,14 +231,18 @@ def is_t_stable_on_average(subset: Iterable[int], n: int, t: Fraction | int) -> 
     remaining k-1 gaps average at least t-1, equivalently
     t <= (n - k - max gap)/(k - 1) + 1. With t = p/q, q > 0, that is
     (p - q)(k - 1) <= (n - k - max gap) q: exact, with the denominators
-    cleared, so no Fraction is built per subset.
+    cleared, so no Fraction is built per subset. The largest gap is read
+    straight off the sorted elements, with gap_vector's errors, and no
+    GapVector is built.
     """
-    gv = gap_vector(subset, n)
-    k = len(gv.set)
+    elems = _sorted_elements(subset, n)
+    k = len(elems)
     if k < 2:
         raise ValueError("average stability needs subsets of size at least 2")
+    # the gap from the last element round to the first is n + first - last - 1
+    widest = max([b - a for a, b in zip(elems, elems[1:])] + [n + elems[0] - elems[-1]]) - 1
     p, q = t.as_integer_ratio()
-    return (p - q) * (k - 1) <= (n - k - max(gv.gaps)) * q
+    return (p - q) * (k - 1) <= (n - k - widest) * q
 
 
 def stable_avg_hypergraph(r: int, k: int, n: int, t: Fraction | int) -> Hypergraph:

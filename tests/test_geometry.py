@@ -32,6 +32,21 @@ def test_point_configuration_basics():
     assert P == PointConfiguration(2, [(1, (0, 0)), (2, (Fraction(1, 2), 1)), (3, (2, 0))])
 
 
+def test_point_configuration_keeps_fraction_coordinates():
+    half, three = Fraction(1, 2), Fraction(3)
+    P = PointConfiguration(2, {2: ("2/3", 1.5), 1: (half, three)})
+    assert P.point(1)[0] is half and P.point(1)[1] is three
+    assert all(type(x) is Fraction for lab in P.labels for x in P.point(lab))
+    assert P.point(2) == (Fraction(2, 3), Fraction(3, 2))
+    Q = PointConfiguration(2, {1: (1 / 2, 3), 2: (Fraction(2, 3), "3/2")})
+    assert P == Q and hash(P) == hash(Q)
+    assert hash(P) == hash((2, (1, 2), ((Fraction(1, 2), Fraction(3)), (Fraction(2, 3), Fraction(3, 2)))))
+    assert P.to_json_dict() == Q.to_json_dict() == {
+        "d": 2,
+        "points": [{"label": 1, "coords": ["1/2", "3"]}, {"label": 2, "coords": ["2/3", "3/2"]}],
+    }
+
+
 def test_point_configuration_json_roundtrip():
     P = moment_points(["1/3", 1, "3/2", 4], 3)
     assert PointConfiguration.from_json_dict(P.to_json_dict()) == P
@@ -390,6 +405,59 @@ def test_sgp_two_parts_pass_on_the_certificate_alone(monkeypatch):
         61,
     )
     assert calls
+
+
+def test_sgp_three_parts_pass_on_the_certificate_alone(monkeypatch):
+    """Below 2(d+1) points the certificate decides three parts too; a failing draw still walks the search."""
+    from kneser_tverberg import geometry
+
+    calls = []
+    real = geometry.extend_echelon
+
+    def counting(basis, rows):
+        calls.append(len(rows))
+        return real(basis, rows)
+
+    monkeypatch.setattr(geometry, "extend_echelon", counting)
+    _, P = avg_stable_placement(3, 4, 4, 7, seed=0)
+    assert strong_general_position_report(P, 3) == (True, None, 588)
+    assert calls == []
+    Q = moment_points(range(1, 7), 4)
+    assert strong_general_position_report(Q, 3) == (
+        False,
+        (frozenset({1, 6}), frozenset({2, 3, 4, 5})),
+        61,
+    )
+    assert calls
+
+
+def test_three_parts_below_the_pair_bound_never_meet():
+    """Fewer than 3(d+2)/2 points, every d+1 of them independent: no three disjoint faces meet.
+
+    So the codim-pruned avg-stable-3-4-7 absence (no tuple examined) is
+    the unpruned one. Six points in the plane, 3(d+2)/2 exactly, show the
+    bound is sharp: they pass the two-part certificate, yet three chords
+    meet at the origin, and the three-part scan, which searches at
+    n = 2(d+1), reports them.
+    """
+    for seed in range(5):
+        K, P = avg_stable_placement(3, 4, 4, 7, seed=seed)
+        full = tverberg_search(P, 3, restrict_to=K)
+        assert isinstance(full, AbsenceReport) and full.tuples_examined == 1645
+        pruned = tverberg_search(P, 3, restrict_to=K, codim_pruning=True)
+        assert isinstance(pruned, AbsenceReport) and pruned.tuples_examined == 0
+    rng = random.Random(2)
+    for d, n in ((1, 3), (2, 5), (3, 6)):
+        P = moment_points(sorted(rng.sample(range(1, 100), n)), d)
+        assert isinstance(tverberg_search(P, 3), AbsenceReport)
+    chords = PointConfiguration(
+        2, {1: (-1, -3), 2: (3, 9), 3: (6, 8), 4: (-9, -12), 5: (-12, -12), 6: (16, 16)}
+    )
+    assert strong_general_position_report(chords, 2) == (True, None, 235)
+    meet = tverberg_search(chords, 3)
+    assert meet.parts == (frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6}))
+    assert meet.point == (0, 0)
+    assert strong_general_position_report(chords, 3) == (False, meet.parts, 182)
 
 
 def test_searches_leave_no_reference_cycles():

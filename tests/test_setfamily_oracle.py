@@ -13,6 +13,8 @@ oracle uses only old code):
   KG^r(n,k) in full and then inducing it on the stable vertices.
 - `fraction_is_t_stable_on_average`: `is_t_stable_on_average` comparing
   t with the bound as `Fraction`s.
+- `gap_vector_is_t_stable_on_average`: `is_t_stable_on_average` reading
+  the largest gap off a `GapVector` record.
 
 The new kernels must give the same transversal lists, order included,
 on seeded random edge lists with repeated edges, empty edges and edges
@@ -20,7 +22,8 @@ that are not an antichain; the same complexes or the same `ValueError`
 on random families; the same hypergraph for every (r, k, n) that
 `verify_avg_stable` accepts with n <= 12; and the same stability verdict
 on every subset of 1..n, n <= 12, at integer, fractional and float t,
-at each subset's own bound and just above it.
+at each subset's own bound and just above it, and the same `ValueError`s
+in the same order on empty, out-of-range, singleton and repeated input.
 """
 
 import random
@@ -138,6 +141,23 @@ def fraction_is_t_stable_on_average(subset: Iterable[int], n: int, t: Fraction |
         raise ValueError("average stability needs subsets of size at least 2")
     bound = Fraction(n - k - max(gv.gaps), k - 1) + 1
     return Fraction(t) <= bound
+
+
+def gap_vector_is_t_stable_on_average(subset: Iterable[int], n: int, t: Fraction | int) -> bool:
+    """Average-stability test via the largest cyclic gap.
+
+    A k-subset, k >= 2, qualifies iff after deleting its widest gap the
+    remaining k-1 gaps average at least t-1, equivalently
+    t <= (n - k - max gap)/(k - 1) + 1. With t = p/q, q > 0, that is
+    (p - q)(k - 1) <= (n - k - max gap) q: exact, with the denominators
+    cleared, so no Fraction is built per subset.
+    """
+    gv = gap_vector(subset, n)
+    k = len(gv.set)
+    if k < 2:
+        raise ValueError("average stability needs subsets of size at least 2")
+    p, q = t.as_integer_ratio()
+    return (p - q) * (k - 1) <= (n - k - max(gv.gaps)) * q
 
 
 def induced_stable_avg_hypergraph(r: int, k: int, n: int, t: Fraction | int) -> Hypergraph:
@@ -316,3 +336,26 @@ def test_cleared_stability_test_matches_the_fraction_test(n):
             assert not is_t_stable_on_average(c, n, bound + Fraction(1, 1000))
             at_bound += 1
     assert at_bound == 2**n - 1 - n
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_direct_largest_gap_matches_the_gap_vector_test(n):
+    ts = [-1, 0, 1, 2, 3, Fraction(4, 3), Fraction(7, 3), Fraction(5, 2), 1.5]
+    for k in range(n + 1):
+        for c in combinations(range(1, n + 1), k):
+            inputs = [c, c[::-1], c + c[:1]] if c else [c]
+            for subset in inputs:
+                for t in ts:
+                    assert _outcome(is_t_stable_on_average, subset, n, t) == _outcome(
+                        gap_vector_is_t_stable_on_average, subset, n, t
+                    ), (subset, n, t)
+    # out of range on either side, with the range error taking precedence
+    # over the size error as in gap_vector
+    for bad in [(0,), (n + 1,), (0, 1), (1, n + 1), (-3, n + 5)]:
+        got = _outcome(is_t_stable_on_average, bad, n, 1)
+        assert got == _outcome(gap_vector_is_t_stable_on_average, bad, n, 1)
+        assert got == ("ValueError", f"subset must lie in 1..{n}")
+    assert _outcome(is_t_stable_on_average, (), n, 1) == (
+        "ValueError",
+        "gap vector of the empty set is undefined",
+    )

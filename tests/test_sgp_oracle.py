@@ -12,11 +12,13 @@ instead; all three must return the same (holds, violating tuple, tuples
 checked) triple, DFS order and all, and must stop at the same count
 when the cap is exceeded.
 
-For two parts the public report first tries a certificate, one Radon
-dependence per (d+2)-subset, and only falls back to the tuple search
-when it fails. So every oracle comparison here checks the public report
-and the tuple search (_sgp_tuple_search) alike, and the certificate path
-is checked against the tuple search on its own below.
+For two parts, and for any number of parts when n < 2(d+1), the public
+report first tries a certificate, one Radon dependence per
+(d+2)-subset, and only falls back to the tuple search when it fails. So
+every oracle comparison here checks the public report and the tuple
+search (_sgp_tuple_search) alike, and the certificate path is checked
+against the tuple search on its own below, at two, three and four
+parts.
 """
 
 import random
@@ -33,6 +35,7 @@ from kneser_tverberg.geometry import (
     _scaled_integer_points,
     _sgp_tuple_search,
     _two_part_pair_count,
+    _two_part_radon_certificate,
     avg_stable_placement,
     moment_points,
     strong_general_position_report,
@@ -332,16 +335,21 @@ def _outcome(scan):
         return ("SearchSpaceError", str(exc), exc.estimate, exc.cap)
 
 
-def _certificate_matches_search(P: PointConfiguration, caps=(DEFAULT_SEARCH_CAP,)):
-    """Same triple or same cap error from the public report and the tuple search at r = 2.
+def _certificate_matches_search(P: PointConfiguration, caps=(DEFAULT_SEARCH_CAP,), r: int = 2):
+    """Same triple or same cap error from the public report and the tuple search at r parts.
 
     Returns the tuple search's outcome at the first cap.
     """
-    outcomes = [_outcome(lambda: _sgp_tuple_search(P, 2, cap)) for cap in caps]
+    outcomes = [_outcome(lambda: _sgp_tuple_search(P, r, cap)) for cap in caps]
     for cap, want in zip(caps, outcomes):
-        got = _outcome(lambda: strong_general_position_report(P, 2, cap=cap))
-        assert got == want, (P.to_json_dict(), cap)
+        got = _outcome(lambda: strong_general_position_report(P, r, cap=cap))
+        assert got == want, (P.to_json_dict(), r, cap)
     return outcomes[0]
+
+
+def _certificate_passes(P: PointConfiguration) -> bool:
+    ipts = _scaled_integer_points(P)
+    return _two_part_radon_certificate([ipts[lab] for lab in P.labels], P.d)
 
 
 def test_certificate_matches_the_tuple_search_on_planted_degeneracies():
@@ -409,3 +417,41 @@ def test_certificate_stops_at_the_tuple_search_cap():
         N = _sgp_tuple_search(P, 2, DEFAULT_SEARCH_CAP)[2]
         caps = (N, N - 1, 1, 5, 0, -1)
         assert _certificate_matches_search(P, caps)[2] == N
+
+
+# -- the certificate at three and four parts ------------------------------
+
+
+def _caps_around(P: PointConfiguration, r: int) -> tuple[int, ...]:
+    N = _sgp_tuple_search(P, r, DEFAULT_SEARCH_CAP)[2]
+    return (DEFAULT_SEARCH_CAP, N, N - 1, 1, 0, -1)
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_certificate_matches_the_tuple_search_at_more_parts(r):
+    """Random, planted-degenerate and moment-curve draws, on both sides of n = 2(d+1).
+
+    Below 2(d+1) points the public report takes the certificate at any r
+    and falls back to the search when it fails; from 2(d+1) on it always
+    searches. Sizes stay at n <= 8: a four-part tuple search on 11 points
+    in R^4 runs for minutes.
+    """
+    rng = random.Random(40 + r)
+    tally = {(below, passes): 0 for below in (True, False) for passes in (True, False)}
+    for d in range(1, 5):
+        for n in range(1, min(8, 2 * d + 3) + 1):
+            jittered = _jittered_moment_points(rng, n, d)
+            draws = [_random_configuration(rng, d, n) for _ in range(3)]
+            draws += [jittered, moment_points(range(1, n + 1), d)]
+            for P in draws:
+                got = _certificate_matches_search(P, _caps_around(P, r), r)
+                passes = _certificate_passes(P)
+                below = n < 2 * (d + 1)
+                if below and passes:
+                    assert got == (True, None, _two_part_pair_count(n, d))
+                tally[below, passes] += 1
+            # the avg-stable draws' shape passes on the certificate alone
+            assert _certificate_passes(jittered)
+    # every path is taken: the certificate alone, the fallback below the
+    # bound, and the search from 2(d+1) on with either certificate outcome
+    assert min(tally.values()) >= 10, tally
