@@ -46,11 +46,11 @@ from .geometry import (
     DEFAULT_SEARCH_CAP,
     PointConfiguration,
     TverbergCertificate,
+    _avg_stable_placement,
     _blocks_by_side,
     _curve_table,
     _intertwined_from_blocks,
     _separating_from_blocks,
-    avg_stable_placement,
     cyclic_missing_faces,
     gale_facets,
     hull_facets_oracle,
@@ -509,6 +509,8 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
     the input parts, in the same roles, and their merged order has
     len(Y1) + len(Y2) blocks, one label each. Labels of moment_points
     follow the parameter order, so the merged order is the sorted labels.
+    Each unordered pair is taken once, as (A, B) with the smallest label
+    in A: B is drawn from the labels above min(A) alone.
 
     One pass over the pairs serves every dimension. moment_points(1..n, d)
     has the table q = 1, u = label for every d, so a pair's block split
@@ -540,12 +542,11 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
         labels = list(range(1, n + 1))
         for amask in range(1, 1 << n):
             A = frozenset(labels[i] for i in range(n) if amask >> i & 1)
-            rest = [lab for lab in labels if lab not in A]
+            low = min(A)
+            rest = [lab for lab in labels if lab > low and lab not in A]
             rn = len(rest)
             for bmask in range(1, 1 << rn):
                 B = frozenset(rest[i] for i in range(rn) if bmask >> i & 1)
-                if min(A) > min(B):
-                    continue
                 pairs += 1
                 blocks = _blocks_by_side(u, A, B)
                 m = len(blocks)
@@ -655,7 +656,7 @@ def verify_avg_stable(
     if degenerate:
         notes.append("formula target below 1, clamped")
 
-    K, P = avg_stable_placement(r, k, d, n, seed=seed)
+    K, P = _avg_stable_placement(r, k, d, n, seed, H.vertices)
     certified = certified_lower_bound(K, P, r, cap=cap, codim_pruning=True)
     absence = isinstance(certified, LowerBound)
     computed["absence_verified"] = absence

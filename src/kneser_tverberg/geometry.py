@@ -8,12 +8,15 @@ over the stated face tuples found none.
 
 Contents: moment-curve configurations, cyclic polytope facets by the
 evenness rule (with a brute-force half-space oracle to check them
-against), convex hull intersection by phase-1 simplex on the
-barycentric system scaled to integers by one common denominator, the
-partition search with its verified-absence report (P is scaled to
-integers once per search, and a tuple whose per-face bounding boxes miss
-in some coordinate is rejected before any hull test, as is a pair on the
-moment curve with at most d+1 alternation blocks), minimal
+against), convex hull intersection on the barycentric system scaled to
+integers by one common denominator (built in one place, _hull_weights,
+and decided by one elimination or the phase-1 simplex), the partition
+search with its verified-absence report (P is scaled to integers by one
+common denominator once per search, and each tuple is solved on those
+integer points: one whose per-face bounding boxes miss in some
+coordinate is rejected before any hull test, as is a pair on the moment
+curve with at most d+1 alternation blocks; certificates are checked in
+integers, their denominators cleared), minimal
 intertwined pairs on the moment curve by a closed-form integer Radon
 dependence, no LP, and separating polynomials, both built and checked
 by substitution in integers (both read one parameter table, kept once
@@ -244,20 +247,70 @@ class ConvexWitness:
     weights: tuple[tuple[Fraction, ...], ...]
 
 
+def _hull_weights(
+    parts: Sequence[Sequence[Sequence[int]]], scale: int
+) -> Optional[tuple[tuple[Fraction, ...], ...]]:
+    """Barycentric weights of a common point of the parts' hulls, or None.
+
+    The one place the barycentric system is built. The parts are
+    nonempty lists of integer points of one dimension d, each L = scale
+    > 0 times the rational point it stands for. The system is L times
+    the rational one, in integers: for each part i >= 1 and coordinate
+    j, the row of L*p_j over part 0 and -L*p_j over part i with
+    right-hand side 0; then, for each part, a row of L's over its
+    weights with right-hand side L. It has (r-1)d + r equations for r
+    parts, so parts of total size at most (r-1)(d+1)+1 give no more
+    unknowns than equations, and one elimination decides them; larger
+    tuples go to the phase-1 simplex. Scaling the whole system by a
+    positive integer changes neither its null space nor any Bland choice
+    of the simplex (feasible_nonneg), so every multiple of the common
+    denominator gives the same weights, one per point, part by part.
+    Per-axis scales would change the column sums and with them the
+    simplex's entering choices, so the scale is one number.
+    """
+    sizes = [len(part) for part in parts]
+    nvar = sum(sizes)
+    first = list(zip(*parts[0]))
+    rows: list[list[int]] = []
+    before = sizes[0]
+    for part, size in zip(parts[1:], sizes[1:]):
+        gap = [0] * (before - sizes[0])
+        after = [0] * (nvar - before - size)
+        for j, col in enumerate(zip(*part)):
+            rows.append([*first[j], *gap, *[-x for x in col], *after])
+        before += size
+    nrows = len(rows)
+    before = 0
+    for size in sizes:
+        rows.append([0] * before + [scale] * size + [0] * (nvar - before - size))
+        before += size
+    x = feasible_nonneg(rows, [0] * nrows + [scale] * len(sizes))
+    if x is None:
+        return None
+    out = []
+    before = 0
+    for size in sizes:
+        out.append(tuple(x[before : before + size]))
+        before += size
+    return tuple(out)
+
+
+def _witness_point(weights: Sequence[Fraction], part: Sequence[Sequence[int]], scale: int) -> Point:
+    """The weighted average of one part's integer points, over their scale."""
+    return tuple(
+        sum((w * x for w, x in zip(weights, col)), Fraction(0)) / scale for col in zip(*part)
+    )
+
+
 def conv_intersect(parts: Sequence[Sequence[Sequence]]) -> Optional[ConvexWitness]:
     """A point in the intersection of the convex hulls, or None.
 
-    Exact: the combined barycentric system goes to feasible_nonneg. It
-    has (r-1)d + r equations for r parts in R^d, so parts of total size
-    at most (r-1)(d+1)+1 give no more unknowns than equations, and one
-    elimination decides them; larger tuples go to the phase-1 simplex.
-    All coordinates are scaled by one common multiple L of their
-    denominators, so the system is built in integers: coordinate rows
-    L*p with right-hand side 0 and one barycentric row of L's per part
-    with right-hand side L, which is L times the rational system and
-    takes the same pivots. A cheap per-coordinate check runs first: the
-    bounding intervals of the parts must overlap in every coordinate for
-    an intersection to exist.
+    Exact: every coordinate is checked and scaled by one common multiple
+    L of the parts' denominators, and the integer points go to
+    _hull_weights, which builds and solves the barycentric system. A
+    cheap per-coordinate check runs first: the bounding intervals of the
+    parts must overlap in every coordinate for an intersection to exist.
+    The witness point is part 0's weighted average.
     """
     if len(parts) < 2:
         raise ValueError("need at least two parts")
@@ -287,41 +340,10 @@ def conv_intersect(parts: Sequence[Sequence[Sequence]]) -> Optional[ConvexWitnes
     ]
     if not _boxes_meet([_box(part) for part in ipts]):
         return None
-
-    sizes = [len(part) for part in ipts]
-    nvar = sum(sizes)
-    offs = [0] * len(ipts)
-    for i in range(1, len(ipts)):
-        offs[i] = offs[i - 1] + sizes[i - 1]
-
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for i in range(1, len(ipts)):
-        for j in range(d):
-            row = [0] * nvar
-            for p_idx, p in enumerate(ipts[0]):
-                row[offs[0] + p_idx] = p[j]
-            for p_idx, p in enumerate(ipts[i]):
-                row[offs[i] + p_idx] = -p[j]
-            rows.append(row)
-            rhs.append(0)
-    for i in range(len(ipts)):
-        row = [0] * nvar
-        for p_idx in range(sizes[i]):
-            row[offs[i] + p_idx] = scale
-        rows.append(row)
-        rhs.append(scale)
-
-    x = feasible_nonneg(rows, rhs)
-    if x is None:
+    weights = _hull_weights(ipts, scale)
+    if weights is None:
         return None
-    weights = tuple(
-        tuple(x[offs[i] + p_idx] for p_idx in range(sizes[i])) for i in range(len(pts))
-    )
-    point = tuple(
-        sum((w * p[j] for w, p in zip(weights[0], pts[0])), Fraction(0)) for j in range(d)
-    )
-    return ConvexWitness(point, weights)
+    return ConvexWitness(_witness_point(weights[0], ipts[0], scale), weights)
 
 
 # -- partition search -------------------------------------------------
@@ -350,7 +372,20 @@ class TverbergCertificate:
     weights: tuple[tuple[tuple[int, Fraction], ...], ...]
 
     def verify(self, P: PointConfiguration) -> bool:
+        """Whether the parts are disjoint faces whose weighted averages are all `point`.
+
+        Exact, and in integers: weights and coordinates are ints or
+        Fractions, read as numerator over denominator. For each part the
+        weights w are cleared by the common multiple D of their
+        denominators and the coordinates by the common multiple M of
+        the part's and the point's: W = D*w >= 0, sum W = D, and in every
+        coordinate j, sum W*(M*p_j) = D*(M*point_j), all with no Fraction
+        built. A point whose dimension is not P's fails.
+        """
         if len(self.parts) < 2 or len(self.parts) != len(self.weights):
+            return False
+        target = self.point
+        if len(target) != P.d:
             return False
         seen: set[int] = set()
         for part, wlist in zip(self.parts, self.weights):
@@ -359,12 +394,19 @@ class TverbergCertificate:
             if seen & part:
                 return False
             seen |= part
-            if any(w < 0 for _, w in wlist):
+            nums = [w.numerator for _, w in wlist]
+            if min(nums) < 0:
                 return False
-            if sum(w for _, w in wlist) != 1:
+            dens = [w.denominator for _, w in wlist]
+            D = lcm(*dens)
+            W = [a * (D // b) for a, b in zip(nums, dens)]
+            if sum(W) != D:
                 return False
-            for j in range(P.d):
-                if sum(w * P.point(lab)[j] for lab, w in wlist) != self.point[j]:
+            pts = [P.point(lab) for lab, _ in wlist]
+            M = lcm(*[x.denominator for p in pts for x in p], *[c.denominator for c in target])
+            for j, c in enumerate(target):
+                lhs = sum(wi * (p[j].numerator * (M // p[j].denominator)) for wi, p in zip(W, pts))
+                if lhs != D * c.numerator * (M // c.denominator):
                     return False
         return True
 
@@ -476,19 +518,25 @@ def tverberg_search(
       n = 7 < 9).
     The returned report carries the flag so downstream consumers can see
     what the sweep relied on. On the floor itself, a tuple of total size
-    (r-1)(d+1)+1 gives conv_intersect a square system, which one
+    (r-1)(d+1)+1 gives _hull_weights a square system, which one
     elimination decides.
 
     Tuples are checked in order of increasing total size, ties in face
     order, so outcomes are deterministic. Raises SearchSpaceError when
     the number of r-subsets of candidate faces exceeds cap.
 
-    P is scaled to integers once per search, axis by axis, and each face
-    gets its integer bounding box before the walk. A tuple whose boxes
-    miss in some coordinate counts as examined and is rejected there;
-    only tuples whose boxes meet go to conv_intersect. Its own box
-    check, in its own scale, would reject exactly the same tuples,
-    because positive scales preserve every comparison within an axis.
+    P is scaled to integers once per search, by one common multiple L of
+    all its coordinate denominators, and each face gets its list of
+    integer points and their bounding box before the walk. A tuple whose
+    boxes miss in some coordinate counts as examined and is rejected
+    there; conv_intersect's box check, in its own scale, would reject
+    exactly the same tuples, because a positive scale preserves every
+    comparison. A tuple whose boxes meet goes to _hull_weights, the
+    system conv_intersect solves, with the faces' integer points and the
+    scale L; that gives the weights conv_intersect's per-tuple scale
+    gives, since scaling the whole system by a positive integer moves
+    neither the elimination's answer nor the simplex's pivots. The
+    Fraction witness point is built only for the tuple that meets.
 
     For r = 2 on the moment curve at distinct parameters (_curve_table),
     a pair whose boxes meet is next split into alternation blocks in
@@ -499,7 +547,7 @@ def tverberg_search(
     negative on the other (separating_polynomial). That holds for any
     distinct parameters, not only in strong general position, so the
     rule does not depend on codim_pruning. With d+2 or more blocks the
-    hulls meet (intertwined_pair), and the pair goes to conv_intersect
+    hulls meet (intertwined_pair), and the pair goes to _hull_weights
     as before, so every certificate is the one the LP finds.
     """
     if r < 2:
@@ -537,9 +585,13 @@ def tverberg_search(
         # total codimension sum((d+1) - size_i) must stay at most d
         threshold = max(threshold, (r - 1) * (d + 1) + 1)
 
-    ipts = _scaled_integer_points(P)
-    boxes = [_box([ipts[lab] for lab in f]) for f in face_sets]
-    face_points = [P.subset(f) for f in face_sets]
+    scale = lcm(*[x.denominator for c in P._coords for x in c])
+    ipts = {
+        lab: [x.numerator * (scale // x.denominator) for x in c]
+        for lab, c in zip(labels, P._coords)
+    }
+    face_ipts = [[ipts[lab] for lab in sorted(f)] for f in face_sets]
+    boxes = [_box(pts) for pts in face_ipts]
     max_size = sizes[-1] if sizes else 0
     curve = _curve_table(P) if r == 2 else False
     examined = 0
@@ -550,17 +602,18 @@ def tverberg_search(
                 continue
             if curve and len(_blocks_by_side(curve[1], face_sets[t[0]], face_sets[t[1]])) <= d + 1:
                 continue
-            witness = conv_intersect([face_points[i] for i in t])
-            if witness is None:
+            found = _hull_weights([face_ipts[i] for i in t], scale)
+            if found is None:
                 continue
             part_sets = [face_sets[i] for i in t]
             order = sorted(range(r), key=lambda i: tuple(sorted(part_sets[i])))
             parts = tuple(part_sets[i] for i in order)
             weights = tuple(
-                tuple(zip(sorted(part_sets[i]), witness.weights[i]))
+                tuple(zip(sorted(part_sets[i]), found[i]))
                 for i in order
             )
-            cert = TverbergCertificate(parts, witness.point, weights)
+            point = _witness_point(found[0], face_ipts[t[0]], scale)
+            cert = TverbergCertificate(parts, point, weights)
             if not cert.verify(P):
                 raise ArithmeticError("internal certificate failed its own verification")
             return cert
@@ -848,9 +901,9 @@ def _scaled_integer_points(P: PointConfiguration) -> dict[int, tuple[int, ...]]:
 
     Scaling each coordinate axis independently is an invertible linear
     map, so it preserves affine hulls, their intersections, and all the
-    dimensions the strong general position test looks at. The scales
-    are positive, so the order within each axis, and with it every
-    bounding-box comparison, is preserved too.
+    dimensions the strong general position test looks at. It is no
+    scale for the barycentric system: per-axis scales change the
+    simplex's column sums, and with them its pivots (see _hull_weights).
     """
     mults = [1] * P.d
     for lab in P.labels:
@@ -1087,6 +1140,19 @@ def avg_stable_placement(
     for (r, k, d, n) = (3, 4, 4, 7), no r >= 3 disjoint faces can meet
     at all, and codim_pruning is sound by tverberg_search's fourth case.
     """
+    return _avg_stable_placement(r, k, d, n, seed, None)
+
+
+def _avg_stable_placement(
+    r: int, k: int, d: int, n: int, seed: int, stable: Optional[Iterable[Iterable[int]]]
+) -> tuple[SimplicialComplex, PointConfiguration]:
+    """avg_stable_placement, on the t-stable-on-average k-subsets when the caller has them.
+
+    stable, when given, must be exactly the k-subsets of 1..n that are
+    t-stable on average (stable_avg_hypergraph's vertices, say), so the
+    family is filtered once per instance; None filters them here, after
+    the arguments are checked.
+    """
     if r < 2 or k < 2 or d < 1 or n < 1:
         raise ValueError("need r >= 2, k >= 2, d >= 1, n >= 1")
     t = avg_stability_parameter(r, k)
@@ -1097,8 +1163,9 @@ def avg_stable_placement(
     if t >= Fraction(r - 1, k - 1) * (d // 2) + 1:
         raise ValueError("stability parameter too large for the dimension")
 
-    forbidden = [c for c in combinations(range(1, n + 1), k) if is_t_stable_on_average(c, n, t)]
-    K = complex_from_forbidden(forbidden, n)
+    if stable is None:
+        stable = [c for c in combinations(range(1, n + 1), k) if is_t_stable_on_average(c, n, t)]
+    K = complex_from_forbidden(stable, n)
 
     rng = random.Random(seed)
     for _ in range(DEFAULT_SGP_ATTEMPTS):

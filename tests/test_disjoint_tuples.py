@@ -171,6 +171,25 @@ def oracle_search(P, r, restrict_to=None, codim_pruning=False):
     return len(admitted), tested, rejected, None, None
 
 
+def watch_hull_tests(monkeypatch):
+    """Record every tuple that reaches geometry._hull_weights, the search's hull test.
+
+    The search hands it the faces' integer points and the search-wide
+    scale L; each tuple is recorded as lists of rational points, p / L,
+    so it reads like the P.subset lists the oracle tests. Returns the
+    list, which grows as the search runs.
+    """
+    sent = []
+    real = geometry._hull_weights
+
+    def recording(parts, scale):
+        sent.append([[tuple(Fraction(x, scale) for x in p) for p in part] for part in parts])
+        return real(parts, scale)
+
+    monkeypatch.setattr(geometry, "_hull_weights", recording)
+    return sent
+
+
 def fixtures():
     """The configurations the geometry tests search, plus seeded random ones."""
     hexagon = PointConfiguration(
@@ -205,20 +224,15 @@ def fixtures():
 
 
 def test_search_matches_the_old_order_on_every_fixture(monkeypatch):
-    calls = []
-
-    def counting(parts):
-        calls.append(len(parts))
-        return conv_intersect(parts)
-
-    monkeypatch.setattr(geometry, "conv_intersect", counting)
+    calls = watch_hull_tests(monkeypatch)
     seen = {"certificate": 0, "absence": 0}
     for P, r, restrict, pruning in fixtures():
         calls.clear()
         out = tverberg_search(P, r, restrict, codim_pruning=pruning)
+        hull_tests = len(calls)  # the oracle's conv_intersect calls land in the hook too
         examined, tested, _, parts, point = oracle_search(P, r, restrict, pruning)
         # one hull test per tuple whose bounding boxes meet and that no block count rejects
-        assert len(calls) == len(tested)
+        assert hull_tests == len(tested)
         if isinstance(out, AbsenceReport):
             seen["absence"] += 1
             assert parts is None and out.tuples_examined == examined
@@ -254,23 +268,18 @@ def test_block_count_rejects_only_pairs_the_lp_separates(monkeypatch, configs):
     """Each pair rejected on its block count is LP-infeasible and has a separating polynomial.
 
     The search's hull tests must be exactly the oracle's, in order, and
-    every pair it hands to conv_intersect has d+2 or more blocks.
+    every pair it hands to the hull test has d+2 or more blocks.
     """
-    sent = []
-
-    def recording(parts):
-        sent.append(parts)
-        return conv_intersect(parts)
-
-    monkeypatch.setattr(geometry, "conv_intersect", recording)
+    sent = watch_hull_tests(monkeypatch)
     rejections = 0
     for P, restrict, pruning in configs():
         sent.clear()
         out = tverberg_search(P, 2, restrict, codim_pruning=pruning)
+        searched = list(sent)
         _, tested, rejected, parts, _ = oracle_search(P, 2, restrict, pruning)
         assert (parts is None) == isinstance(out, AbsenceReport)
         by_point = {P.point(lab): lab for lab in P.labels}
-        assert [tuple(frozenset(by_point[p] for p in part) for part in call) for call in sent] == tested
+        assert [tuple(frozenset(by_point[p] for p in part) for part in call) for call in searched] == tested
         for X1, X2 in tested:
             assert block_count(P, X1, X2) >= P.d + 2
         for X1, X2 in rejected:
@@ -282,13 +291,7 @@ def test_block_count_rejects_only_pairs_the_lp_separates(monkeypatch, configs):
 
 def test_a_nudged_moment_point_gets_no_block_count_rejection(monkeypatch):
     """Off the curve by one coordinate, every pair whose boxes meet goes to the LP."""
-    calls = []
-
-    def counting(parts):
-        calls.append(len(parts))
-        return conv_intersect(parts)
-
-    monkeypatch.setattr(geometry, "conv_intersect", counting)
+    calls = watch_hull_tests(monkeypatch)
     on = moment_points(range(1, 7), 3)
     nudged = PointConfiguration(
         3, {lab: (4, 16, 64 + Fraction(1, 1000)) if lab == 4 else on.point(lab) for lab in on.labels}
@@ -297,11 +300,12 @@ def test_a_nudged_moment_point_gets_no_block_count_rejection(monkeypatch):
     for P in (on, nudged):
         calls.clear()
         out = tverberg_search(P, 2)
+        hull_tests = len(calls)
         _, tested, rejected, parts, point = oracle_search(P, 2)
         assert isinstance(out, TverbergCertificate) and out.point == point
         assert {p: dict(w) for p, w in zip(out.parts, out.weights)} == parts
         # off the curve the oracle hull-tests every tuple whose boxes overlap
-        assert len(calls) == len(tested)
+        assert hull_tests == len(tested)
         assert (rejected != []) == (P is on)
 
 
@@ -380,18 +384,13 @@ def test_avg_stable_two_part_sweep_makes_no_hull_test(monkeypatch):
     from kneser_tverberg import experiments
     from kneser_tverberg.experiments import verify_avg_stable
 
-    calls = []
     lowers = []
-
-    def counting(parts):
-        calls.append(len(parts))
-        return conv_intersect(parts)
 
     def keeping(*args, **kwargs):
         lowers.append(certified_lower_bound(*args, **kwargs))
         return lowers[-1]
 
-    monkeypatch.setattr(geometry, "conv_intersect", counting)
+    calls = watch_hull_tests(monkeypatch)
     monkeypatch.setattr(experiments, "certified_lower_bound", keeping)
     rep = verify_avg_stable(2, 4, 10, 0, max_vertices=64)
     assert rep.verdict == "match"
@@ -406,13 +405,7 @@ def test_avg_stable_two_part_sweep_makes_no_hull_test(monkeypatch):
 
 def test_kneser_bound_sweep_rejects_every_pair_on_its_boxes(monkeypatch):
     """KG(11,2)'s certified bound: 55 pairs of distinct points on a line, no hull test."""
-    calls = []
-
-    def counting(parts):
-        calls.append(len(parts))
-        return conv_intersect(parts)
-
-    monkeypatch.setattr(geometry, "conv_intersect", counting)
+    calls = watch_hull_tests(monkeypatch)
     lower = certified_lower_bound(simplex_complex(10).skeleton(0), moment_points(range(1, 12), 1), 2)
     assert lower.absence.tuples_examined == 55
     assert calls == []

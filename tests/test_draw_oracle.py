@@ -110,7 +110,12 @@ def test_reports_match_the_sgp_loop(seed, monkeypatch):
 
     got = reports()
     monkeypatch.setattr(experiments, "_random_draws", _random_sgp_draws)
-    monkeypatch.setattr(experiments, "avg_stable_placement", sgp_placement)
+    # verify_avg_stable places through the private form, which takes the filtered family too
+    monkeypatch.setattr(
+        experiments,
+        "_avg_stable_placement",
+        lambda r, k, d, n, seed, stable: sgp_placement(r, k, d, n, seed=seed),
+    )
     want = reports()
     assert got == want
     assert all(rep["verdict"] == "match" for rep in got)

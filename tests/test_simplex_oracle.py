@@ -277,6 +277,35 @@ def _checked_conv_intersect(monkeypatch):
     return calls
 
 
+def _checked_hull_weights(monkeypatch):
+    """Patch geometry._hull_weights, the search's hull test, to compare it with the oracle's construction.
+
+    The search passes the faces' integer points and its own scale L, one
+    multiple of every denominator of P; the oracle gets the rational
+    points p / L and builds the rational system. Equal weights mean
+    equal solutions, so this checks that the search-wide L gives what
+    the oracle's system gives. Returns the list of compared results.
+    """
+    calls = []
+    real_core, real_lp = geometry._hull_weights, geometry.feasible_nonneg
+
+    def lp(rows, rhs):
+        assert all(type(v) is int for row in rows for v in row)
+        return real_lp(rows, rhs)
+
+    def core(parts, scale):
+        got = real_core(parts, scale)
+        rational = [[tuple(Fraction(x, scale) for x in p) for p in part] for part in parts]
+        want = oracle_conv_intersect(rational)
+        assert got == (None if want is None else want.weights), rational
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(geometry, "feasible_nonneg", lp)
+    monkeypatch.setattr(geometry, "_hull_weights", core)
+    return calls
+
+
 def test_conv_intersect_matches_oracle_on_moment_curves(monkeypatch):
     calls = _checked_conv_intersect(monkeypatch)
     labels = range(1, 7)
@@ -317,7 +346,7 @@ def test_conv_intersect_matches_oracle_on_random_parts(monkeypatch):
 
 
 def test_tverberg_search_matches_oracle_on_random_configurations(monkeypatch):
-    calls = _checked_conv_intersect(monkeypatch)
+    calls = _checked_hull_weights(monkeypatch)
     rng = random.Random(42)
     for r, d in ((2, 1), (2, 2), (3, 1), (2, 3), (3, 2)):
         for _ in range(2):
