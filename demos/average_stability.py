@@ -31,7 +31,8 @@ K, P = avg_stable_placement(r, k, d, n)
 print(f"placement: {len(P)} jittered moment-curve points in R^{d}, at distinct parameters")
 # Two parts of at most d+1 points in all have at most d+1 alternation
 # blocks along the curve, so a polynomial of degree at most d separates
-# them: the search may start at total size d+2 with no further check.
+# them: the search sees that P is on the curve and starts at total size
+# d+2. Off the curve it would ignore codim_pruning and walk every pair.
 
 search = tverberg_search(P, r, restrict_to=K, codim_pruning=True)
 absence = not hasattr(search, "point")

@@ -123,10 +123,10 @@ def certified_lower_bound(
     the floor-formula bound for the disjointness hypergraph of K's
     minimal nonfaces; when some r disjoint faces do meet, returns that
     certificate instead, and the placement proves nothing. codim_pruning
-    is passed to the search. The search is restricted to K, so pruning
-    is sound at distinct moment-curve parameters for r = 2, and for
-    r >= 3 with fewer than 3(d+2)/2 points, and otherwise only on the
-    caller's strong general position scan (see tverberg_search).
+    is passed to the search, restricted to K, which prunes only at
+    distinct moment-curve parameters, for r = 2, and for r >= 3 with
+    fewer than 3(d+2)/2 points; elsewhere it walks every tuple (see
+    tverberg_search).
 
     For Kneser graphs KG(n, k), the (k-2)-skeleton of the simplex on n
     labels at moment-curve points in R^(2k-3) gives (n-1) - (2k-3) =

@@ -623,13 +623,12 @@ def verify_avg_stable(
 
     Pipeline: build the hypergraph on the t-stable-on-average k-subsets
     with t = r(k-3)/(2(k-1)) + 1, place the complex of all other faces
-    on the moment curve (in strong general position for r >= 3; see
-    avg_stable_placement), verify absence of r-fold intersections among
-    its faces, and pin the chromatic number between the resulting
-    floor-formula lower bound and the capped least-label greedy upper
-    bound. When the vertex count is small enough the exact solver
-    cross-checks the pinch; when the formula target degenerates below 1
-    it is clamped and flagged.
+    on the moment curve (one seeded draw; see avg_stable_placement),
+    verify absence of r-fold intersections among its faces, and pin the
+    chromatic number between the resulting floor-formula lower bound and
+    the capped least-label greedy upper bound. When the vertex count is
+    small enough the exact solver cross-checks the pinch; when the
+    formula target degenerates below 1 it is clamped and flagged.
     """
     t0 = time.perf_counter()
     if not _is_prime_power(r):

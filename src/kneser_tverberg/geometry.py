@@ -30,9 +30,10 @@ otherwise, and when the certificate fails, the tuple search in
 homogeneous coordinates: stacked
 annihilators of the lifted points, their echelon basis extended by one
 subset per level, with a pivot in the last column meaning empty hulls),
-and the seeded placement routine for average-stability instances, whose
-draws must pass that test, within a bounded number of tries, only for
-three or more parts.
+and the seeded placement routine for average-stability instances, which
+keeps its first draw for any number of parts. No absence rests on that
+test: the partition search prunes by codimension only where a theorem
+it checks from its own inputs covers the prune.
 """
 
 from __future__ import annotations
@@ -435,9 +436,9 @@ class AbsenceReport:
 
     min_total_size records the pruning threshold on the summed part
     sizes (equal to r when nothing was pruned); codim_pruning tells
-    whether the threshold came from the codimension rule, which is
-    sound only where every tuple whose codimensions sum above d has
-    disjoint hulls (see tverberg_search).
+    whether the threshold came from the codimension rule, which the
+    search applies only where a theorem it checked covers the prune
+    (see tverberg_search).
     """
 
     r: int
@@ -461,10 +462,6 @@ class AbsenceReport:
 
 DEFAULT_SEARCH_CAP = 1 << 22
 
-# Draws before a seeded search for a strong general position
-# configuration gives up with an error instead of looping on.
-DEFAULT_SGP_ATTEMPTS = 24
-
 
 def tverberg_search(
     P: PointConfiguration,
@@ -483,43 +480,40 @@ def tverberg_search(
     subsets). With restrict_to the parts must be faces of that complex,
     whose vertex labels must be exactly the labels of P.
 
-    codim_pruning drops every tuple whose codimensions d+1-|F| sum
-    above d, that is every tuple of total size below (r-1)(d+1)+1. That
-    never turns a certificate into an absence in four cases:
-    - An unrestricted search with n >= (r-1)(d+1)+1 points, always.
-      Tverberg's theorem gives r parts whose hulls meet; Caratheodory's
-      theorem shrinks each to at most d+1 points that keep the common
-      point; adding unused points back keeps the hulls meeting (hulls
-      only grow), and the parts have room for r(d+1) >= (r-1)(d+1)+1
-      points. So some meeting tuple has total at least the floor,
-      degenerate configurations included.
-    - r = 2 at distinct moment-curve parameters: a pair below the floor
-      has at most d+1 alternation blocks, so the block rule below
-      separates it anyway.
-    - Otherwise, strong general position in Perles and Sigron's sense,
-      which the caller's scan owns: the affine hulls of disjoint sets
-      meet in codimension min(d+1, sum of their codimensions),
-      codimension d+1 meaning empty. Passing
-      strong_general_position_report alone does not prove it: the scan
-      leaves sums beyond d+1 unchecked, so the collinear points
-      (0,0,0), (1,1,1), (2,2,2) in R^3 pass for r = 2, yet the hulls of
-      {1, 3} and {2} meet, and a pruned search on them (3 points, too
-      few for the first case) reports an absence with no tuple examined.
-    - r >= 3 with n < 3(d+2)/2 points, every d+1 or fewer of them
-      affinely independent, which holds at distinct moment-curve
-      parameters (a Vandermonde determinant) and on any configuration
-      that passes strong_general_position_report's two-part
-      certificate (its step 1). Two disjoint parts whose affine hulls
+    codim_pruning asks to drop every tuple whose codimensions d+1-|F|
+    sum above d, that is every tuple of total size below the floor
+    (r-1)(d+1)+1. The search honours it only where a theorem it checks
+    from its own inputs puts some meeting tuple at or above the floor
+    whenever one exists:
+    - (a) No complex and n >= (r-1)(d+1)+1 points. Tverberg's theorem
+      gives r parts whose hulls meet; Caratheodory's theorem shrinks
+      each to at most d+1 points that keep the common point; adding
+      unused points back keeps the hulls meeting (hulls only grow), and
+      the parts have room for r(d+1) >= (r-1)(d+1)+1 points. So some
+      meeting tuple has total at least the floor, degenerate
+      configurations included.
+    - (b) r = 2 at distinct moment-curve parameters (_curve_table): a
+      pair below the floor has at most d+1 alternation blocks, so the
+      block rule below separates it anyway.
+    - (c) r >= 3 at distinct moment-curve parameters with 2n < 3(d+2).
+      Any d+1 or fewer points on the curve are affinely independent (a
+      Vandermonde determinant). Two disjoint parts whose affine hulls
       meet give a nontrivial linear dependence on their lifted union
       (p, 1), so together they hold at least d+2 points. Three parts
       whose hulls meet pairwise then hold at least 3(d+2)/2 points, more
       than n. So no r >= 3 disjoint faces have meeting hulls at all, and
       pruning every tuple is sound (avg_stable_placement(3, 4, 4, 7):
       n = 7 < 9).
-    The returned report carries the flag so downstream consumers can see
-    what the sweep relied on. On the floor itself, a tuple of total size
-    (r-1)(d+1)+1 gives _hull_weights a square system, which one
-    elimination decides.
+    Everywhere else the search walks every tuple, as without the flag,
+    so codim_pruning never turns a certificate into an absence. Strong
+    general position would cover more inputs, but
+    strong_general_position_report does not prove it: the collinear
+    points (0,0,0), (1,1,1), (2,2,2) in R^3 pass its r = 2 scan, yet
+    the hulls of {1, 3} and {2} meet, below the floor. The returned
+    report says whether the prune was applied, so downstream consumers
+    can see what the sweep relied on. On the floor itself, a tuple of
+    total size (r-1)(d+1)+1 gives _hull_weights a square system, which
+    one elimination decides.
 
     Tuples are checked in order of increasing total size, ties in face
     order, so outcomes are deterministic. Raises SearchSpaceError when
@@ -580,10 +574,13 @@ def tverberg_search(
             cap,
         )
 
-    threshold = r
-    if codim_pruning:
-        # total codimension sum((d+1) - size_i) must stay at most d
-        threshold = max(threshold, (r - 1) * (d + 1) + 1)
+    # total codimension sum((d+1) - size_i) at most d, only where case (a), (b) or (c) holds
+    floor = (r - 1) * (d + 1) + 1
+    codim_pruning = codim_pruning and (
+        (restrict_to is None and len(labels) >= floor)
+        or bool(_curve_table(P) and (r == 2 or 2 * len(labels) < 3 * (d + 2)))
+    )
+    threshold = floor if codim_pruning else r
 
     scale = lcm(*[x.denominator for c in P._coords for x in c])
     ipts = {
@@ -1128,17 +1125,12 @@ def avg_stable_placement(
     points are moment-curve points at parameters i + eps_i with seeded
     rational jitters eps_i in [0, 1/2), so the parameters are distinct.
 
-    For r = 2 the first draw is kept. codim_pruning skips the pairs with
-    |A| + |B| <= d+1; such a pair has at most d+1 alternation blocks,
-    and a polynomial of degree at most d separates it at any distinct
-    parameters (see tverberg_search). For r >= 3 the configuration is
-    redrawn until it passes the strong general position test; after
-    DEFAULT_SGP_ATTEMPTS failed draws it raises ValueError rather than
-    looping on. When n < 2(d+1) the two-part certificate decides that
-    test for every r (strong_general_position_report, step 4), so a
-    passing draw takes no tuple search. When moreover n < 3(d+2)/2, as
-    for (r, k, d, n) = (3, 4, 4, 7), no r >= 3 disjoint faces can meet
-    at all, and codim_pruning is sound by tverberg_search's fourth case.
+    The first draw is kept for every r; no strong general position
+    test runs. A search on the placement with codim_pruning prunes only
+    where tverberg_search proves it sound: for r = 2 by the block rule,
+    and for r >= 3 when n < 3(d+2)/2, as for (r, k, d, n) = (3, 4, 4, 7),
+    where no three disjoint faces meet at all. Otherwise it walks every
+    tuple.
     """
     return _avg_stable_placement(r, k, d, n, seed, None)
 
@@ -1168,11 +1160,5 @@ def _avg_stable_placement(
     K = complex_from_forbidden(stable, n)
 
     rng = random.Random(seed)
-    for _ in range(DEFAULT_SGP_ATTEMPTS):
-        params = [Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, n + 1)]
-        P = moment_points(params, d)
-        if r == 2 or is_strong_general_position(P, r):
-            return K, P
-    raise ValueError(
-        f"no strong general position configuration found in {DEFAULT_SGP_ATTEMPTS} attempts"
-    )
+    params = [Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, n + 1)]
+    return K, moment_points(params, d)

@@ -22,6 +22,7 @@ from kneser_tverberg.geometry import (
     AbsenceReport,
     PointConfiguration,
     TverbergCertificate,
+    avg_stable_placement,
     conv_intersect,
     moment_points,
     separating_polynomial,
@@ -130,6 +131,19 @@ def block_count(P, X1, X2):
     return 1 + sum((a in X1) != (b in X1) for a, b in zip(merged, merged[1:]))
 
 
+def covered(P, r, restricted):
+    """Whether a theorem covers codim_pruning on this input, restated from the parameters.
+
+    (a) no complex and at least (r-1)(d+1)+1 points; (b) two parts at
+    distinct moment-curve parameters; (c) three or more parts at
+    distinct moment-curve parameters with 2n < 3(d+2).
+    """
+    n, d = len(P), P.d
+    if not restricted and n >= (r - 1) * (d + 1) + 1:
+        return True
+    return on_moment_curve(P) and (r == 2 or 2 * n < 3 * (d + 2))
+
+
 def oracle_search(P, r, restrict_to=None, codim_pruning=False):
     """(tuples examined, tuples hull-tested, pairs rejected on blocks, {part: {label: weight}}, point).
 
@@ -230,7 +244,9 @@ def test_search_matches_the_old_order_on_every_fixture(monkeypatch):
         calls.clear()
         out = tverberg_search(P, r, restrict, codim_pruning=pruning)
         hull_tests = len(calls)  # the oracle's conv_intersect calls land in the hook too
-        examined, tested, _, parts, point = oracle_search(P, r, restrict, pruning)
+        examined, tested, _, parts, point = oracle_search(
+            P, r, restrict, pruning and covered(P, r, restrict is not None)
+        )
         # one hull test per tuple whose bounding boxes meet and that no block count rejects
         assert hull_tests == len(tested)
         if isinstance(out, AbsenceReport):
@@ -276,7 +292,9 @@ def test_block_count_rejects_only_pairs_the_lp_separates(monkeypatch, configs):
         sent.clear()
         out = tverberg_search(P, 2, restrict, codim_pruning=pruning)
         searched = list(sent)
-        _, tested, rejected, parts, _ = oracle_search(P, 2, restrict, pruning)
+        _, tested, rejected, parts, _ = oracle_search(
+            P, 2, restrict, pruning and covered(P, 2, restrict is not None)
+        )
         assert (parts is None) == isinstance(out, AbsenceReport)
         by_point = {P.point(lab): lab for lab in P.labels}
         assert [tuple(frozenset(by_point[p] for p in part) for part in call) for call in searched] == tested
@@ -377,6 +395,74 @@ def test_size_floor_certifies_configurations_off_strong_general_position(r, poin
     P = PointConfiguration(len(points[1]), points)
     assert not is_strong_general_position(P, r)
     _check_floor_search(P, r)
+
+
+def test_codim_pruning_applies_exactly_where_a_theorem_covers_it(monkeypatch):
+    """Three covered inputs prune and end as the full walk does; three uncovered ones walk unpruned.
+
+    The walk's first total is read off the tuple walk itself: the floor
+    (r-1)(d+1)+1 where the prune applies, r where it does not.
+    """
+    starts = []
+    real = geometry._disjoint_tuples
+
+    def recording(masks, sizes, r, total):
+        starts.append(total)
+        return real(masks, sizes, r, total)
+
+    monkeypatch.setattr(geometry, "_disjoint_tuples", recording)
+    curve = moment_points(range(1, 8), 3)
+    K347, P347 = avg_stable_placement(3, 4, 4, 7, seed=0)
+    hexagon = PointConfiguration(
+        2, {1: (2, 0), 2: (1, 2), 3: (-1, 2), 4: (-2, 0), 5: (-1, -2), 6: (1, -2)}
+    )
+    cases = [
+        # (a) no complex, off the curve, n = 5 >= 4 points
+        (PointConfiguration(2, {1: (0, 0), 2: (5, 1), 3: (2, 7), 4: (-3, 4), 5: (1, 2)}), 2, None, True),
+        # (b) two parts on the curve, restricted to the triangles
+        (curve, 2, simplex_complex(6).skeleton(2), True),
+        # (c) three parts on the curve, 2n = 14 < 18
+        (P347, 3, K347, True),
+        # a restricted input off the curve: the hexagon's boundary cycle
+        (hexagon, 2, SimplicialComplex(6, [(i, i % 6 + 1) for i in range(1, 7)]), False),
+        # three parts on the curve with 2n = 3(d+2) exactly
+        (moment_points(range(1, 7), 2), 3, None, False),
+        # no complex, off the curve, n = 3 below the floor 4
+        (PointConfiguration(2, {1: (0, 0), 2: (1, 0), 3: (0, 1)}), 2, None, False),
+    ]
+    for P, r, K, want in cases:
+        assert covered(P, r, K is not None) == want
+        full = tverberg_search(P, r, K)
+        starts.clear()
+        pruned = tverberg_search(P, r, K, codim_pruning=True)
+        floor = (r - 1) * (P.d + 1) + 1
+        assert starts[0] == (floor if want else r)
+        if not want:
+            assert pruned == full and not pruned.codim_pruning
+        elif isinstance(full, TverbergCertificate):
+            assert pruned == full
+        else:
+            assert isinstance(pruned, AbsenceReport) and pruned.codim_pruning
+            assert pruned.min_total_size == floor and not full.codim_pruning
+    outcomes = [isinstance(tverberg_search(P, r, K), AbsenceReport) for P, r, K, _ in cases]
+    assert outcomes == [False, False, True, True, True, True]
+
+
+def test_pruned_search_never_hides_a_certificate():
+    """codim_pruning=True returns an absence only where the full walk does."""
+    collinear = PointConfiguration(3, {1: (0, 0, 0), 2: (1, 1, 1), 3: (2, 2, 2)})
+    chords = PointConfiguration(
+        2, {1: (-1, -3), 2: (3, 9), 3: (6, 8), 4: (-9, -12), 5: (-12, -12), 6: (16, 16)}
+    )
+    inputs = [(P, r, restrict) for P, r, restrict, _ in fixtures()]
+    inputs += [(collinear, 2, None), (chords, 3, None)]
+    uncovered_certificates = 0
+    for P, r, restrict in inputs:
+        full = tverberg_search(P, r, restrict)
+        pruned = tverberg_search(P, r, restrict, codim_pruning=True)
+        assert isinstance(pruned, AbsenceReport) == isinstance(full, AbsenceReport)
+        uncovered_certificates += isinstance(full, TverbergCertificate) and not covered(P, r, restrict is not None)
+    assert uncovered_certificates >= 3
 
 
 def test_avg_stable_two_part_sweep_makes_no_hull_test(monkeypatch):

@@ -1,12 +1,13 @@
-"""The single draws of tverberg-random and r = 2 avg-stable against the old redraw loop.
+"""The single draws of tverberg-random and avg-stable against the old redraw loop.
 
 Both searches once redrew every seeded configuration until it passed the
 strong general position scan. Neither needs the scan: Tverberg's theorem
 with Caratheodory's covers the random draws (see verify_tverberg_random),
-and the block rule covers two parts on the moment curve (see
-avg_stable_placement). The old loop is kept here verbatim as the oracle.
-At seeds 0 to 4 every first draw passed it, so the single draws, the
-placements and the reports must all come out the same.
+and on the moment curve tverberg_search checks for itself whether a
+theorem covers its prune (see avg_stable_placement). The old loop is
+kept here verbatim as the oracle, with its own bound of SGP_ATTEMPTS
+draws. At seeds 0 to 4 every first draw passed it, so the single draws,
+the placements and the reports must all come out the same.
 """
 
 import random
@@ -25,7 +26,6 @@ from kneser_tverberg.experiments import (
     verify_tverberg_random,
 )
 from kneser_tverberg.geometry import (
-    DEFAULT_SGP_ATTEMPTS,
     PointConfiguration,
     avg_stable_placement,
     is_strong_general_position,
@@ -34,21 +34,24 @@ from kneser_tverberg.geometry import (
 
 SEEDS = range(5)
 
+# Draws before the old loop gave up with an error instead of looping on.
+SGP_ATTEMPTS = 24
+
 
 def draw_until_sgp(draw: Callable[[], PointConfiguration], r: int) -> PointConfiguration:
-    """The first of up to DEFAULT_SGP_ATTEMPTS draws in strong general position for r parts.
+    """The first of up to SGP_ATTEMPTS draws in strong general position for r parts.
 
     Fails closed: after that many failed draws it raises ValueError
     rather than looping on. draw is called once per attempt and nothing
     else is drawn in between, so a seeded draw gives the same sequence
     of configurations wherever it is used.
     """
-    for _ in range(DEFAULT_SGP_ATTEMPTS):
+    for _ in range(SGP_ATTEMPTS):
         P = draw()
         if is_strong_general_position(P, r):
             return P
     raise ValueError(
-        f"no strong general position configuration found in {DEFAULT_SGP_ATTEMPTS} attempts"
+        f"no strong general position configuration found in {SGP_ATTEMPTS} attempts"
     )
 
 

@@ -20,10 +20,11 @@ from kneser_tverberg.experiments import (
     verify_roundtrip,
     verify_schrijver,
     verify_spherical,
+    verify_avg_stable,
     verify_stable_faces,
     verify_tverberg_random,
 )
-from kneser_tverberg.geometry import DEFAULT_SGP_ATTEMPTS, moment_points
+from kneser_tverberg.geometry import moment_points
 from kneser_tverberg.hypergraphs import width
 
 
@@ -227,25 +228,6 @@ def test_tverberg_random_small():
     assert rep.computed["certificates"] == 5
 
 
-def test_random_sgp_resampling_is_bounded(monkeypatch):
-    draws = []
-
-    def never(P, r):
-        draws.append(P)
-        return False
-
-    monkeypatch.setattr(geometry, "is_strong_general_position", never)
-    # at r >= 3 the placement redraws, at most DEFAULT_SGP_ATTEMPTS times
-    with pytest.raises(ValueError, match=f"in {DEFAULT_SGP_ATTEMPTS} attempts"):
-        geometry.avg_stable_placement(3, 4, 4, 7, seed=0)
-    assert len(draws) == DEFAULT_SGP_ATTEMPTS
-    # the draws themselves are unchanged: the first one is what an
-    # unbounded loop would have tested first
-    rng = random.Random(0)
-    params = [Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, 8)]
-    assert draws[0] == moment_points(params, 4)
-
-
 def test_theorem_covered_draws_make_no_scan_call(monkeypatch):
     calls = []
 
@@ -261,12 +243,14 @@ def test_theorem_covered_draws_make_no_scan_call(monkeypatch):
     monkeypatch.setattr(geometry, "is_strong_general_position", never)
     rep = verify_tverberg_random(2, 2, count=1, seed=0)
     assert rep.verdict == "match"
-    _, P = geometry.avg_stable_placement(2, 4, 5, 8, seed=0)
+    assert verify_avg_stable(3, 4, 7).verdict == "match"
+    for r, d, n in ((2, 5, 8), (3, 4, 7)):
+        _, P = geometry.avg_stable_placement(r, 4, d, n, seed=0)
+        # the placement is the first draw, at every r
+        rng = random.Random(0)
+        params = [Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, n + 1)]
+        assert P == moment_points(params, d)
     assert calls == []
-    # the placement is the first draw
-    rng = random.Random(0)
-    params = [Fraction(i) + Fraction(rng.randrange(0, 2048), 4096) for i in range(1, 9)]
-    assert P == moment_points(params, 5)
 
 
 def test_pipeline_instances_match():

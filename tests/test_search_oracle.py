@@ -143,6 +143,23 @@ def per_tuple_search(P, r, restrict_to=None, *, cap=DEFAULT_SEARCH_CAP, codim_pr
 # -- the searches ----------------------------------------------------------
 
 
+def covered(P, r, restricted):
+    """Whether a theorem covers codim_pruning here, so the search honours it.
+
+    (a) no complex and at least (r-1)(d+1)+1 points; (b) two parts at
+    distinct moment-curve parameters; (c) three or more parts there with
+    2n < 3(d+2). The curve is checked by taking powers.
+    """
+    n, d = len(P), P.d
+    if not restricted and n >= (r - 1) * (d + 1) + 1:
+        return True
+    ts = [P.point(lab)[0] for lab in P.labels]
+    on_curve = len(set(ts)) == n and all(
+        P.point(lab) == tuple(t**j for j in range(1, d + 1)) for lab, t in zip(P.labels, ts)
+    )
+    return on_curve and (r == 2 or 2 * n < 3 * (d + 2))
+
+
 def certify_draws():
     """verify_tverberg_random's draws for every certify (r, d), at seeds 0 and 1, searched from the floor."""
     counts = {(3, 2): 10}
@@ -274,7 +291,7 @@ def test_search_matches_the_per_tuple_loop(kind, monkeypatch):
         floor_calls.clear()
         got = tverberg_search(P, r, K, codim_pruning=pruning)
         above_floor[0] += sum(total > (r - 1) * (P.d + 1) + 1 for total in floor_calls)
-        want = per_tuple_search(P, r, K, codim_pruning=pruning)
+        want = per_tuple_search(P, r, K, codim_pruning=pruning and covered(P, r, K is not None))
         assert _same(got, want), (P.to_json_dict(), r, pruning)
         outcomes["certificate" if isinstance(want, TverbergCertificate) else "absence"] += 1
     if kind == "certify":
