@@ -512,59 +512,96 @@ def verify_intertwined(max_points: int = 9, max_d: int = 4) -> list[ExperimentRe
     Each unordered pair is taken once, as (A, B) with the smallest label
     in A: B is drawn from the labels above min(A) alone.
 
-    One pass over the pairs serves every dimension. moment_points(1..n, d)
-    has the table q = 1, u = label for every d, so a pair's block split
-    does not depend on d: it is made once. With m blocks, m <= max_d + 1,
+    The counts are those of a sweep over every size n = 2..max_points
+    that takes each pair on the labels 1..n at that n. This sweep takes
+    each pair once instead, on the labels 1..N, N = max_points, with the
+    weight N - max(A | B) + 1. moment_points(1..n, d) gives label i the
+    same point for every n >= i, and the kernels read only the points of
+    A | B, so the pair gets the same answers at every n >= max(A | B),
+    and there are N - max(A | B) + 1 such sizes.
+
+    There is one configuration per dimension: the top one, in R^max_d,
+    and below it the same Fractions cut to their first d coordinates.
+    All share the table q = 1, u = label, so a pair's block split does
+    not depend on d: it is made once. With m blocks, m <= max_d + 1,
     separating_polynomial's kernel builds and verifies the one integer
     polynomial of degree m - 1, which separates the parts in every
-    dimension d >= m - 1; each d <= m - 2 gets intertwined_pair's integer
-    kernel on that dimension's configuration, and the sweep reads Y1 and
-    Y2 off the signs of the verified dependence, with no Fraction built.
-    No split is kept past its pair; the pass holds only the current n's
-    configurations, one per dimension. The reports share the pass's wall
-    time: each runtime_s is the elapsed time of the whole sweep divided
-    by max_d.
+    dimension d >= m - 1. Each d <= m - 2 gets intertwined_pair's integer
+    kernel, which reads only the picks: the first labels of the first
+    d + 2 blocks. Since min(A | B) is in A, their sides alternate from A,
+    so the kernel's input is fixed by d and the picks, and the minimal
+    pair itself, A' the picks at even positions and one block per pick,
+    gives it the same picks and sides and the same integer checks. The
+    sweep makes that call once per set of picks, keyed by their bitmask
+    (d is its popcount less 2), and keeps only the minimal pair's Y1 and
+    Y2 as bitmasks and whether they have the claimed sizes and
+    alternate; Y1 within A and Y2 within B is checked for every pair.
+    The reports share the sweep's wall time: each runtime_s is the
+    elapsed time of the whole sweep divided by max_d.
     """
     if max_d < 1 or max_points < 2:
         raise ValueError(f"need max_points >= 2 and max_d >= 1, got {max_points} and {max_d}")
     t0 = time.perf_counter()
     dims = range(1, max_d + 1)
+    N = max_points
+    top = moment_points(range(1, N + 1), max_d)
+    labels = top.labels
+    Ps = [None] + [
+        PointConfiguration(d, [(lab, top.point(lab)[:d]) for lab in labels])
+        for d in range(1, max_d)
+    ] + [top]
+    q, u = _curve_table(top)
     pairs = 0
     intersecting = [0] * (max_d + 1)
     separated = [0] * (max_d + 1)
     good_sizes = [0] * (max_d + 1)
     alternating = [0] * (max_d + 1)
     want = [{d // 2 + 1, (d + 1) // 2 + 1} for d in range(max_d + 1)]
-    for n in range(2, max_points + 1):
-        Ps = [None] + [moment_points(range(1, n + 1), d) for d in dims]
-        top = Ps[max_d]
-        q, u = _curve_table(top)
-        labels = list(range(1, n + 1))
-        for amask in range(1, 1 << n):
-            A = frozenset(labels[i] for i in range(n) if amask >> i & 1)
-            low = min(A)
-            rest = [lab for lab in labels if lab > low and lab not in A]
-            rn = len(rest)
-            for bmask in range(1, 1 << rn):
-                B = frozenset(rest[i] for i in range(rn) if bmask >> i & 1)
-                pairs += 1
-                blocks = _blocks_by_side(u, A, B)
-                m = len(blocks)
-                if m <= max_d + 1 and _separating_from_blocks(top, A, B, u, blocks) is not None:
-                    for d in range(m - 1, max_d + 1):
-                        separated[d] += 1
-                for d in range(1, min(m - 2, max_d) + 1):
-                    intersecting[d] += 1
-                    picks, w = _intertwined_from_blocks(Ps[d], A, q, u, blocks)
+    decided: dict[int, tuple[int, int, bool, bool]] = {}
+    for amask in range(1, 1 << N):
+        A = frozenset(lab for lab in labels if amask >> (lab - 1) & 1)
+        low = min(A)
+        rest = [lab for lab in labels if lab > low and lab not in A]
+        rn = len(rest)
+        for bmask in range(1, 1 << rn):
+            B = frozenset(rest[i] for i in range(rn) if bmask >> i & 1)
+            bits = sum(1 << (lab - 1) for lab in B)
+            # the sizes n = max(A | B)..N that hold the pair
+            weight = N - (amask | bits).bit_length() + 1
+            pairs += weight
+            blocks = _blocks_by_side(u, A, B)
+            m = len(blocks)
+            if m <= max_d + 1 and _separating_from_blocks(top, A, B, u, blocks) is not None:
+                for d in range(m - 1, max_d + 1):
+                    separated[d] += weight
+            # the bitmask of the picks, which fixes the minimal pair and d
+            key = 1 << (blocks[0][0] - 1) | 1 << (blocks[1][0] - 1)
+            for d, blk in enumerate(blocks[2 : max_d + 2], 1):
+                key |= 1 << (blk[0] - 1)
+                known = decided.get(key)
+                if known is None:
+                    picks = [b[0] for b in blocks[: d + 2]]
+                    picks, w = _intertwined_from_blocks(
+                        Ps[d], frozenset(picks[::2]), q, u, [[lab] for lab in picks]
+                    )
                     Y1 = frozenset(lab for lab, wi in zip(picks, w) if wi > 0)
                     Y2 = frozenset(picks) - Y1
-                    # the two sizes in want sum to d + 2; for even d both parts take the one size
-                    if {len(Y1), len(Y2)} == want[d]:
-                        good_sizes[d] += 1
                     merged = sorted(Y1 | Y2)
                     switches = sum((a in Y1) != (b in Y1) for a, b in zip(merged, merged[1:]))
-                    if Y1 <= A and Y2 <= B and switches + 1 == len(Y1) + len(Y2):
-                        alternating[d] += 1
+                    known = decided[key] = (
+                        sum(1 << (lab - 1) for lab in Y1),
+                        sum(1 << (lab - 1) for lab in Y2),
+                        # the two sizes in want sum to d + 2; for even d both
+                        # parts take the one size
+                        {len(Y1), len(Y2)} == want[d],
+                        switches + 1 == len(Y1) + len(Y2),
+                    )
+                y1, y2, sized, alternates = known
+                intersecting[d] += weight
+                if sized:
+                    good_sizes[d] += weight
+                if alternates and not y1 & ~amask and not y2 & ~bits:
+                    alternating[d] += weight
     out = []
     for d in dims:
         claimed = {

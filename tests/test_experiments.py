@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -90,32 +90,21 @@ def test_mismatch_is_reported_not_raised():
     assert rep.claimed["chi"] != rep.computed["chi"]
 
 
-def _other_part(A, blocks):
-    """The second part of a block split: every label in the blocks outside A."""
-    return frozenset(lab for blk in blocks for lab in blk) - A
-
-
 def _swapped(P, A, q, u, blocks):
     """The true dependence with its parts in the wrong roles."""
     picks, w = geometry._intertwined_from_blocks(P, A, q, u, blocks)
     return picks, [-wi for wi in w]
 
 
-def _alternates(Y1, Y2):
-    """Whether the sorted labels, the parameter order of moment_points, switch sides at every step."""
-    merged = sorted(Y1 | Y2)
-    return all((a in Y1) != (b in Y1) for a, b in zip(merged, merged[1:]))
-
-
 def _clumped(P, A, q, u, blocks):
-    """Parts of the true sizes inside A and B that do not alternate, where some exist."""
-    B = _other_part(A, blocks)
+    """The true dependence with the signs of the 2nd and 3rd picks swapped.
+
+    The part sizes stay true, but the first two picks now share a side,
+    so the parts no longer alternate along the curve.
+    """
     picks, w = geometry._intertwined_from_blocks(P, A, q, u, blocks)
-    size1 = sum(wi > 0 for wi in w)
-    for Y1 in combinations(sorted(A), size1):
-        for Y2 in combinations(sorted(B), len(picks) - size1):
-            if not _alternates(frozenset(Y1), frozenset(Y2)):
-                return list(Y1 + Y2), [1] * len(Y1) + [-1] * len(Y2)
+    w = list(w)
+    w[1], w[2] = -w[1], -w[2]
     return picks, w
 
 
@@ -129,6 +118,20 @@ def test_intertwined_checks_alternation_not_the_flag(monkeypatch, fake):
         assert rep.computed["alternating"] < rep.claimed["alternating"]
         if fake is _clumped:
             assert rep.computed["good_sizes"] == rep.claimed["good_sizes"]
+
+
+def test_intertwined_checks_the_minimal_pair_sizes(monkeypatch):
+    def shrunk(P, A, q, u, blocks):
+        """The true dependence without its last pick: still alternating, one point short."""
+        picks, w = geometry._intertwined_from_blocks(P, A, q, u, blocks)
+        return picks[:-1], w[:-1]
+
+    monkeypatch.setattr(experiments, "_intertwined_from_blocks", shrunk)
+    reports = verify_intertwined(max_points=5, max_d=2)
+    assert [rep.verdict for rep in reports] == ["mismatch", "mismatch"]
+    for rep in reports:
+        assert rep.computed["good_sizes"] < rep.claimed["good_sizes"]
+        assert rep.computed["alternating"] == rep.claimed["alternating"]
 
 
 def test_intertwined_matches_with_the_true_pairs():
@@ -154,13 +157,14 @@ def test_intertwined_sweep_solves_no_lp(monkeypatch):
 
 
 def test_intertwined_sweep_splits_each_pair_once(monkeypatch):
-    """One block split and at most one polynomial per pair serve every dimension."""
+    """One split and at most one polynomial per distinct pair serve every size and dimension."""
     splits = []
     polynomials = []
+    real_split = geometry._blocks_by_side
 
-    def counting_split(u, X1, X2, _real=geometry._blocks_by_side):
+    def counting_split(u, X1, X2):
         splits.append((X1, X2))
-        return _real(u, X1, X2)
+        return real_split(u, X1, X2)
 
     def counting_polynomial(P, A, B, u, blocks, _real=geometry._separating_from_blocks):
         polynomials.append((A, B))
@@ -170,14 +174,41 @@ def test_intertwined_sweep_splits_each_pair_once(monkeypatch):
     monkeypatch.setattr(geometry, "_blocks_by_side", counting_split)
     monkeypatch.setattr(experiments, "_separating_from_blocks", counting_polynomial)
     monkeypatch.setattr(geometry, "_separating_from_blocks", counting_polynomial)
-    reports = verify_intertwined(max_points=5, max_d=3)
-    assert [rep.verdict for rep in reports] == ["match"] * 3
-    pairs = reports[0].computed["pairs"]
-    assert all(rep.computed["pairs"] == pairs for rep in reports)
-    assert len(splits) == pairs
-    assert len(polynomials) <= pairs
-    # every pair with at most max_d + 1 blocks, separated at d = max_d, gets its one polynomial
-    assert len(polynomials) == reports[-1].computed["separated"]
+    n, max_d = 5, 3
+    reports = verify_intertwined(max_points=n, max_d=max_d)
+    assert [rep.verdict for rep in reports] == ["match"] * max_d
+    # a label goes to A, to B or to neither; drop an empty part and halve for order
+    assert len(splits) == len(set(splits)) == (3**n - 2 ** (n + 1) + 1) // 2
+    # the counts still weigh each pair at every size n that holds it
+    sizes = range(2, n + 1)
+    assert reports[0].computed["pairs"] == sum((3**k - 2 ** (k + 1) + 1) // 2 for k in sizes)
+    u = {lab: lab for lab in range(1, n + 1)}
+    few_blocks = {(A, B) for A, B in splits if len(real_split(u, A, B)) <= max_d + 1}
+    assert len(polynomials) == len(set(polynomials))
+    assert set(polynomials) == few_blocks
+
+
+@pytest.mark.parametrize(
+    "max_points, max_d, want", [(7, 4, 98), (9, 4, 420), (5, 6, 16), (4, 1, 4), (2, 3, 0)]
+)
+def test_intertwined_sweep_decides_each_minimal_pair_once(monkeypatch, max_points, max_d, want):
+    """The integer kernel runs once per set of picks, on the minimal pair itself."""
+    calls = []
+
+    def counting(P, A, q, u, blocks, _real=geometry._intertwined_from_blocks):
+        picks = [blk[0] for blk in blocks]
+        assert all(len(blk) == 1 for blk in blocks)
+        assert len(picks) == P.d + 2 and A == frozenset(picks[::2])
+        calls.append(tuple(picks))
+        return _real(P, A, q, u, blocks)
+
+    monkeypatch.setattr(experiments, "_intertwined_from_blocks", counting)
+    reports = verify_intertwined(max_points, max_d)
+    assert [rep.verdict for rep in reports] == ["match"] * max_d
+    assert len(calls) == len(set(calls))
+    # every (d+2)-subset of the labels is the picks of one minimal pair, for d <= max_points - 2
+    top = min(max_d, max_points - 2)
+    assert len(calls) == sum(comb(max_points, d + 2) for d in range(1, top + 1)) == want
 
 
 def test_intertwined_reports_share_the_sweep_time():
