@@ -783,7 +783,6 @@ def verify_nonprimepower(r: int = 6, k: int = 2) -> ExperimentReport:
 def verify_bound_pipeline(
     K: SimplicialComplex,
     r: int,
-    d: int,
     placement: PointConfiguration,
     claimed: Optional[dict] = None,
     name: str = "bound-pipeline",
@@ -796,11 +795,11 @@ def verify_bound_pipeline(
     valid lower bound for the exact chromatic number and the report
     asserts that inequality; if a partition certificate shows up
     instead, the bound is reported as not applicable for this placement.
-    The greedy and fractional-width bounds are always reported.
+    The greedy and fractional-width bounds are always reported. The
+    dimension d is the placement's.
     """
     t0 = time.perf_counter()
-    if placement.d != d:
-        raise ValueError("placement dimension mismatch")
+    d = placement.d
     certified = certified_lower_bound(K, placement, r, cap=cap)
     absence = isinstance(certified, LowerBound)
     N = K.n - 1
@@ -837,7 +836,7 @@ def verify_bound_pipeline(
     )
 
 
-def pipeline_instance(name: str) -> tuple[SimplicialComplex, int, int, PointConfiguration, dict]:
+def pipeline_instance(name: str) -> tuple[SimplicialComplex, int, PointConfiguration, dict]:
     """Built-in instances for the bound pipeline, by name.
 
     cyclic-shift-cone, the coned six-cycle on hexagon plus center, is the
@@ -859,7 +858,7 @@ def pipeline_instance(name: str) -> tuple[SimplicialComplex, int, int, PointConf
             "greedy_colors": 4,
             "greedy_proper": True,
         }
-        return K, 2, 2, P, claimed
+        return K, 2, P, claimed
     if name == "kriz-line":
         K = simplex_complex(5).skeleton(0)
         P = moment_points([1, 2, 3, 4, 5, 6], 1)
@@ -871,7 +870,7 @@ def pipeline_instance(name: str) -> tuple[SimplicialComplex, int, int, PointConf
             "chi": 2,
             "kriz_ceiling": 2,
         }
-        return K, 3, 1, P, claimed
+        return K, 3, P, claimed
     if name == "k5-plane":
         K = simplex_complex(4).skeleton(1)
         P = PointConfiguration(2, {1: (0, 0), 2: (4, 0), 3: (1, 4), 4: (1, 1), 5: (2, 2)})
@@ -880,16 +879,16 @@ def pipeline_instance(name: str) -> tuple[SimplicialComplex, int, int, PointConf
             "chi": 1,
             "floor_formula": 2,
         }
-        return K, 2, 2, P, claimed
+        return K, 2, P, claimed
     raise ValueError(f"unknown pipeline instance {name!r}")
 
 
 def verify_pipeline(
     instance: str, max_vertices: int = DEFAULT_VERTEX_LIMIT, cap: int = DEFAULT_SEARCH_CAP
 ) -> ExperimentReport:
-    K, r, d, P, claimed = pipeline_instance(instance)
+    K, r, P, claimed = pipeline_instance(instance)
     return verify_bound_pipeline(
-        K, r, d, P, claimed, name=f"pipeline-{instance}", max_vertices=max_vertices, cap=cap
+        K, r, P, claimed, name=f"pipeline-{instance}", max_vertices=max_vertices, cap=cap
     )
 
 

@@ -22,18 +22,13 @@ dependence, no LP, and separating polynomials, both built and checked
 by substitution in integers (both read one parameter table, kept once
 per configuration: a common denominator q and the integer u = q*t of
 each label's curve parameter t), the strong general position test
-(first a certificate, one Radon dependence of the lifted points per
-(d+2)-subset with no zero proper sub-sum, that passes a configuration
-without the tuple search for two parts, and for any number of parts
-when n < 2(d+1), where no three parts fit under the codimension bound;
-otherwise, and when the certificate fails, the tuple search in
-homogeneous coordinates: stacked
-annihilators of the lifted points, their echelon basis extended by one
-subset per level, with a pivot in the last column meaning empty hulls),
-and the seeded placement routine for average-stability instances, which
-keeps its first draw for any number of parts. No absence rests on that
-test: the partition search prunes by codimension only where a theorem
-it checks from its own inputs covers the prune.
+(one tuple search in homogeneous coordinates for any number of parts:
+stacked annihilators of the lifted points, their echelon basis extended
+by one subset per level, with a pivot in the last column meaning empty
+hulls), and the seeded placement routine for average-stability
+instances, which keeps its first draw for any number of parts. No
+absence rests on that test: the partition search prunes by codimension
+only where a theorem it checks from its own inputs covers the prune.
 """
 
 from __future__ import annotations
@@ -47,7 +42,9 @@ from operator import le
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .hypergraphs import avg_stability_parameter, is_t_stable_on_average
-from .linalg import Echelon, extend_echelon, feasible_nonneg, nullspace, rank
+# rank is used by no function here; perfbench/selftest.py reads geometry.rank
+# to check that a traced run restores the binding, so the import stays.
+from .linalg import Echelon, extend_echelon, feasible_nonneg, nullspace, rank  # noqa: F401
 from .simplicial import SimplicialComplex, Simplex, _disjoint_tuples, complex_from_forbidden
 
 Point = tuple[Fraction, ...]
@@ -926,114 +923,15 @@ def strong_general_position_report(
     subset contains a small subset with the same affine hull. Larger
     sums are not checked. That is this package's convention, not Perles
     and Sigron's definition, under which such hulls must be empty, and
-    the tuple search sums each subset's actual codimension, so a
-    degenerate subset can carry a meeting tuple past d+1 unseen: the
-    collinear points (0,0,0), (1,1,1), (2,2,2) in R^3 pass for r = 2
-    with no tuple checked, yet the hulls of {1, 3} and {2} meet. For
-    each checked tuple the affine hulls must intersect in the expected
-    dimension, or be empty exactly when the codimension sum reaches d+1.
-    The tuple search (_sgp_tuple_search) walks them in a fixed order and
-    stops at the first violation or when more than cap tuples would be
-    checked.
-
-    For r = 2, and for any r when n < 2(d+1), one Radon dependence per
-    (d+2)-subset decides a passing configuration without the search
-    (Perles and Sigron, "Strong general position", 2014; step 4 covers
-    r >= 3). Lift each point p to p^ = (p, 1). The certificate
-    asks, when n >= d+2, that for every (d+2)-subset U the lifted points
-    have a one-dimensional null space, spanned by lambda, and that no
-    nonempty proper S of U has sum_S lambda = 0; as sum_U lambda = 0,
-    the sums over the subsets without U's last index suffice. When n <=
-    d+1 it asks that the lifted points be linearly independent. If it
-    holds, the search would check every pair and find no violation:
-
-    1. Every (d+1)-subset W is affinely independent. Were it dependent,
-       a U containing W would have a 2-dimensional null space or a
-       dependence supported on W, a zero entry of lambda. So every
-       subset has its expected codimension d+1-|A|, the pairs checked
-       are those with |A| + |B| >= d+1, and a pair with |A| + |B| = d+1
-       spans: its lifted spans meet only in 0, the hulls are empty, and
-       the codimensions sum to d+1 as required. (For n <= d+1 the
-       independence of all n lifted points gives the same directly.)
-    2. For |A| + |B| = d+2, with U = A u B, the lifted spans together
-       span R^(d+1), so they meet in a line, spanned by sum_A lambda_i
-       p^_i (nonzero, as A is independent). Its last coordinate is
-       sum_A lambda, so the hulls meet in a point, the expected
-       dimension 0, exactly when sum_A lambda != 0.
-    3. A larger pair contains nonempty A' in A and B' in B with |A'| +
-       |B'| = d+2, whose hulls meet by step 2, and its union spans R^(d+1)
-       by step 1. So its lifted spans meet in |A| + |B| - (d+1)
-       dimensions, not all at last coordinate 0: its hulls meet in the
-       expected dimension.
-
-    The number of pairs checked is then N, the unordered pairs of
-    disjoint subsets with 1 <= |A|, |B| <= min(d+1, n) and d+1 <= |A| +
-    |B| <= n. If N exceeds cap, the search would have stopped at its
-    (cap+1)-th tuple (its first, for cap < 1), and the same
-    SearchSpaceError is raised.
-
-    4. For r >= 3 the same holds when n < 2(d+1). By step 1 a tuple of
-       s >= 3 disjoint parts has codimension sum s(d+1) - (its total
-       size) >= 3(d+1) - n > d+1, so the search never checks it: it
-       checks exactly the pairs the r = 2 search checks, in the same
-       order, and returns the same (True, None, N), or stops at the
-       same cap.
-
-    So the certificate decides a passing configuration for r = 2, and
-    for every r when n < 2(d+1). Otherwise, and when the certificate
-    fails, the search decides.
-
-    Returns (holds, violating tuple or None, tuples checked).
-    """
-    if r < 2:
-        raise ValueError("need r >= 2")
-    if r == 2 or len(P) < 2 * (P.d + 1):
-        ipts = _scaled_integer_points(P)
-        if _two_part_radon_certificate([ipts[lab] for lab in P.labels], P.d):
-            checked = _two_part_pair_count(len(P), P.d)
-            limit = max(cap, 0)  # the search counts a tuple before it compares
-            if checked > limit:
-                raise SearchSpaceError(
-                    f"strong general position scan exceeded the cap {cap}", limit + 1, cap
-                )
-            return True, None, checked
-    return _sgp_tuple_search(P, r, cap)
-
-
-def _two_part_radon_certificate(points: Sequence[tuple[int, ...]], d: int) -> bool:
-    """The two-part certificate of strong_general_position_report, on integer points."""
-    lifted = [p + (1,) for p in points]
-    n = len(lifted)
-    if n <= d + 1:
-        return rank(lifted) == n
-    for U in combinations(lifted, d + 2):
-        null = nullspace(list(zip(*U)))
-        if len(null) != 1:
-            return False
-        sums = [0]
-        for lam in null[0][:-1]:
-            sums += [s + lam for s in sums]
-        if 0 in sums[1:]:
-            return False
-    return True
-
-
-def _two_part_pair_count(n: int, d: int) -> int:
-    """Pairs the r = 2 tuple search checks when every subset has its expected codimension."""
-    top = min(d + 1, n)
-    ordered = sum(
-        comb(n, a) * comb(n - a, b)
-        for a in range(1, top + 1)
-        for b in range(1, top + 1)
-        if d + 1 <= a + b <= n
-    )
-    return ordered // 2
-
-
-def _sgp_tuple_search(
-    P: PointConfiguration, r: int, cap: int
-) -> tuple[bool, Optional[tuple[Simplex, ...]], int]:
-    """The tuple search of strong_general_position_report, for any r >= 2.
+    the search sums each subset's actual codimension, so a degenerate
+    subset can carry a meeting tuple past d+1 unseen: the collinear
+    points (0,0,0), (1,1,1), (2,2,2) in R^3 pass for r = 2 with no tuple
+    checked, yet the hulls of {1, 3} and {2} meet. For each checked
+    tuple the affine hulls must intersect in the expected dimension, or
+    be empty exactly when the codimension sum reaches d+1. The tuples
+    are walked in a fixed order, and the scan stops at the first
+    violation or raises SearchSpaceError when more than cap tuples
+    would be checked.
 
     The test runs in homogeneous coordinates. Each point p is lifted to
     (p, 1), and each subset gets, once, an integer basis of the
@@ -1047,7 +945,11 @@ def _sgp_tuple_search(
     stack, so a leading column d puts e_(d+1) in the row space and the
     hulls are empty (codimension d+1); otherwise the actual codimension
     is the number of rows.
+
+    Returns (holds, violating tuple or None, tuples checked).
     """
+    if r < 2:
+        raise ValueError("need r >= 2")
     d = P.d
     ipts = _scaled_integer_points(P)
     labels = P.labels

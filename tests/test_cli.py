@@ -175,11 +175,12 @@ def test_tverberg_sgp_report(capsys):
 
 
 def test_tverberg_sgp_report_on_a_passing_configuration(capsys):
-    """The two-part certificate reports the tuple search's count, and the search's cap refusal."""
-    from kneser_tverberg.geometry import _sgp_tuple_search, moment_points
+    """A passing scan prints its tuple count; one cap below that count is refused."""
+    from kneser_tverberg.geometry import moment_points, strong_general_position_report
 
     argv = ["tverberg", "--sgp", "--moment", "1,2,4,8,16,32", "-d", "3"]
-    assert _sgp_tuple_search(moment_points([1, 2, 4, 8, 16, 32], 3), 2, 10**6) == (True, None, 220)
+    P = moment_points([1, 2, 4, 8, 16, 32], 3)
+    assert strong_general_position_report(P, 2) == (True, None, 220)
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out) == {
         "strong_general_position": True,

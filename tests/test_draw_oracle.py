@@ -10,6 +10,7 @@ draws. At seeds 0 to 4 every first draw passed it, so the single draws,
 the placements and the reports must all come out the same.
 """
 
+import functools
 import random
 from fractions import Fraction
 from itertools import islice
@@ -77,8 +78,13 @@ def _random_sgp_draws(r: int, d: int, seed: int) -> Iterator[PointConfiguration]
         yield draw_until_sgp(draw, r)
 
 
+@functools.lru_cache(maxsize=None)
 def sgp_placement(r: int, k: int, d: int, n: int, *, seed: int = 0):
-    """avg_stable_placement with the old redraw loop at every r."""
+    """avg_stable_placement with the old redraw loop at every r.
+
+    Memoized: two tests place each (r, k, d, n, seed), and each of its
+    scans walks every tuple, so each runs once in this module.
+    """
     K, _ = avg_stable_placement(r, k, d, n, seed=seed)
     rng = random.Random(seed)
 

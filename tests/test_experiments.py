@@ -284,6 +284,20 @@ def test_theorem_covered_draws_make_no_scan_call(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("family", ["kneser", "tverberg-random", "avg-stable", "pipeline"])
+def test_no_verified_result_calls_the_scan(monkeypatch, family):
+    """Every default instance matches with the strong general position scan raising."""
+
+    def scan(*args, **kwargs):
+        raise AssertionError("strong general position scan called")
+
+    monkeypatch.setattr(geometry, "strong_general_position_report", scan)
+    monkeypatch.setattr(geometry, "is_strong_general_position", scan)
+    reports = run_tasks(experiment_tasks(family))
+    assert len(reports) == len(FAMILIES[family].instances)
+    assert [rep.verdict for rep in reports] == ["match"] * len(reports)
+
+
 def test_pipeline_instances_match():
     for inst in ("kriz-line", "k5-plane"):
         rep = verify_pipeline(inst)

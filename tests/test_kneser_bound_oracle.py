@@ -89,7 +89,7 @@ def test_bound_for_another_hypergraph_is_refused(H):
 
 
 def test_meeting_faces_give_a_certificate_not_a_bound():
-    K, r, _, P, _ = pipeline_instance("k5-plane")
+    K, r, P, _ = pipeline_instance("k5-plane")
     out = certified_lower_bound(K, P, r)
     assert isinstance(out, TverbergCertificate)
     assert out.verify(P)

@@ -472,7 +472,7 @@ def test_kernels_match_the_bareiss_oracle_on_lifted_moment_curves():
     """Lifted points (p, 1) of moment-curve subsets, as rows and as columns.
 
     Rows are what hull_facets_oracle and the SGP annihilators eliminate;
-    columns are the Radon systems of the two-part SGP certificate.
+    columns are the Radon systems of up to d+2 of them.
     """
     rng = random.Random(20)
     for d in range(1, 5):

@@ -198,7 +198,7 @@ def pipeline_searches():
     """The restricted searches of the bound pipelines and of the avg-stable instances, seeds 0 to 2."""
     out = []
     for (name,) in PIPELINE_INSTANCES:
-        K, r, _, P, _ = pipeline_instance(name)
+        K, r, P, _ = pipeline_instance(name)
         out.append((P, r, K, False))
     for r, k, n in AVG_STABLE_INSTANCES:
         d = (r * (k - 1) - 1) // (r - 1)

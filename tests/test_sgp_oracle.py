@@ -12,18 +12,16 @@ instead; all three must return the same (holds, violating tuple, tuples
 checked) triple, DFS order and all, and must stop at the same count
 when the cap is exceeded.
 
-For two parts, and for any number of parts when n < 2(d+1), the public
-report first tries a certificate, one Radon dependence per
-(d+2)-subset, and only falls back to the tuple search when it fails. So
-every oracle comparison here checks the public report and the tuple
-search (_sgp_tuple_search) alike, and the certificate path is checked
-against the tuple search on its own below, at two, three and four
-parts.
+On configurations in general position the scan must also pass after
+exactly the number of pairs a closed form counts (pair_count), at two
+parts and, below 2(d+1) points, where no three parts fit under the
+codimension bound, at three.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Optional, Sequence
 
 import pytest
@@ -33,9 +31,6 @@ from kneser_tverberg.geometry import (
     PointConfiguration,
     SearchSpaceError,
     _scaled_integer_points,
-    _sgp_tuple_search,
-    _two_part_pair_count,
-    _two_part_radon_certificate,
     avg_stable_placement,
     moment_points,
     strong_general_position_report,
@@ -257,7 +252,6 @@ def test_scan_matches_barycentric_oracle_on_random_configurations():
         got = strong_general_position_report(P, r)
         want = oracle_report(P, r)
         assert got == want, (P.to_json_dict(), r)
-        assert _sgp_tuple_search(P, r, DEFAULT_SEARCH_CAP) == want, (P.to_json_dict(), r)
         violating += not got[0]
     # the generator must exercise both outcomes
     assert 50 < violating < 200
@@ -268,25 +262,18 @@ def test_scan_matches_oracle_on_moment_curves():
         P = moment_points(range(1, n + 1), d)
         want = oracle_report(P, r)
         assert strong_general_position_report(P, r) == want
-        assert _sgp_tuple_search(P, r, DEFAULT_SEARCH_CAP) == want
 
 
 def _same_outcome(P: PointConfiguration, r: int, cap: int = DEFAULT_SEARCH_CAP):
-    """The public report, the tuple search and the per-tuple elimination agree, cap overruns included."""
-    scans = (
-        lambda: strong_general_position_report(P, r, cap=cap),
-        lambda: _sgp_tuple_search(P, r, cap),
-    )
+    """The scan and the per-tuple elimination agree, cap overruns included."""
     try:
         want = elimination_report(P, r, cap=cap)
     except SearchSpaceError as exc:
-        for scan in scans:
-            with pytest.raises(SearchSpaceError) as got:
-                scan()
-            assert (got.value.estimate, got.value.cap) == (exc.estimate, exc.cap)
+        with pytest.raises(SearchSpaceError) as got:
+            strong_general_position_report(P, r, cap=cap)
+        assert (got.value.estimate, got.value.cap) == (exc.estimate, exc.cap)
         return None
-    for scan in scans:
-        assert scan() == want, (P.to_json_dict(), r)
+    assert strong_general_position_report(P, r, cap=cap) == want, (P.to_json_dict(), r)
     return want
 
 
@@ -306,8 +293,8 @@ def test_scan_matches_elimination_oracle_on_avg_stable_draws():
     """The draw avg_stable_placement(2, 4, 5, 10) keeps, then two smaller jittered draws.
 
     The smaller draws (8 points in R^3, jittered as the placement's are)
-    keep the full-size scan to one run while both kernels still walk
-    every tuple.
+    keep the full-size scan to one run while the scan and the oracle
+    still walk every tuple.
     """
     rng = random.Random(0)
     P = _jittered_moment_points(rng, 10, 5)
@@ -320,138 +307,62 @@ def test_scan_matches_elimination_oracle_on_avg_stable_draws():
 def test_scan_stops_at_the_elimination_oracles_cap():
     P = moment_points(range(1, 8), 4)
     full = elimination_report(P, 2)[2]
-    for cap in (1, 5, full - 1):
+    for cap in (-1, 0, 1, 5, full - 1):
         assert _same_outcome(P, 2, cap=cap) is None
     assert _same_outcome(P, 2, cap=full) == strong_general_position_report(P, 2)
 
 
-# -- the two-part certificate against the tuple search ------------------
+# -- pair counts in general position ----------------------------------
 
 
-def _outcome(scan):
-    try:
-        return scan()
-    except SearchSpaceError as exc:
-        return ("SearchSpaceError", str(exc), exc.estimate, exc.cap)
+def pair_count(n: int, d: int) -> int:
+    """Unordered pairs of disjoint subsets, each of 1 to d+1 points, of total size d+1 to n.
 
-
-def _certificate_matches_search(P: PointConfiguration, caps=(DEFAULT_SEARCH_CAP,), r: int = 2):
-    """Same triple or same cap error from the public report and the tuple search at r parts.
-
-    Returns the tuple search's outcome at the first cap.
+    These are the pairs the scan checks when every subset of at most d+1
+    of the n points has its expected codimension d+1 minus its size.
     """
-    outcomes = [_outcome(lambda: _sgp_tuple_search(P, r, cap)) for cap in caps]
-    for cap, want in zip(caps, outcomes):
-        got = _outcome(lambda: strong_general_position_report(P, r, cap=cap))
-        assert got == want, (P.to_json_dict(), r, cap)
-    return outcomes[0]
+    top = min(d + 1, n)
+    ordered = sum(
+        comb(n, a) * comb(n - a, b)
+        for a in range(1, top + 1)
+        for b in range(1, top + 1)
+        if d + 1 <= a + b <= n
+    )
+    return ordered // 2
 
 
-def _certificate_passes(P: PointConfiguration) -> bool:
-    ipts = _scaled_integer_points(P)
-    return _two_part_radon_certificate([ipts[lab] for lab in P.labels], P.d)
+def _random_generic_points(rng: random.Random, n: int, d: int) -> PointConfiguration:
+    """Random points with coordinates k/64, |k| <= 4096, as verify_tverberg_random draws them."""
+    return PointConfiguration(
+        d,
+        {
+            lab: tuple(Fraction(rng.randrange(-4096, 4097), 64) for _ in range(d))
+            for lab in range(1, n + 1)
+        },
+    )
 
 
-def test_certificate_matches_the_tuple_search_on_planted_degeneracies():
-    rng = random.Random(20)
-    holds = 0
-    for _ in range(300):
-        d = rng.randint(1, 4)
-        n = rng.randint(2, d + 3)
-        holds += _certificate_matches_search(_random_configuration(rng, d, n))[0]
-    # both outcomes, and both sides of n = d + 2
-    assert 50 < holds < 250
+def test_scan_passes_after_every_pair_in_general_position():
+    """Jittered moment-curve and random draws pass after exactly pair_count(n, d) tuples.
 
-
-def test_certificate_matches_the_tuple_search_on_moment_curves():
-    """Jittered draws pass; equally spaced parameters give both outcomes."""
+    Below 2(d+1) points three parts check the same pairs and nothing
+    more. Equally spaced parameters on the curve are not all in general
+    position: some of them fail.
+    """
     rng = random.Random(3)
+    assert pair_count(0, 3) == pair_count(1, 3) == 0
+    assert pair_count(3, 2) == 3
+    sizes = [(n, d) for d in range(1, 6) for n in range(1, 13) if pair_count(n, d) <= 3000]
+    assert (12, 1) in sizes and (8, 5) in sizes
     spaced_holds = []
-    sizes = [
-        (n, d)
-        for d in range(1, 6)
-        for n in range(d + 2, 13)
-        if _two_part_pair_count(n, d) <= 8000
-    ]
-    assert (12, 1) in sizes and (9, 5) in sizes
     for n, d in sizes:
-        want = (True, None, _two_part_pair_count(n, d))
-        assert _certificate_matches_search(_jittered_moment_points(rng, n, d)) == want
-        spaced_holds.append(_certificate_matches_search(moment_points(range(1, n + 1), d))[0])
+        want = (True, None, pair_count(n, d))
+        draws = (_jittered_moment_points(rng, n, d), _random_generic_points(rng, n, d))
+        for P in draws:
+            assert strong_general_position_report(P, 2) == want, (P.to_json_dict(), n, d)
+            if n < 2 * (d + 1):
+                assert strong_general_position_report(P, 3) == want, (P.to_json_dict(), n, d)
+        if n >= d + 2:
+            spaced = moment_points(range(1, n + 1), d)
+            spaced_holds.append(strong_general_position_report(spaced, 2)[0])
     assert 0 < sum(spaced_holds) < len(spaced_holds)
-
-
-def test_certificate_matches_the_tuple_search_on_few_points():
-    """n <= d + 1: the certificate asks for independent lifted points, the search decides the rest."""
-    rng = random.Random(5)
-    for d in range(1, 6):
-        assert _certificate_matches_search(PointConfiguration(d, {})) == (True, None, 0)
-        for n in range(1, d + 2):
-            P = _random_configuration(rng, d, n)
-            _certificate_matches_search(P)
-            _certificate_matches_search(_jittered_moment_points(rng, n, d))
-    one = PointConfiguration(3, {1: (1, 2, 3)})
-    assert _certificate_matches_search(one) == (True, None, 0)
-    triangle = PointConfiguration(2, {1: (0, 0), 2: (1, 0), 3: (0, 1)})
-    assert _certificate_matches_search(triangle) == (True, None, 3)
-    collinear = PointConfiguration(2, {1: (0, 0), 2: (1, 1), 3: (2, 2)})
-    assert _certificate_matches_search(collinear)[0] is False
-    repeated = PointConfiguration(2, {1: (0, 0), 2: (1, 2), 3: (0, 0)})
-    assert _certificate_matches_search(repeated)[0] is False
-    # a repeated point fails the certificate, but in R^3 no pair of three points
-    # has codimensions summing to d+1, so the search passes with nothing checked
-    repeated = PointConfiguration(3, {1: (0, 0, 0), 2: (1, 2, 3), 3: (0, 0, 0)})
-    assert _certificate_matches_search(repeated) == (True, None, 0)
-
-
-def test_certificate_stops_at_the_tuple_search_cap():
-    rng = random.Random(11)
-    configurations = [
-        _jittered_moment_points(rng, 8, 3),
-        _jittered_moment_points(rng, 7, 4),
-        _jittered_moment_points(rng, 4, 3),
-        moment_points(range(1, 7), 4),
-        PointConfiguration(2, {1: (0, 0), 2: (1, 0), 3: (0, 1), 4: (1, 1)}),
-    ]
-    for P in configurations:
-        N = _sgp_tuple_search(P, 2, DEFAULT_SEARCH_CAP)[2]
-        caps = (N, N - 1, 1, 5, 0, -1)
-        assert _certificate_matches_search(P, caps)[2] == N
-
-
-# -- the certificate at three and four parts ------------------------------
-
-
-def _caps_around(P: PointConfiguration, r: int) -> tuple[int, ...]:
-    N = _sgp_tuple_search(P, r, DEFAULT_SEARCH_CAP)[2]
-    return (DEFAULT_SEARCH_CAP, N, N - 1, 1, 0, -1)
-
-
-@pytest.mark.parametrize("r", [3, 4])
-def test_certificate_matches_the_tuple_search_at_more_parts(r):
-    """Random, planted-degenerate and moment-curve draws, on both sides of n = 2(d+1).
-
-    Below 2(d+1) points the public report takes the certificate at any r
-    and falls back to the search when it fails; from 2(d+1) on it always
-    searches. Sizes stay at n <= 8: a four-part tuple search on 11 points
-    in R^4 runs for minutes.
-    """
-    rng = random.Random(40 + r)
-    tally = {(below, passes): 0 for below in (True, False) for passes in (True, False)}
-    for d in range(1, 5):
-        for n in range(1, min(8, 2 * d + 3) + 1):
-            jittered = _jittered_moment_points(rng, n, d)
-            draws = [_random_configuration(rng, d, n) for _ in range(3)]
-            draws += [jittered, moment_points(range(1, n + 1), d)]
-            for P in draws:
-                got = _certificate_matches_search(P, _caps_around(P, r), r)
-                passes = _certificate_passes(P)
-                below = n < 2 * (d + 1)
-                if below and passes:
-                    assert got == (True, None, _two_part_pair_count(n, d))
-                tally[below, passes] += 1
-            # the avg-stable draws' shape passes on the certificate alone
-            assert _certificate_passes(jittered)
-    # every path is taken: the certificate alone, the fallback below the
-    # bound, and the search from 2(d+1) on with either certificate outcome
-    assert min(tally.values()) >= 10, tally
