@@ -513,8 +513,12 @@ def tverberg_search(
     one elimination decides.
 
     Tuples are checked in order of increasing total size, ties in face
-    order, so outcomes are deterministic. Raises SearchSpaceError when
-    the number of r-subsets of candidate faces exceeds cap.
+    order, so outcomes are deterministic. The totals stop at the
+    smaller of r times the largest face size and n: r disjoint faces
+    hold at most n labels between them, so a larger total has no tuple,
+    and a search whose threshold is above n reports its absence before
+    any scaling. Raises SearchSpaceError when the number of r-subsets
+    of candidate faces exceeds cap.
 
     P is scaled to integers once per search, by one common multiple L of
     all its coordinate denominators, and each face gets its list of
@@ -578,6 +582,10 @@ def tverberg_search(
         or bool(_curve_table(P) and (r == 2 or 2 * len(labels) < 3 * (d + 2)))
     )
     threshold = floor if codim_pruning else r
+    # r disjoint faces hold at most n labels, so no total above n has a tuple
+    top = min(r * (sizes[-1] if sizes else 0), len(labels))
+    if threshold > top:
+        return AbsenceReport(r, nf, 0, threshold, restrict_to is not None, codim_pruning)
 
     scale = lcm(*[x.denominator for c in P._coords for x in c])
     ipts = {
@@ -586,10 +594,9 @@ def tverberg_search(
     }
     face_ipts = [[ipts[lab] for lab in sorted(f)] for f in face_sets]
     boxes = [_box(pts) for pts in face_ipts]
-    max_size = sizes[-1] if sizes else 0
     curve = _curve_table(P) if r == 2 else False
     examined = 0
-    for total in range(threshold, r * max_size + 1):
+    for total in range(threshold, top + 1):
         for t in _disjoint_tuples(masks, sizes, r, total):
             examined += 1
             if not _boxes_meet([boxes[i] for i in t]):

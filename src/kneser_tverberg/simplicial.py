@@ -25,6 +25,7 @@ above `GROUND_LIMIT`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -126,12 +127,16 @@ def _disjoint_tuples(
     Yielded lazily in lexicographic order, so memory stays O(r) and a
     caller that stops early pays for nothing more. The weights must
     never decrease along the list: then a face too heavy for the parts
-    still to pick ends its level, and a prefix that cannot reach the
-    total even with the heaviest faces is skipped. The last three
-    arguments carry the walk's state down the recursion.
+    still to pick ends its level, and each level starts at the first
+    face of weight at least total - (r-1) * weights[-1], since the r-1
+    faces after a lighter one add at most (r-1) * weights[-1] and cannot
+    make up the total. On the last level that is the first face of the
+    needed weight, and a total out of reach starts past the end. The
+    last three arguments carry the walk's state down the recursion.
     """
-    if not masks or r * weights[-1] < total:
+    if not masks:
         return
+    start = bisect_left(weights, total - (r - 1) * weights[-1], start)
     if r == 1:
         for i in range(start, len(masks)):
             w = weights[i]
@@ -293,12 +298,18 @@ def complex_from_forbidden(forbidden: Iterable[Iterable[int]], n: int) -> Simpli
     result. A set is a face exactly when its complement meets every
     forbidden set, so the facets are the complements of the minimal
     transversals of the family. The ground-set cap applies as elsewhere.
+
+    The members are dualized in the caller's order, repeats dropped: the
+    order moves only the order of the transversals found, not which
+    they are, and the complex sorts its facets anyway. The checks run
+    over the family as a set.
     """
     if n < 0:
         raise ValueError("ground set size must be nonnegative")
     if n > GROUND_LIMIT:
         raise ValueError(f"forbidden-family construction refused for ground sets above {GROUND_LIMIT}")
-    fam = {frozenset(g) for g in forbidden}
+    members = [frozenset(g) for g in forbidden]
+    fam = set(members)
     for g in fam:
         if not g:
             raise ValueError("forbidden sets must be nonempty")
@@ -307,5 +318,5 @@ def complex_from_forbidden(forbidden: Iterable[Iterable[int]], n: int) -> Simpli
     if len(_maximal(fam)) < len(fam):
         raise ValueError("forbidden family must be an antichain")
     full = (1 << n) - 1
-    transversals = _minimal_transversals([_mask(g) for g in fam])
+    transversals = _minimal_transversals([_mask(g) for g in dict.fromkeys(members)])
     return SimplicialComplex(n, [_unmask(full & ~t) for t in transversals])

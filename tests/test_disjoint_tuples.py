@@ -62,8 +62,9 @@ def admitted_oracle(masks, sizes, r, threshold):
 
 
 def walk(masks, sizes, r, threshold):
+    """Every total from the threshold up, one past r times the heaviest weight."""
     top = r * sizes[-1] if sizes else 0
-    return [t for total in range(threshold, top + 1) for t in _disjoint_tuples(masks, sizes, r, total)]
+    return [t for total in range(threshold, top + 2) for t in _disjoint_tuples(masks, sizes, r, total)]
 
 
 def random_lists(rng):
@@ -84,29 +85,71 @@ def face_lists(rng):
     return masks, [fm.bit_count() for fm in masks]
 
 
-@pytest.mark.parametrize("make", [random_lists, face_lists], ids=["random", "faces"])
+def light_prefix_lists(rng):
+    """A long run of vertices and edges, then a few heavy faces, weighted by size."""
+    n = rng.randint(4, 10)
+    light = [1 << v for v in range(n)] + [(1 << a) | (1 << b) for a, b in combinations(range(n), 2)]
+    masks = rng.sample(light, rng.randint(min(8, len(light)), len(light)))
+    masks += [sum(1 << v for v in rng.sample(range(n), rng.randint(3, min(n, 5)))) for _ in range(rng.randint(0, 3))]
+    masks.sort(key=int.bit_count)
+    return masks, [fm.bit_count() for fm in masks]
+
+
+def union_size(masks):
+    """How many labels the masks hold between them."""
+    union = 0
+    for m in masks:
+        union |= m
+    return union.bit_count()
+
+
+@pytest.mark.parametrize(
+    "make", [random_lists, face_lists, light_prefix_lists], ids=["random", "faces", "light-prefix"]
+)
 def test_walk_matches_the_sorted_enumeration(make):
     rng = random.Random(2024)
+    beyond_union = 0
     for _ in range(250):
         masks, sizes = make(rng)
         r = rng.randint(2, 4)
         d = rng.randint(1, 3)
-        # no pruning, codimension pruning's (r-1)(d+1)+1, and a threshold beyond reach
-        for threshold in (r, (r - 1) * (d + 1) + 1, r * 4 + 1):
+        # no pruning, codimension pruning's (r-1)(d+1)+1, a threshold beyond
+        # reach, and one just above the labels the masks hold between them
+        labels = union_size(masks)
+        for threshold in (r, (r - 1) * (d + 1) + 1, r * 4 + 1, labels + 1):
             assert walk(masks, sizes, r, threshold) == admitted_oracle(masks, sizes, r, threshold)
+        if make is not random_lists:
+            # weights are sizes: no disjoint tuple holds more labels than the union
+            assert walk(masks, sizes, r, labels + 1) == []
+            beyond_union += bool(sizes) and r * sizes[-1] > labels
+    if make is not random_lists:
+        assert beyond_union >= 50
+
+
+def weight_lists(rng, m):
+    """All zero; a zero prefix of random length before a constant heavier tail; random steps."""
+    p = rng.randint(0, m)
+    w = rng.randint(1, 3)
+    return [[0] * m, [0] * p + [w] * (m - p), sorted(rng.randint(0, 3) for _ in range(m))]
 
 
 def test_zero_weights_give_every_disjoint_tuple_in_lex_order():
+    """Per total, the walk is the lex-ordered disjoint tuples of that weight, totals beyond reach included."""
     rng = random.Random(7)
     for _ in range(200):
         m = rng.randint(0, 12)
         masks = [rng.randrange(0, 1 << rng.randint(1, 8)) for _ in range(m)]
         for r in (1, 2, 3, 4):
-            want = [
+            disjoint = [
                 t for t in combinations(range(m), r)
                 if all(masks[a] & masks[b] == 0 for a, b in combinations(t, 2))
             ]
-            assert list(_disjoint_tuples(masks, [0] * m, r, 0)) == want
+            assert list(_disjoint_tuples(masks, [0] * m, r, 0)) == disjoint
+            for weights in weight_lists(rng, m):
+                top = r * weights[-1] if weights else 0
+                for total in range(0, top + 3):
+                    want = [t for t in disjoint if sum(weights[i] for i in t) == total]
+                    assert list(_disjoint_tuples(masks, weights, r, total)) == want
 
 
 def boxes_overlap(parts):
@@ -401,7 +444,9 @@ def test_codim_pruning_applies_exactly_where_a_theorem_covers_it(monkeypatch):
     """Three covered inputs prune and end as the full walk does; three uncovered ones walk unpruned.
 
     The walk's first total is read off the tuple walk itself: the floor
-    (r-1)(d+1)+1 where the prune applies, r where it does not.
+    (r-1)(d+1)+1 where the prune applies, r where it does not. Case (c)
+    has a floor of 11 above its 7 labels, which no r disjoint faces can
+    hold, so the pruned search reports its absence without a walk.
     """
     starts = []
     real = geometry._disjoint_tuples
@@ -436,7 +481,11 @@ def test_codim_pruning_applies_exactly_where_a_theorem_covers_it(monkeypatch):
         starts.clear()
         pruned = tverberg_search(P, r, K, codim_pruning=True)
         floor = (r - 1) * (P.d + 1) + 1
-        assert starts[0] == (floor if want else r)
+        if want and floor > len(P):
+            assert (r, len(P), starts) == (3, 7, [])
+            assert pruned.min_total_size == 11 and pruned.tuples_examined == 0
+        else:
+            assert starts[0] == (floor if want else r)
         if not want:
             assert pruned == full and not pruned.codim_pruning
         elif isinstance(full, TverbergCertificate):

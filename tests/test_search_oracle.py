@@ -305,6 +305,117 @@ def test_search_matches_the_per_tuple_loop(kind, monkeypatch):
         assert outcomes["certificate"] >= 40
 
 
+# -- totals capped at the label count ----------------------------------------
+
+
+def capped_avg_stable_searches():
+    """avg-stable placements, r = 2 at n = 8..11 and r = 3 at n = 7, 9, seeds 0 to 2, pruned as verify_avg_stable asks.
+
+    At r = 2 the faces hold at most 4 labels, so no walk passes 8 <= n
+    and none is cut; they check the walk's level starts. At r = 3 faces
+    of 5 labels could sum to 15 > n, so both walks are cut at n, and at
+    n = 7 the prune applies (2n < 3(d+2)) with its floor 11 above n.
+    """
+    out = []
+    for r, k, ns in ((2, 4, (8, 9, 10, 11)), (3, 4, (7, 9))):
+        d = (r * (k - 1) - 1) // (r - 1)
+        for n in ns:
+            for seed in range(3):
+                K, P = avg_stable_placement(r, k, d, n, seed=seed)
+                out.append((P, r, K, True))
+    return out
+
+
+def capped_pipeline_searches():
+    """The three bound pipelines' restricted searches, unpruned and pruned."""
+    out = []
+    for (name,) in PIPELINE_INSTANCES:
+        K, r, P, _ = pipeline_instance(name)
+        out += [(P, r, K, False), (P, r, K, True)]
+    return out
+
+
+def floor_above_labels_searches():
+    """Random complexes on fewer labels than the floor (r-1)(d+1)+1: on the moment curve, a grid and a line.
+
+    Off the curve no theorem covers the prune, so the walk starts at r
+    and stops at n; on the curve with r >= 3 and 2n < 3(d+2) the prune
+    applies and nothing is walked. Grid points repeat, and points on the
+    diagonal line repeat and line up, so many searches end with a
+    certificate.
+    """
+    rng = random.Random("floor-above-labels")
+    out = []
+    for _ in range(60):
+        r = rng.choice((2, 2, 3, 4))
+        d = rng.randint(1, 3)
+        n = max(r, min((r - 1) * (d + 1), 6) - rng.randint(0, 1))
+        kind = rng.random()
+        if kind < 0.3:
+            params = sorted(rng.sample([Fraction(i, 3) for i in range(-12, 13)], n))
+            P = moment_points(params, d)
+        elif kind < 0.6:
+            P = PointConfiguration(
+                d, {lab: tuple(rng.randint(0, 1) for _ in range(d)) for lab in range(1, n + 1)}
+            )
+        else:
+            P = PointConfiguration(d, {lab: (rng.randint(-3, 3),) * d for lab in range(1, n + 1)})
+        facets = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 3))]
+        out.append((P, r, SimplicialComplex(n, facets), rng.random() < 0.6))
+    return out
+
+
+CAPPED = {
+    "avg-stable": capped_avg_stable_searches,
+    "pipelines": capped_pipeline_searches,
+    "floor-above-labels": floor_above_labels_searches,
+}
+
+
+@pytest.mark.parametrize("kind", list(CAPPED))
+def test_search_matches_the_per_tuple_loop_where_the_labels_cap_the_totals(kind, monkeypatch):
+    """The per-tuple loop walks every total up to r times the largest face; the search stops at n, or before it starts.
+
+    Certificates must be the loop's, and absence reports the loop's
+    field for field. A search whose threshold is above n builds no box.
+    """
+    boxes = []
+    real = geometry._box
+
+    def counting(points):
+        boxes.append(points)
+        return real(points)
+
+    monkeypatch.setattr(geometry, "_box", counting)
+    outcomes = {"certificate": 0, "absence": 0, "cut": 0, "unwalked": 0}
+    for P, r, K, pruning in CAPPED[kind]():
+        boxes.clear()
+        got = tverberg_search(P, r, K, codim_pruning=pruning)
+        built = len(boxes)
+        pruned = pruning and covered(P, r, K is not None)
+        want = per_tuple_search(P, r, K, codim_pruning=pruned)
+        assert _same(got, want), (P.to_json_dict(), r, pruning)
+        if isinstance(want, AbsenceReport):
+            outcomes["absence"] += 1
+            fields = ("r", "n_faces", "tuples_examined", "min_total_size", "restricted", "codim_pruning")
+            assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+        else:
+            outcomes["certificate"] += 1
+        threshold = (r - 1) * (P.d + 1) + 1 if pruned else r
+        top = r * min(max(map(len, K.facets)), P.d + 1)
+        outcomes["cut"] += top > len(P)
+        if threshold > min(top, len(P)):
+            outcomes["unwalked"] += 1
+            assert built == 0 and isinstance(got, AbsenceReport) and got.tuples_examined == 0
+    if kind == "avg-stable":
+        assert outcomes == {"certificate": 0, "absence": 18, "cut": 6, "unwalked": 3}
+    if kind == "pipelines":
+        assert outcomes["absence"] >= 4 and outcomes["certificate"] >= 1
+    if kind == "floor-above-labels":
+        assert outcomes["cut"] >= 40 and outcomes["unwalked"] >= 5
+        assert outcomes["absence"] >= 10 and outcomes["certificate"] >= 10
+
+
 # -- the certificate check --------------------------------------------------
 
 

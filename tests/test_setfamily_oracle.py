@@ -9,6 +9,8 @@ oracle uses only old code):
   compares every generating set with every other.
 - `pairwise_complex_from_forbidden`: `complex_from_forbidden` checking
   the antichain condition on every ordered pair of members.
+- `hash_order_complex_from_forbidden`: `complex_from_forbidden`
+  dualizing the family in the set's hash order, not the caller's.
 - `induced_stable_avg_hypergraph`: `stable_avg_hypergraph` building
   KG^r(n,k) in full and then inducing it on the stable vertices.
 - `fraction_is_t_stable_on_average`: `is_t_stable_on_average` comparing
@@ -19,7 +21,7 @@ oracle uses only old code):
 The new kernels must give the same transversal lists, order included,
 on seeded random edge lists with repeated edges, empty edges and edges
 that are not an antichain; the same complexes or the same `ValueError`
-on random families; the same hypergraph for every (r, k, n) that
+on random families, shuffled and with repeats too; the same hypergraph for every (r, k, n) that
 `verify_avg_stable` accepts with n <= 12; and the same stability verdict
 on every subset of 1..n, n <= 12, at integer, fractional and float t,
 at each subset's own bound and just above it, and the same `ValueError`s
@@ -33,6 +35,7 @@ from typing import Iterable
 
 import pytest
 
+from kneser_tverberg import simplicial
 from kneser_tverberg.experiments import AVG_STABLE_INSTANCES, _is_prime_power
 from kneser_tverberg.hypergraphs import (
     Hypergraph,
@@ -47,6 +50,7 @@ from kneser_tverberg.simplicial import (
     SimplicialComplex,
     _face_key,
     _mask,
+    _maximal,
     _minimal_transversals,
     _unmask,
     complex_from_forbidden,
@@ -126,6 +130,32 @@ def pairwise_complex_from_forbidden(forbidden: Iterable[Iterable[int]], n: int) 
     full = (1 << n) - 1
     transversals = berge_minimal_transversals([_mask(g) for g in fam])
     return MaximalFilterComplex(n, [_unmask(full & ~t) for t in transversals])
+
+
+def hash_order_complex_from_forbidden(forbidden: Iterable[Iterable[int]], n: int) -> SimplicialComplex:
+    """Largest complex on 1..n none of whose faces contains a forbidden set.
+
+    The forbidden family must be an antichain of nonempty subsets of
+    1..n; it then comes back verbatim as the minimal nonfaces of the
+    result. A set is a face exactly when its complement meets every
+    forbidden set, so the facets are the complements of the minimal
+    transversals of the family. The ground-set cap applies as elsewhere.
+    """
+    if n < 0:
+        raise ValueError("ground set size must be nonnegative")
+    if n > GROUND_LIMIT:
+        raise ValueError(f"forbidden-family construction refused for ground sets above {GROUND_LIMIT}")
+    fam = {frozenset(g) for g in forbidden}
+    for g in fam:
+        if not g:
+            raise ValueError("forbidden sets must be nonempty")
+        if min(g) < 1 or max(g) > n:
+            raise ValueError(f"forbidden set {sorted(g)} is not a subset of 1..{n}")
+    if len(_maximal(fam)) < len(fam):
+        raise ValueError("forbidden family must be an antichain")
+    full = (1 << n) - 1
+    transversals = _minimal_transversals([_mask(g) for g in fam])
+    return SimplicialComplex(n, [_unmask(full & ~t) for t in transversals])
 
 
 def fraction_is_t_stable_on_average(subset: Iterable[int], n: int, t: Fraction | int) -> bool:
@@ -283,6 +313,45 @@ def test_bucketed_checks_match_the_all_pairs_checks():
         assert _same_complex(_outcome(SimplicialComplex, n, fam), _outcome(MaximalFilterComplex, n, fam))
     # every branch is reached often
     assert min(outcomes.values()) > 50, outcomes
+
+
+def _reorderings(rng: random.Random, fam: list) -> list[list]:
+    """The family shuffled, with repeats added, and with each member's own order reversed."""
+    shuffled = rng.sample(fam, len(fam))
+    repeated = shuffled + rng.choices(fam, k=rng.randint(1, 3)) if fam else []
+    return [shuffled, rng.sample(repeated, len(repeated)), [sorted(g, reverse=True) for g in repeated]]
+
+
+def test_forbidden_complex_ignores_the_order_and_repeats_of_its_members(monkeypatch):
+    """The same complex whatever the member order, and the hash-order version's first ValueError.
+
+    The transversal kernel sees the members in the caller's order, each
+    once: the order the callers' canonical lists already have.
+    """
+    seen = []
+
+    def recording(edges):
+        seen.append(edges)
+        return _minimal_transversals(edges)
+
+    monkeypatch.setattr(simplicial, "_minimal_transversals", recording)
+    rng = random.Random("member-order")
+    outcomes = {"complex": 0, "error": 0}
+    for fam, n in _families():
+        want = _outcome(hash_order_complex_from_forbidden, fam, n)
+        assert _same_complex(_outcome(complex_from_forbidden, fam, n), want), (fam, n)
+        if isinstance(want, SimplicialComplex):
+            outcomes["complex"] += 1
+            assert seen[-1] == list(dict.fromkeys(_mask(g) for g in fam))
+        else:
+            outcomes["error"] += 1
+        for members in _reorderings(rng, fam):
+            got = _outcome(complex_from_forbidden, members, n)
+            assert _same_complex(got, _outcome(hash_order_complex_from_forbidden, members, n)), (members, n)
+            assert _same_complex(got, want) or not isinstance(want, SimplicialComplex)
+            # a one-shot iterator is read once, for the checks and the kernel alike
+            assert _same_complex(_outcome(complex_from_forbidden, iter(members), n), got)
+    assert min(outcomes.values()) > 100, outcomes
 
 
 # -- the average-stability hypergraph and test ------------------------------
