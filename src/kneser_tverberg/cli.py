@@ -7,6 +7,11 @@ and run the named verification experiments. Output is JSON lines by
 default so runs can be diffed and piped; a table renderer covers
 interactive use.
 
+Every command takes --format json|table (or --table); --cap goes to
+tverberg and verify, --max-vertices to chi and verify, --seed and
+--jobs to verify. The top level takes only -h: an option given before
+the command, or to one that does not read it, is a usage error.
+
 Exit status: 0 when everything computed and every verdict matched,
 1 when any verdict mismatched, 2 for usage errors and refused sizes,
 3 for internal errors (an exact computation that contradicts itself,
@@ -333,23 +338,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
         "--format", choices=("json", "table"), default="json", help="output format"
     )
-    common.add_argument(
+    output.add_argument(
         "--table",
         dest="format",
         action="store_const",
         const="table",
         help="shorthand for --format table",
     )
-    common.add_argument("--jobs", type=int, default=1, help="ignored: experiments run serially")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized instances")
-    common.add_argument(
-        "--cap", type=int, default=DEFAULT_SEARCH_CAP, help="search-space size cap"
-    )
-    common.add_argument(
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP, help="search-space size cap")
+    limited = argparse.ArgumentParser(add_help=False)
+    limited.add_argument(
         "--max-vertices", type=int, default=DEFAULT_VERTEX_LIMIT, help="exact-solver vertex cap"
     )
 
@@ -357,45 +360,49 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kntv",
         description="Exact chromatic numbers of disjointness hypergraphs "
         "and partition certificates for point placements.",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("complex", parents=[common], help="build and describe a complex")
+    p = sub.add_parser("complex", parents=[output], help="build and describe a complex")
     _add_complex_args(p)
     p.set_defaults(fn=_cmd_complex)
 
-    p = sub.add_parser("kneser", parents=[common], help="build a disjointness hypergraph")
+    p = sub.add_parser("kneser", parents=[output], help="build a disjointness hypergraph")
     _add_hypergraph_args(p)
     p.set_defaults(fn=_cmd_kneser)
 
-    p = sub.add_parser("chi", parents=[common], help="exact chromatic number")
+    p = sub.add_parser("chi", parents=[output, limited], help="exact chromatic number")
     _add_hypergraph_args(p)
     p.set_defaults(fn=_cmd_chi)
 
-    p = sub.add_parser("bounds", parents=[common], help="width, fractional and floor bounds")
+    p = sub.add_parser("bounds", parents=[output], help="width, fractional and floor bounds")
     _add_complex_args(p)
     p.add_argument("-r", "--parts", type=int, default=2, help="tuple size (default 2)")
     p.add_argument("-d", "--dimension", type=int, help="placement dimension for the floor formula")
     p.add_argument("--greedy", action="store_true", help="also run the least-label coloring")
     p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("gale", parents=[common], help="cyclic polytope facets by evenness")
+    p = sub.add_parser("gale", parents=[output], help="cyclic polytope facets by evenness")
     p.add_argument("-n", type=int, required=True, help="number of vertices")
     p.add_argument("-d", "--dimension", type=int, required=True, help="polytope dimension")
     p.add_argument("--oracle", action="store_true", help="cross-check against the hull oracle")
     p.set_defaults(fn=_cmd_gale)
 
-    p = sub.add_parser("tverberg", parents=[common], help="partition certificate search")
+    p = sub.add_parser("tverberg", parents=[output, capped], help="partition certificate search")
     p.add_argument("--points", metavar="PTS", help="points, e.g. '0,0;4,0;1,4'")
     p.add_argument("--moment", metavar="PARAMS", help="moment curve parameters, e.g. '1,2,3,4'")
     p.add_argument("-d", "--dimension", type=int, help="ambient dimension for --moment")
     p.add_argument("-r", "--parts", type=int, default=2, help="number of parts")
-    p.add_argument("--sgp", action="store_true", help="report strong general position instead")
+    sgp = "report strong general position instead (it passes '0,0,0;1,1,1;2,2,2', wrongly)"
+    p.add_argument("--sgp", action="store_true", help=sgp)
     _add_complex_args(p)
     p.set_defaults(fn=_cmd_tverberg)
 
-    p = sub.add_parser("verify", parents=[common], help="run named verification experiments")
+    p = sub.add_parser(
+        "verify", parents=[output, capped, limited], help="run named verification experiments"
+    )
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized instances")
+    p.add_argument("--jobs", type=int, default=1, help="ignored: experiments run serially")
     p.add_argument(
         "names",
         nargs="*",

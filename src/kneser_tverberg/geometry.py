@@ -138,6 +138,27 @@ def moment_points(params: Sequence[Fraction | int | str], d: int) -> PointConfig
     )
 
 
+def _integer_points(P: PointConfiguration) -> tuple[int, dict[int, list[int]]]:
+    """(L, {label: L*p}) for L the least common multiple of P's denominators.
+
+    One positive scale keeps affine hulls, sides of hyperplanes, box
+    overlaps, annihilator ranks and pivot columns, and _hull_weights' weights.
+    """
+    scale = lcm(*[x.denominator for c in P._coords for x in c])
+    return scale, {
+        lab: [x.numerator * (scale // x.denominator) for x in c]
+        for lab, c in zip(P.labels, P._coords)
+    }
+
+
+def _small_subsets(labels: Sequence[int], d: int) -> list[Simplex]:
+    """The nonempty subsets of at most d+1 sorted labels, in (size, lex) order."""
+    return [
+        frozenset(c) for size in range(1, min(d + 1, len(labels)) + 1)
+        for c in combinations(labels, size)
+    ]
+
+
 # -- cyclic polytopes ------------------------------------------------
 
 
@@ -175,14 +196,15 @@ def hull_facets_oracle(P: PointConfiguration) -> tuple[Simplex, ...]:
     degenerate, and then S is rejected. A remaining point q lies on the
     side sign(a.q + b); a subset with points on both sides, or on the
     hyperplane, is rejected too, so for configurations in general
-    position this is the full facet list.
+    position this is the full facet list. It runs on _integer_points(P).
     """
     labels = P.labels
     if len(labels) < P.d + 1:
         raise ValueError("need at least d+1 points")
+    _, ipts = _integer_points(P)
     out = []
     for S in combinations(labels, P.d):
-        null = nullspace([(*P.point(lab), 1) for lab in S])
+        null = nullspace([[*ipts[lab], 1] for lab in S])
         if len(null) > 1:
             continue
         *a, b = null[0]
@@ -190,7 +212,7 @@ def hull_facets_oracle(P: PointConfiguration) -> tuple[Simplex, ...]:
         for lab in labels:
             if lab in S:
                 continue
-            val = sum(x * y for x, y in zip(a, P.point(lab))) + b
+            val = sum(x * y for x, y in zip(a, ipts[lab])) + b
             s = (val > 0) - (val < 0)
             if s == 0 or (sign and s != sign):
                 break
@@ -559,10 +581,7 @@ def tverberg_search(
             raise ValueError("complex vertices must match the point labels 1..n")
         face_sets = [f for f in restrict_to.faces(max_size=d + 1) if f]
     else:
-        face_sets = [
-            frozenset(c) for size in range(1, min(d + 1, len(labels)) + 1)
-            for c in combinations(labels, size)
-        ]
+        face_sets = _small_subsets(labels, d)
     masks = [sum(1 << pos[lab] for lab in f) for f in face_sets]
     sizes = [len(f) for f in face_sets]
     nf = len(face_sets)
@@ -587,11 +606,7 @@ def tverberg_search(
     if threshold > top:
         return AbsenceReport(r, nf, 0, threshold, restrict_to is not None, codim_pruning)
 
-    scale = lcm(*[x.denominator for c in P._coords for x in c])
-    ipts = {
-        lab: [x.numerator * (scale // x.denominator) for x in c]
-        for lab, c in zip(labels, P._coords)
-    }
+    scale, ipts = _integer_points(P)
     face_ipts = [[ipts[lab] for lab in sorted(f)] for f in face_sets]
     boxes = [_box(pts) for pts in face_ipts]
     curve = _curve_table(P) if r == 2 else False
@@ -897,28 +912,6 @@ def _separating_from_blocks(
 # -- strong general position ------------------------------------------
 
 
-def _scaled_integer_points(P: PointConfiguration) -> dict[int, tuple[int, ...]]:
-    """Clear denominators column by column.
-
-    Scaling each coordinate axis independently is an invertible linear
-    map, so it preserves affine hulls, their intersections, and all the
-    dimensions the strong general position test looks at. It is no
-    scale for the barycentric system: per-axis scales change the
-    simplex's column sums, and with them its pivots (see _hull_weights).
-    """
-    mults = [1] * P.d
-    for lab in P.labels:
-        for j, x in enumerate(P.point(lab)):
-            mults[j] = lcm(mults[j], x.denominator)
-    return {
-        lab: tuple(
-            int(x.numerator) * (mults[j] // x.denominator)
-            for j, x in enumerate(P.point(lab))
-        )
-        for lab in P.labels
-    }
-
-
 def strong_general_position_report(
     P: PointConfiguration, r: int, *, cap: int = DEFAULT_SEARCH_CAP
 ) -> tuple[bool, Optional[tuple[Simplex, ...]], int]:
@@ -940,36 +933,31 @@ def strong_general_position_report(
     violation or raises SearchSpaceError when more than cap tuples
     would be checked.
 
-    The test runs in homogeneous coordinates. Each point p is lifted to
-    (p, 1), and each subset gets, once, an integer basis of the
-    annihilator of the lifted points' span; its d - dim aff rows give
-    the subset's codimension. The affine hulls of a tuple meet in the
-    solutions of the stacked annihilators with last coordinate 1. The
-    DFS carries an echelon basis of that stack down its levels
-    (linalg.extend_echelon): choosing a subset reduces only its own
-    annihilator rows against the parent's basis, and the child's basis
-    decides the tuple. Its leading columns are the pivot columns of the
-    stack, so a leading column d puts e_(d+1) in the row space and the
-    hulls are empty (codimension d+1); otherwise the actual codimension
-    is the number of rows.
+    The test runs in homogeneous coordinates on P scaled to integers
+    (_integer_points). Each point p is lifted to (p, 1), and each subset
+    gets, once, an integer basis of the annihilator of the lifted
+    points' span; its d - dim aff rows give the subset's codimension.
+    The affine hulls of a tuple meet in the solutions of the stacked
+    annihilators with last coordinate 1. The DFS carries an echelon
+    basis of that stack down its levels (linalg.extend_echelon):
+    choosing a subset reduces only its own annihilator rows against the
+    parent's basis, and the child's basis decides the tuple. Its leading
+    columns are the pivot columns of the stack, so a leading column d
+    puts e_(d+1) in the row space and the hulls are empty (codimension
+    d+1); otherwise the actual codimension is the number of rows.
 
     Returns (holds, violating tuple or None, tuples checked).
     """
     if r < 2:
         raise ValueError("need r >= 2")
     d = P.d
-    ipts = _scaled_integer_points(P)
+    _, ipts = _integer_points(P)
     labels = P.labels
     pos = {lab: i for i, lab in enumerate(labels)}
 
-    # (size, lex) order, as combinations of the sorted labels come out
-    subsets: list[frozenset[int]] = [
-        frozenset(c)
-        for size in range(1, min(d + 1, len(labels)) + 1)
-        for c in combinations(labels, size)
-    ]
+    subsets = _small_subsets(labels, d)
     smasks = [sum(1 << pos[lab] for lab in f) for f in subsets]
-    annihilators = [nullspace([ipts[lab] + (1,) for lab in sorted(f)]) for f in subsets]
+    annihilators = [nullspace([[*ipts[lab], 1] for lab in sorted(f)]) for f in subsets]
     scodims = [len(rows) for rows in annihilators]
 
     checked = 0

@@ -175,9 +175,9 @@ class SimplicialComplex:
             raise ValueError("ground set size must be nonnegative")
         sets = {frozenset(f) for f in facets}
         sets.add(frozenset())
-        for f in sets:
-            if f and (min(f) < 1 or max(f) > n):
-                raise ValueError(f"facet {sorted(f)} is not a subset of 1..{n}")
+        bad = [f for f in sets if f and (min(f) < 1 or max(f) > n)]
+        if bad:  # the least by _face_key, so the error does not hang on the order given
+            raise ValueError(f"facet {list(min(map(_face_key, bad)))} is not a subset of 1..{n}")
         self.n = n
         self.facets = tuple(sorted(_maximal(sets), key=_face_key))
         # A list first: a tuple grown from a generator is reallocated as it
@@ -302,7 +302,8 @@ def complex_from_forbidden(forbidden: Iterable[Iterable[int]], n: int) -> Simpli
     The members are dualized in the caller's order, repeats dropped: the
     order moves only the order of the transversals found, not which
     they are, and the complex sorts its facets anyway. The checks run
-    over the family as a set.
+    over the family as a set, and an error names the least invalid
+    member by _face_key, so an empty one first, whatever the order.
     """
     if n < 0:
         raise ValueError("ground set size must be nonnegative")
@@ -310,11 +311,12 @@ def complex_from_forbidden(forbidden: Iterable[Iterable[int]], n: int) -> Simpli
         raise ValueError(f"forbidden-family construction refused for ground sets above {GROUND_LIMIT}")
     members = [frozenset(g) for g in forbidden]
     fam = set(members)
-    for g in fam:
+    bad = [g for g in fam if not g or min(g) < 1 or max(g) > n]
+    if bad:
+        g = min(map(_face_key, bad))
         if not g:
             raise ValueError("forbidden sets must be nonempty")
-        if min(g) < 1 or max(g) > n:
-            raise ValueError(f"forbidden set {sorted(g)} is not a subset of 1..{n}")
+        raise ValueError(f"forbidden set {list(g)} is not a subset of 1..{n}")
     if len(_maximal(fam)) < len(fam):
         raise ValueError("forbidden family must be an antichain")
     full = (1 << n) - 1

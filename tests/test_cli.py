@@ -1,12 +1,15 @@
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from kneser_tverberg.cli import main
+from kneser_tverberg import cli
+from kneser_tverberg.cli import build_parser, main
 from kneser_tverberg.experiments import ExperimentReport
 from kneser_tverberg.simplicial import GROUND_LIMIT
 
@@ -325,3 +328,125 @@ def test_verify_jobs_do_not_change_output(capsys):
         return out
 
     assert reports("1") == reports("4")
+
+
+COMMAND_OPTIONS = {
+    "complex": "--cone --facets --forbidden --format --ground --simplex --skeleton --table",
+    "kneser": "--cone --facets --forbidden --format --ground --parts --simplex --skeleton "
+    "--stable --subsets --table -r",
+    "chi": "--cone --facets --forbidden --format --ground --max-vertices --parts --simplex "
+    "--skeleton --stable --subsets --table -r",
+    "bounds": "--cone --dimension --facets --forbidden --format --greedy --ground --parts "
+    "--simplex --skeleton --table -d -r",
+    "gale": "--dimension --format --oracle --table -d -n",
+    "tverberg": "--cap --cone --dimension --facets --forbidden --format --ground --moment "
+    "--parts --points --sgp --simplex --skeleton --table -d -r",
+    "verify": "--cap --format --jobs --max-vertices --seed --table",
+}
+SHARED_DESTS = {"format", "jobs", "seed", "cap", "max_vertices"}
+
+
+def _commands(parser: argparse.ArgumentParser) -> dict:
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _options(parser: argparse.ArgumentParser) -> list[str]:
+    return sorted(s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help"))
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    """The top level takes only -h; the shared flags sit on the commands that read them.
+
+    --format and --table set one value, so the 8 parsers hold 13 settable
+    shared values: --format on all 7 commands, --max-vertices on chi,
+    --cap on tverberg, and --cap, --max-vertices, --seed, --jobs on verify.
+    """
+    parser = build_parser()
+    assert _options(parser) == []
+    commands = _commands(parser)
+    assert {name: _options(p) for name, p in commands.items()} == {
+        name: sorted(opts.split()) for name, opts in COMMAND_OPTIONS.items()
+    }
+    shared = [
+        dest
+        for p in [parser, *commands.values()]
+        for dest in {a.dest for a in p._actions} & SHARED_DESTS
+    ]
+    assert len(shared) == 13
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--cap 10 tverberg --moment 1,2,3,4,5,6,7 -d 2 -r 3",
+        "--max-vertices 5 chi --subsets 2 --ground 5",
+        "--seed 1 verify kneser 2 5",
+        "--jobs 4 verify kneser 2 5",
+        "--table chi --subsets 2 --ground 5",
+        "gale -n 5 -d 2 --seed 3",
+        "gale -n 5 -d 2 --cap 1",
+        "chi --subsets 2 --ground 5 --cap 10",
+        "tverberg --moment 1,2,3,4,5 -d 1 --max-vertices 5",
+        "tverberg --moment 1,2,3,4,5 -d 1 --seed 3",
+        "complex --simplex 2 --jobs 2",
+    ],
+)
+def test_an_option_the_command_would_not_read_is_a_usage_error(monkeypatch, capsys, argv):
+    """Exit 2 from argparse before any computation, never a silently dropped guard."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("computed despite a usage error")
+
+    for name in ("tverberg_search", "chromatic_number", "run_tasks", "gale_facets", "simplex_complex"):
+        monkeypatch.setattr(cli, name, recording)
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(argv))
+    assert exc.value.code == 2 and calls == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage: kntv" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "complex --forbidden '1,3 2,4' --ground 4",
+        "kneser --subsets 2 --ground 5",
+        "chi --subsets 2 --ground 5",
+        "bounds --simplex 5 --skeleton 0 -r 3 -d 1",
+        "gale -n 6 -d 2",
+        "tverberg --moment 1,2,3,4,5 -d 1 -r 3",
+        "verify kneser 2 5",
+    ],
+    ids=lambda argv: argv.split()[0],
+)
+def test_every_command_takes_the_table_shorthand(capsys, argv):
+    assert main([*shlex.split(argv), "--table"]) == 0
+    out = capsys.readouterr().out
+    assert out and not out.lstrip().startswith("{")
+
+
+def _readme_commands() -> list[str]:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("kntv ")]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [line for line in _readme_commands() if shlex.split(line, comments=True)[1:] != ["verify", "all"]],
+)
+def test_readme_command_line_examples_run(capsys, line):
+    """Each README example exits 0 and prints JSON lines; `verify all` runs in its own fixture."""
+    argv = shlex.split(line, comments=True)
+    assert argv[0] == "kntv"
+    assert main(argv[1:]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(isinstance(json.loads(out), dict) for out in lines)
+
+
+def test_readme_command_block_is_found():
+    """The parametrized README test above would collect nothing if the block moved."""
+    assert "kntv verify all" in [" ".join(shlex.split(line, comments=True)) for line in _readme_commands()]

@@ -43,7 +43,7 @@ from kneser_tverberg.geometry import (
     _box,
     _boxes_meet,
     _curve_table,
-    _scaled_integer_points,
+    _integer_points,
     avg_stable_placement,
     conv_intersect,
     moment_points,
@@ -108,7 +108,7 @@ def per_tuple_search(P, r, restrict_to=None, *, cap=DEFAULT_SEARCH_CAP, codim_pr
         # total codimension sum((d+1) - size_i) must stay at most d
         threshold = max(threshold, (r - 1) * (d + 1) + 1)
 
-    ipts = _scaled_integer_points(P)
+    _, ipts = _integer_points(P)
     boxes = [_box([ipts[lab] for lab in f]) for f in face_sets]
     face_points = [P.subset(f) for f in face_sets]
     max_size = sizes[-1] if sizes else 0

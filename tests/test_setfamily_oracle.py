@@ -1,7 +1,9 @@
 """The set-family kernels against the versions they replaced.
 
 Copied verbatim below (renamed; calls routed to the copies, so each
-oracle uses only old code):
+oracle uses only old code), except that the three complex builders
+check their members in `_face_key` order, so their first `ValueError`
+is the one the package raises whatever the member order:
 
 - `berge_minimal_transversals`: `_minimal_transversals` testing every
   candidate against every transversal that meets the new edge.
@@ -94,7 +96,7 @@ class MaximalFilterComplex(SimplicialComplex):
             raise ValueError("ground set size must be nonnegative")
         sets = {frozenset(f) for f in facets}
         sets.add(frozenset())
-        for f in sets:
+        for f in sorted(sets, key=_face_key):
             if f and (min(f) < 1 or max(f) > n):
                 raise ValueError(f"facet {sorted(f)} is not a subset of 1..{n}")
         maximal = [f for f in sets if not any(f < g for g in sets)]
@@ -119,7 +121,7 @@ def pairwise_complex_from_forbidden(forbidden: Iterable[Iterable[int]], n: int) 
     if n > GROUND_LIMIT:
         raise ValueError(f"forbidden-family construction refused for ground sets above {GROUND_LIMIT}")
     fam = {frozenset(g) for g in forbidden}
-    for g in fam:
+    for g in sorted(fam, key=_face_key):
         if not g:
             raise ValueError("forbidden sets must be nonempty")
         if min(g) < 1 or max(g) > n:
@@ -146,7 +148,7 @@ def hash_order_complex_from_forbidden(forbidden: Iterable[Iterable[int]], n: int
     if n > GROUND_LIMIT:
         raise ValueError(f"forbidden-family construction refused for ground sets above {GROUND_LIMIT}")
     fam = {frozenset(g) for g in forbidden}
-    for g in fam:
+    for g in sorted(fam, key=_face_key):
         if not g:
             raise ValueError("forbidden sets must be nonempty")
         if min(g) < 1 or max(g) > n:
@@ -352,6 +354,37 @@ def test_forbidden_complex_ignores_the_order_and_repeats_of_its_members(monkeypa
             # a one-shot iterator is read once, for the checks and the kernel alike
             assert _same_complex(_outcome(complex_from_forbidden, iter(members), n), got)
     assert min(outcomes.values()) > 100, outcomes
+
+
+BAD_FAMILY = [
+    (2, 5), (2, 5), (3, 4, 8), (1, 3, 4, 8), (2, 3, 6, 7, 8), (2, 4, 5), (5, 6, 7),
+    (5, 6, 7), (10,), (1, 2, 9), (2, 9), (1, 2, 5, 6, 7, 9), (),
+]
+
+
+@pytest.mark.parametrize(
+    "build, members, message",
+    [
+        (complex_from_forbidden, BAD_FAMILY, "forbidden sets must be nonempty"),
+        (
+            complex_from_forbidden,
+            [g for g in BAD_FAMILY if g] + [(0, 3), (2, 11), (-1, 4, 12)],
+            "forbidden set [-1, 4, 12] is not a subset of 1..9",
+        ),
+        (
+            lambda fam, n: SimplicialComplex(n, fam),
+            BAD_FAMILY + [(0, 3), (2, 11), (9, 10), (1, 10)],
+            "facet [0, 3] is not a subset of 1..9",
+        ),
+    ],
+    ids=["empty-first", "least-out-of-range", "constructor"],
+)
+def test_a_bad_family_raises_the_same_error_in_any_order(build, members, message):
+    """The empty member first, then the least member outside 1..n by _face_key, however listed."""
+    rng = random.Random(1)
+    for _ in range(40):
+        members = rng.sample(members, len(members))
+        assert _outcome(build, members, 9) == ("ValueError", message)
 
 
 # -- the average-stability hypergraph and test ------------------------------

@@ -30,7 +30,7 @@ from kneser_tverberg.geometry import (
     DEFAULT_SEARCH_CAP,
     PointConfiguration,
     SearchSpaceError,
-    _scaled_integer_points,
+    _integer_points,
     avg_stable_placement,
     moment_points,
     strong_general_position_report,
@@ -77,7 +77,7 @@ def _mu_system(parts_pts: list[list[tuple[int, ...]]], d: int) -> tuple[int, int
 
 def oracle_report(P: PointConfiguration, r: int, *, cap: int = DEFAULT_SEARCH_CAP):
     d = P.d
-    ipts = _scaled_integer_points(P)
+    _, ipts = _integer_points(P)
     labels = P.labels
     pos = {lab: i for i, lab in enumerate(labels)}
 
@@ -158,7 +158,7 @@ def elimination_report(
     if r < 2:
         raise ValueError("need r >= 2")
     d = P.d
-    ipts = _scaled_integer_points(P)
+    _, ipts = _integer_points(P)
     labels = P.labels
     pos = {lab: i for i, lab in enumerate(labels)}
 
@@ -169,7 +169,7 @@ def elimination_report(
         for c in combinations(labels, size)
     ]
     smasks = [sum(1 << pos[lab] for lab in f) for f in subsets]
-    annihilators = [nullspace([ipts[lab] + (1,) for lab in sorted(f)]) for f in subsets]
+    annihilators = [nullspace([[*ipts[lab], 1] for lab in sorted(f)]) for f in subsets]
     scodims = [len(rows) for rows in annihilators]
 
     checked = 0
