@@ -10,7 +10,9 @@ interactive use.
 Every command takes --format json|table (or --table); --cap goes to
 tverberg and verify, --max-vertices to chi and verify, --seed and
 --jobs to verify. The top level takes only -h: an option given before
-the command, or to one that does not read it, is a usage error.
+the command, or to one that does not read it, is a usage error, and one
+given before the command is named in the error with the commands that
+read it.
 
 Exit status: 0 when everything computed and every verdict matched,
 1 when any verdict mismatched, 2 for usage errors and refused sizes,
@@ -414,8 +416,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _misplaced_option(parser: argparse.ArgumentParser, argv: list[str]) -> Optional[str]:
+    """The usage error for a command's option given before the command, else None.
+
+    Left to argparse, `kntv --cap 10 tverberg` reads 10 as the command
+    and names the wrong token.
+    """
+    if not argv or not argv[0].startswith("-"):
+        return None
+    option = argv[0].split("=", 1)[0]
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    readers = [name for name, p in commands.items() if option in p._option_string_actions]
+    if option in parser._option_string_actions or not readers:
+        return None
+    return f"{option} belongs after the command ({', '.join(readers)})"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    misplaced = _misplaced_option(parser, argv)
+    if misplaced:
+        parser.error(misplaced)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -10,7 +10,9 @@ with no tolerances.
 
 Experiments are pure given their parameters: fixed seeds, canonical
 enumeration orders, exact arithmetic. Wall time is reported but never
-compared.
+compared. The random set families are drawn by `_random_subset`, which
+reads the generator's bits itself and gives exactly the sets, and the
+generator states, that random.sample gives.
 
 Each experiment family is one entry of the FAMILIES table: its default
 instances, how its instance parameters are read, and how one instance
@@ -67,7 +69,7 @@ from .hypergraphs import (
     stable_avg_hypergraph,
     width,
 )
-from .simplicial import SimplicialComplex, complex_from_forbidden, simplex_complex
+from .simplicial import GROUND_LIMIT, SimplicialComplex, complex_from_forbidden, simplex_complex
 
 
 @dataclass(frozen=True)
@@ -221,10 +223,44 @@ def verify_schrijver(
 # -- structural lemmas on random inputs --------------------------------
 
 
+def _random_subset(rng: random.Random, n: int) -> frozenset[int]:
+    """A random nonempty subset of 1..n, read from rng.getrandbits directly.
+
+    It is frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))), and
+    rng is left in the state that expression leaves it in. Both calls
+    draw through Random._randbelow_with_getrandbits: a draw below m takes
+    m.bit_length() bits, and takes them again while the value is at
+    least m. The size is 1 plus a draw k below n. Then sample's pool
+    branch picks k + 1 labels: a draw j below the number of labels left
+    picks pool[j], and the last label left moves into its place. sample
+    takes that branch for every size whenever n <= 21; above that it may
+    keep its picks in a set instead, so for n > 21 the helper calls
+    rng.sample itself. tests/test_subset_draw_oracle.py pins this,
+    generator state included.
+    """
+    if n > 21:
+        return frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    k = getrandbits(bits)
+    while k >= n:
+        k = getrandbits(bits)
+    pool = list(range(1, n + 1))
+    picks = []
+    for left in range(n, n - k - 1, -1):
+        bits = left.bit_length()
+        j = getrandbits(bits)
+        while j >= left:
+            j = getrandbits(bits)
+        picks.append(pool[j])
+        pool[j] = pool[left - 1]
+    return frozenset(picks)
+
+
 def _random_antichain(rng: random.Random, n: int) -> list[frozenset[int]]:
     """Inclusion-minimal members of 1..2n random nonempty subsets of 1..n (never empty)."""
     m = rng.randint(1, 2 * n)
-    fam = [frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(m)]
+    fam = [_random_subset(rng, n) for _ in range(m)]
     return list(minimize_system(fam))
 
 
@@ -239,9 +275,16 @@ def verify_roundtrip(count: int = 200, max_ground: int = 8, seed: int = 0) -> Ex
     construction's vertices are exactly K's minimal nonfaces, in the
     same canonical order; they are compared with minimize_system(G)
     directly.
+
+    Each instance draws n in 3..max_ground, then r in {2, 3}, then G:
+    the minimal members of 1..2n random nonempty subsets of 1..n, each
+    drawn by _random_subset, the same sets as random.sample's. Since the
+    complex is built on 1..n, max_ground may not exceed GROUND_LIMIT.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    if not 3 <= max_ground <= GROUND_LIMIT:
+        raise ValueError(f"max_ground must be between 3 and {GROUND_LIMIT}, got {max_ground}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     agree = 0
@@ -273,18 +316,22 @@ def verify_dismantle(count: int = 100, max_ground: int = 7, seed: int = 0) -> Ex
     superset is disjoint from fewer sets, and any proper coloring of the
     minimal members extends by giving each superset the color of a
     member inside it.
+
+    Each instance draws n in 3..max_ground, then m in 1..18, then m
+    random nonempty subsets of 1..n by _random_subset, the same sets as
+    random.sample's.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    if max_ground < 3:
+        raise ValueError(f"max_ground must be at least 3, got {max_ground}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     agree = 0
     for _ in range(count):
         n = rng.randint(3, max_ground)
         m = rng.randint(1, 18)
-        fam = [
-            frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(m)
-        ]
+        fam = [_random_subset(rng, n) for _ in range(m)]
         chi_full = _chi(intersection_hypergraph(fam, 2))[0]
         chi_min = _chi(intersection_hypergraph(minimize_system(fam), 2))[0]
         if chi_full == chi_min:

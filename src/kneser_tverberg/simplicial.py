@@ -133,10 +133,29 @@ def _disjoint_tuples(
     make up the total. On the last level that is the first face of the
     needed weight, and a total out of reach starts past the end. The
     last three arguments carry the walk's state down the recursion.
+    The last two levels are one pair of loops, with the same starts and
+    breaks, so a pair costs no generator of its own.
     """
     if not masks:
         return
     start = bisect_left(weights, total - (r - 1) * weights[-1], start)
+    if r == 2:
+        end = len(masks)
+        for i in range(start, end - 1):
+            w = weights[i]
+            if w * 2 > total:
+                break
+            m = masks[i]
+            if m & union:
+                continue
+            m |= union
+            rest = total - w
+            for j in range(bisect_left(weights, rest, i + 1), end):
+                if weights[j] > rest:
+                    break
+                if not masks[j] & m:
+                    yield prefix + (i, j)
+        return
     if r == 1:
         for i in range(start, len(masks)):
             w = weights[i]

@@ -394,6 +394,11 @@ def test_each_command_takes_only_the_options_it_reads():
 )
 def test_an_option_the_command_would_not_read_is_a_usage_error(monkeypatch, capsys, argv):
     """Exit 2 from argparse before any computation, never a silently dropped guard."""
+    assert "usage: kntv" in usage_error(monkeypatch, capsys, argv)
+
+
+def usage_error(monkeypatch, capsys, argv):
+    """Standard error of a run that must exit 2 with no output and nothing computed."""
     calls = []
 
     def recording(*args, **kwargs):
@@ -406,7 +411,26 @@ def test_an_option_the_command_would_not_read_is_a_usage_error(monkeypatch, caps
         main(shlex.split(argv))
     assert exc.value.code == 2 and calls == []
     captured = capsys.readouterr()
-    assert captured.out == "" and "usage: kntv" in captured.err
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, option, readers",
+    [
+        ("--cap 10 tverberg --moment 1,2,3,4,5,6,7 -d 2 -r 3", "--cap", "(tverberg, verify)"),
+        ("--max-vertices 5 chi --subsets 2 --ground 5", "--max-vertices", "(chi, verify)"),
+        ("--seed 1 verify kneser 2 5", "--seed", "(verify)"),
+        ("--jobs=4 verify kneser 2 5", "--jobs", "(verify)"),
+    ],
+    ids=["cap", "max-vertices", "seed", "jobs"],
+)
+def test_an_option_before_the_command_is_named_in_the_error(monkeypatch, capsys, argv, option, readers):
+    """The error names the misplaced option and the commands that read it, not its value."""
+    err = usage_error(monkeypatch, capsys, argv)
+    assert "usage: kntv" in err
+    assert f"error: {option} belongs after the command {readers}" in err
+    assert "invalid choice" not in err
 
 
 @pytest.mark.parametrize(

@@ -152,6 +152,35 @@ def test_zero_weights_give_every_disjoint_tuple_in_lex_order():
                     assert list(_disjoint_tuples(masks, weights, r, total)) == want
 
 
+def test_pair_level_with_ties_at_half_the_total_and_a_heavy_tail():
+    """r = 2: light faces, a run of faces at exactly total / 2, then heavier faces.
+
+    A light first face's partner loop starts by bisection past the tied
+    run, among the heavy faces; a pair inside the tied run is admitted;
+    the first face past total / 2 ends the outer loop; and each partner
+    loop ends at the first face heavier than the rest of the total.
+    """
+    rng = random.Random(31)
+    tied = crossed = 0
+    for _ in range(300):
+        half = rng.randint(1, 4)
+        total = 2 * half
+        light = sorted(rng.randint(0, half - 1) for _ in range(rng.randint(0, 4)))
+        heavy = sorted(rng.randint(half + 1, total + 3) for _ in range(rng.randint(1, 5)))
+        weights = light + [half] * rng.randint(2, 6) + heavy
+        m = len(weights)
+        masks = [rng.randrange(0, 1 << rng.randint(2, 7)) for _ in range(m)]
+        for t in (total - 1, total, total + 1):
+            want = [
+                p for p in combinations(range(m), 2)
+                if not masks[p[0]] & masks[p[1]] and weights[p[0]] + weights[p[1]] == t
+            ]
+            assert list(_disjoint_tuples(masks, weights, 2, t)) == want
+            tied += t == total and any(weights[i] == half for i, _ in want)
+            crossed += any(weights[i] < half < weights[j] for i, j in want)
+    assert tied >= 100 and crossed >= 100
+
+
 def boxes_overlap(parts):
     """Whether the parts' coordinate intervals, in Fractions, overlap in every coordinate."""
     return all(

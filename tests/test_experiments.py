@@ -21,11 +21,13 @@ from kneser_tverberg.experiments import (
     verify_schrijver,
     verify_spherical,
     verify_avg_stable,
+    verify_dismantle,
     verify_stable_faces,
     verify_tverberg_random,
 )
 from kneser_tverberg.geometry import moment_points
 from kneser_tverberg.hypergraphs import width
+from kneser_tverberg.simplicial import GROUND_LIMIT
 
 
 def test_report_json_shape():
@@ -226,6 +228,20 @@ def test_intertwined_sweep_refuses_an_empty_range(max_points, max_d):
 def test_tverberg_random_refuses_a_negative_count():
     with pytest.raises(ValueError, match="count must be nonnegative, got -4"):
         verify_tverberg_random(2, 1, -4)
+
+
+@pytest.mark.parametrize("verify", [verify_roundtrip, verify_dismantle])
+def test_random_families_refuse_a_ground_below_three(verify):
+    with pytest.raises(ValueError, match="max_ground must be .*3.*, got 2"):
+        verify(5, 2)
+
+
+def test_roundtrip_refuses_a_ground_above_the_limit_before_drawing():
+    """Refused up front, whatever the seed's draws would reach, even with nothing to draw."""
+    message = f"max_ground must be between 3 and {GROUND_LIMIT}, got {GROUND_LIMIT + 1}"
+    for count in (0, 5):
+        with pytest.raises(ValueError, match=message):
+            verify_roundtrip(count, GROUND_LIMIT + 1)
 
 
 def test_roundtrip_experiment_small():
