@@ -47,7 +47,6 @@ from .coloring import (
 from .geometry import (
     DEFAULT_SEARCH_CAP,
     PointConfiguration,
-    TverbergCertificate,
     _avg_stable_placement,
     _blocks_by_side,
     _curve_table,
@@ -57,7 +56,7 @@ from .geometry import (
     gale_facets,
     hull_facets_oracle,
     moment_points,
-    tverberg_search,
+    tverberg_partition,
 )
 from .hypergraphs import (
     avg_stability_parameter,
@@ -488,7 +487,7 @@ def verify_stable_faces(n: int, d: int) -> ExperimentReport:
 
 
 def _random_draws(r: int, d: int, seed: int) -> Iterator[PointConfiguration]:
-    """The configurations verify_tverberg_random searches, in order, without end.
+    """The configurations verify_tverberg_random constructs or searches, in order, without end.
 
     Each has (r-1)(d+1)+1 points with coordinates k/64, |k| <= 4096.
     """
@@ -507,33 +506,37 @@ def _random_draws(r: int, d: int, seed: int) -> Iterator[PointConfiguration]:
 def verify_tverberg_random(r: int, d: int, count: int = 25, seed: int = 0) -> ExperimentReport:
     """Random configurations of (r-1)(d+1)+1 points always partition.
 
-    Each configuration is drawn once and searched from total size
-    n = (r-1)(d+1)+1 (codim_pruning); the claim is a certificate every
-    time, and every certificate is re-verified from scratch.
-
-    The floor hides no partition, degenerate draws included, so the
-    search needs no unpruned fallback. Tverberg's theorem gives the n
-    points an r-partition whose hulls meet, and Caratheodory's theorem
-    shrinks each part to at most d+1 points that still hold the common
-    point. Adding the unused points back keeps the hulls meeting, since
-    hulls only grow, and they always fit, since r(d+1) >= n. That gives
-    a meeting tuple of faces of total exactly n, the only total the
-    search walks.
+    Each configuration is drawn once and handed to tverberg_partition;
+    the claim is a certificate every time, and every certificate is
+    re-verified from scratch. No draw needs general position:
+    - r = 2 (Radon): n = d+2 lifted points (p, 1) in Q^(d+1) are
+      linearly dependent, and any nonzero dependence v sums to 0 on the
+      ones row, so its positive and negative supports are two nonempty
+      parts, and weights v_i over the positive sum put both at one point.
+    - d = 1, r >= 3: with the points sorted, the r-th smallest m lies
+      between the i-th smallest and the i-th largest for every i < r,
+      since n = 2r-1; those r-1 pairs and {m} are r parts whose
+      intervals all hold m.
+    - Otherwise the search from total size n (codim_pruning). The floor
+      hides no partition, degenerate draws included, so the search
+      needs no unpruned fallback. Tverberg's theorem gives the n points
+      an r-partition whose hulls meet, and Caratheodory's theorem
+      shrinks each part to at most d+1 points that still hold the common
+      point. Adding the unused points back keeps the hulls meeting,
+      since hulls only grow, and they always fit, since r(d+1) >= n.
+      That gives a meeting tuple of faces of total exactly n, the only
+      total the search walks.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     t0 = time.perf_counter()
     n_points = (r - 1) * (d + 1) + 1
-    found = 0
     verified = 0
+    # tverberg_partition returns a certificate or raises, so every draw gives one
     for P in islice(_random_draws(r, d, seed), count):
-        out = tverberg_search(P, r, codim_pruning=True)
-        if isinstance(out, TverbergCertificate):
-            found += 1
-            if out.verify(P):
-                verified += 1
+        verified += tverberg_partition(P, r).verify(P)
     claimed = {"certificates": count, "verified": count}
-    computed = {"certificates": found, "verified": verified, "count": count}
+    computed = {"certificates": count, "verified": verified, "count": count}
     return _finish(
         f"tverberg-random-{r}-{d}",
         {"r": r, "d": d, "count": count, "seed": seed, "points": n_points},

@@ -16,12 +16,14 @@ common denominator once per search, and each tuple is solved on those
 integer points: one whose per-face bounding boxes miss in some
 coordinate is rejected before any hull test, as is a pair on the moment
 curve with at most d+1 alternation blocks; certificates are checked in
-integers, their denominators cleared), minimal
-intertwined pairs on the moment curve by a closed-form integer Radon
-dependence, no LP, and separating polynomials, both built and checked
-by substitution in integers (both read one parameter table, kept once
-per configuration: a common denominator q and the integer u = q*t of
-each label's curve parameter t), the strong general position test
+integers, their denominators cleared), Tverberg partitions built where
+a proof builds them (Radon's null space at two parts, pairs around the
+median on the line, else the search), minimal intertwined pairs on
+the moment curve by a closed-form integer Radon dependence, no LP, and
+separating polynomials, both built and checked by substitution in
+integers (both read one parameter table, kept once per configuration:
+a common denominator q and the integer u = q*t of each label's curve
+parameter t), the strong general position test
 (one tuple search in homogeneous coordinates for any number of parts:
 stacked annihilators of the lifted points, their echelon basis extended
 by one subset per level, with a pivot in the last column meaning empty
@@ -636,6 +638,69 @@ def tverberg_search(
     return AbsenceReport(
         r, nf, examined, threshold, restrict_to is not None, codim_pruning
     )
+
+
+def tverberg_partition(P: PointConfiguration, r: int) -> TverbergCertificate:
+    """An r-partition of P whose hulls meet, verified; P needs (r-1)(d+1)+1 points or more.
+
+    Any configuration with that many points has one (Tverberg), repeated
+    and collinear points included, so there is never an absence:
+    - r = 2 (Radon): the first vector v of the integer null space of the
+      (d+1) x n matrix of lifted points (p, 1), nonzero since n >= d+2,
+      is an affine dependence. Its support ends at the first free
+      column, one of the first d+2, so the null space of those columns
+      alone gives it. Its ones row makes sum v = 0, so the positive and
+      negative supports are both nonempty, and weights +-v_i / s, s the
+      sum of the positive v_i, put both parts at one point.
+    - d = 1, r >= 3: sorted by (coordinate, label), the i-th smallest
+      and i-th largest points for i < r make r-1 pairs, and the r-th
+      smallest m is the last part. n >= 2r-1 puts m between each pair,
+      so each pair's interval holds m, with weights that give exactly
+      m (1/2 each where the pair shares a coordinate).
+    - Otherwise tverberg_search(P, r, codim_pruning=True), which its
+      case (a) covers, returns the first meeting tuple at the floor.
+    Parts and weights are laid out as the search lays them out. A
+    search absence or a construction that fails verify raises
+    ArithmeticError: neither can happen, so either is a fault.
+    """
+    n, d = len(P), P.d
+    if r < 2:
+        raise ValueError("need r >= 2")
+    if n < (r - 1) * (d + 1) + 1:
+        raise ValueError(f"{n} points in R^{d} need not split into {r} parts")
+    if r == 2:
+        scale, ipts = _integer_points(P)
+        cols = [*ipts.values()][: d + 2]
+        v = nullspace([*zip(*cols), [1] * (d + 2)])[0]
+        s = sum(x for x in v if x > 0)
+        parts = [
+            {lab: Fraction(x, s) for lab, x in zip(P.labels, v) if x > 0},
+            {lab: Fraction(-x, s) for lab, x in zip(P.labels, v) if x < 0},
+        ]
+        point = tuple(
+            Fraction(sum(x * c[j] for x, c in zip(v, cols) if x > 0), s * scale) for j in range(d)
+        )
+    elif d == 1:
+        order = sorted(P.labels, key=lambda lab: (P.point(lab), lab))
+        m = P.point(order[r - 1])[0]
+        parts = [{order[r - 1]: Fraction(1)}]
+        for a, b in zip(order[: r - 1], reversed(order)):
+            lo, hi = P.point(a)[0], P.point(b)[0]
+            w = (hi - m) / (hi - lo) if hi > lo else Fraction(1, 2)
+            parts.append({a: w, b: 1 - w})
+        point = (m,)
+    else:
+        out = tverberg_search(P, r, codim_pruning=True)
+        if isinstance(out, AbsenceReport):
+            raise ArithmeticError(f"the search found no {r}-partition of {n} points in R^{d}")
+        return out
+    parts.sort(key=sorted)
+    cert = TverbergCertificate(
+        tuple(map(frozenset, parts)), point, tuple(tuple(sorted(p.items())) for p in parts)
+    )
+    if not cert.verify(P):
+        raise ArithmeticError("constructed certificate failed its own verification")
+    return cert
 
 
 # -- intertwined pairs on the moment curve ----------------------------

@@ -134,8 +134,11 @@ def _disjoint_tuples(
     needed weight, and a total out of reach starts past the end. The
     last three arguments carry the walk's state down the recursion.
     The last two levels are one pair of loops, with the same starts and
-    breaks, so a pair costs no generator of its own.
+    breaks, so a pair costs no generator of its own. Like its callers,
+    the walk refuses r < 2.
     """
+    if r < 2:
+        raise ValueError("need r >= 2")
     if not masks:
         return
     start = bisect_left(weights, total - (r - 1) * weights[-1], start)
@@ -155,14 +158,6 @@ def _disjoint_tuples(
                     break
                 if not masks[j] & m:
                     yield prefix + (i, j)
-        return
-    if r == 1:
-        for i in range(start, len(masks)):
-            w = weights[i]
-            if w > total:
-                break
-            if w == total and not masks[i] & union:
-                yield prefix + (i,)
         return
     for i in range(start, len(masks) - r + 1):
         w = weights[i]

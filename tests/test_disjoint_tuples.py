@@ -139,7 +139,7 @@ def test_zero_weights_give_every_disjoint_tuple_in_lex_order():
     for _ in range(200):
         m = rng.randint(0, 12)
         masks = [rng.randrange(0, 1 << rng.randint(1, 8)) for _ in range(m)]
-        for r in (1, 2, 3, 4):
+        for r in (2, 3, 4):
             disjoint = [
                 t for t in combinations(range(m), r)
                 if all(masks[a] & masks[b] == 0 for a, b in combinations(t, 2))
@@ -150,6 +150,14 @@ def test_zero_weights_give_every_disjoint_tuple_in_lex_order():
                 for total in range(0, top + 3):
                     want = [t for t in disjoint if sum(weights[i] for i in t) == total]
                     assert list(_disjoint_tuples(masks, weights, r, total)) == want
+
+
+def test_walk_refuses_fewer_than_two_parts():
+    """r < 2 is refused, as its callers refuse it, with or without faces to walk."""
+    for r in (-1, 0, 1):
+        for masks in ([1, 2, 4], []):
+            with pytest.raises(ValueError, match="r >= 2"):
+                next(_disjoint_tuples(masks, [0] * len(masks), r, 0))
 
 
 def test_pair_level_with_ties_at_half_the_total_and_a_heavy_tail():

@@ -1,10 +1,13 @@
 """The single draws of tverberg-random and avg-stable against the old redraw loop.
 
 Both searches once redrew every seeded configuration until it passed the
-strong general position scan. Neither needs the scan: Tverberg's theorem
-with Caratheodory's covers the random draws (see verify_tverberg_random),
-and on the moment curve tverberg_search checks for itself whether a
-theorem covers its prune (see avg_stable_placement). The old loop is
+strong general position scan. Neither needs the scan: the random draws
+are partitioned by construction, Radon's null space at two parts and
+pairs around the median on the line, or else searched from the floor,
+which Tverberg's theorem with Caratheodory's covers (see
+verify_tverberg_random, which gives each proof), and on the moment
+curve tverberg_search checks for itself whether a theorem covers its
+prune (see avg_stable_placement). The old loop is
 kept here verbatim as the oracle, with its own bound of SGP_ATTEMPTS
 draws. At seeds 0 to 4 every first draw passed it, so the single draws,
 the placements and the reports must all come out the same.
