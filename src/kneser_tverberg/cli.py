@@ -42,7 +42,6 @@ from .geometry import (
     gale_facets,
     hull_facets_oracle,
     moment_points,
-    strong_general_position_report,
     tverberg_search,
 )
 from .hypergraphs import (
@@ -300,18 +299,6 @@ def _cmd_tverberg(args: argparse.Namespace) -> int:
         if args.dimension is None:
             raise ValueError("--moment needs -d")
         P = moment_points(_parse_fractions(args.moment), args.dimension)
-    if args.sgp:
-        if _complex_flags(args):
-            raise ValueError("--sgp scans all subsets and takes no complex")
-        holds, violating, checked = strong_general_position_report(P, args.parts, cap=args.cap)
-        out = {
-            "strong_general_position": holds,
-            "tuples_checked": checked,
-        }
-        if violating is not None:
-            out["violating_tuple"] = [sorted(s) for s in violating]
-        _emit(out, args.format)
-        return 0
     restrict = _complex_from_args(args) if _complex_flags(args) else None
     result = tverberg_search(P, args.parts, restrict_to=restrict, cap=args.cap)
     out = result.to_json_dict()
@@ -395,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moment", metavar="PARAMS", help="moment curve parameters, e.g. '1,2,3,4'")
     p.add_argument("-d", "--dimension", type=int, help="ambient dimension for --moment")
     p.add_argument("-r", "--parts", type=int, default=2, help="number of parts")
-    sgp = "report strong general position instead (it passes '0,0,0;1,1,1;2,2,2', wrongly)"
-    p.add_argument("--sgp", action="store_true", help=sgp)
     _add_complex_args(p)
     p.set_defaults(fn=_cmd_tverberg)
 

@@ -20,8 +20,8 @@ hypergraph of its minimal nonfaces needs at least floor(N/(r-1)) - d
 colors, where N + 1 is the number of labels.
 
 The greedy least-label bound, the floor-formula bound, the fractional
-width bound, and the machinery for pushing a coloring of the minimal
-nonfaces up to all faces live here as well.
+width bound, and the check of the color-set disjointness property of a
+coloring live here as well.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .geometry import (
     tverberg_search,
 )
 from .hypergraphs import Hypergraph, generalized_kneser, width
-from .simplicial import SimplicialComplex, Simplex, _mask, _unmask, simplex_complex
+from .simplicial import SimplicialComplex, simplex_complex
 
 DEFAULT_VERTEX_LIMIT = 64
 
@@ -564,80 +564,23 @@ def kriz_bound(K: SimplicialComplex, r: int) -> Fraction:
     return Fraction(width(K, r), r - 1)
 
 
-def face_relabeling_for_greedy(
-    K: SimplicialComplex, r: int, d: int
-) -> Optional[tuple[SimplicialComplex, dict[int, int]]]:
-    """Permute labels so some face of size (r-1)d + 1 sits on the top labels.
-
-    Returns the relabeled complex and the old-to-new label map, or None
-    when no face is large enough. Useful before greedy_least_label,
-    whose guarantee wants the top block of labels to span a face.
-    """
-    if r < 2 or d < 0:
-        raise ValueError("need r >= 2 and d >= 0")
-    size = (r - 1) * d + 1
-    if size > K.n:
-        return None
-    target = None
-    for m in K.face_masks(max_size=size):
-        if m.bit_count() == size:
-            target = sorted(_unmask(m))
-            break
-    if target is None:
-        return None
-    rest = [v for v in range(1, K.n + 1) if v not in set(target)]
-    mapping = {old: new for new, old in enumerate(rest, start=1)}
-    mapping.update({old: new for new, old in enumerate(target, start=len(rest) + 1)})
-    relabeled = SimplicialComplex(K.n, [[mapping[v] for v in f] for f in K.facets])
-    return relabeled, mapping
-
-
-def extend_coloring(
-    K: SimplicialComplex, L: SimplicialComplex, r: int, coloring: Coloring
-) -> dict[Simplex, int]:
-    """Push a proper coloring of the minimal outside faces to all of them.
-
-    Every face of L that is not a face of K gets the least color among
-    the minimal such faces it contains. Raises if the input coloring is
-    not proper for the disjointness hypergraph of the minimal faces.
-    """
-    H = generalized_kneser(K, L, r)
-    ok, witness = is_proper(H, coloring)
-    if not ok:
-        raise ValueError(f"input coloring is improper, monochromatic edge {witness}")
-    vertex_color = {_mask(v): coloring.colors[i] for i, v in enumerate(H.vertices)}
-    out: dict[Simplex, int] = {}
-    for fm in L.face_masks():
-        face = _unmask(fm)
-        if K.is_face(face):
-            continue
-        out[face] = min(c for vm, c in vertex_color.items() if vm & fm == vm)
-    return out
-
-
 def verify_constraint_property(
     K: SimplicialComplex, L: SimplicialComplex, r: int, coloring: Coloring
-) -> tuple[bool, Optional[tuple[tuple[Simplex, ...], int]]]:
-    """Check the color-set disjointness property of the extended coloring.
+) -> bool:
+    """Check the color-set disjointness property of a coloring of the minimal outside faces.
 
-    For faces sigma of L, let A(sigma) collect the extended colors of the
-    subfaces of sigma that lie outside K; equivalently, the colors of the
-    minimal outside faces contained in sigma. The property: any r
+    For faces sigma of L, let A(sigma) collect the colors of the minimal
+    faces of L outside K that sigma contains. The property: any r
     pairwise disjoint faces of L have color sets with empty common
-    intersection. Returns (True, None); raises ValueError when the
-    coloring is not proper for the disjointness hypergraph of the
-    minimal outside faces.
+    intersection. It holds exactly when the coloring is proper for the
+    disjointness hypergraph of the minimal outside faces, which is what
+    this checks.
 
-    Propriety is all there is to check. Suppose r pairwise disjoint
-    faces of L share a color c. Each contains a minimal outside face of
-    color c, nonempty because the empty simplex is a face of K. Those r
-    minimal faces are pairwise disjoint, so they form a hyperedge, and it
-    is monochromatic, which a proper coloring rules out. The return type
-    keeps room for a violating (faces, shared color) pair, which can
-    therefore never occur.
+    Suppose r pairwise disjoint faces of L share a color c. Each contains
+    a minimal outside face of color c, nonempty because the empty simplex
+    is a face of K. Those r minimal faces are pairwise disjoint, so they
+    form a hyperedge, and it is monochromatic, which a proper coloring
+    rules out. Conversely a monochromatic hyperedge is itself r pairwise
+    disjoint faces of L sharing its color.
     """
-    H = generalized_kneser(K, L, r)
-    ok, witness = is_proper(H, coloring)
-    if not ok:
-        raise ValueError(f"input coloring is improper, monochromatic edge {witness}")
-    return True, None
+    return is_proper(generalized_kneser(K, L, r), coloring)[0]

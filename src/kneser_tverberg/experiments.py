@@ -372,7 +372,7 @@ def verify_constraint(max_vertices: int = DEFAULT_VERTEX_LIMIT) -> list[Experime
         L = simplex_complex(n - 1)
         H = generalized_kneser(K, L, 2)
         res = chromatic_number(H, max_vertices=max_vertices)
-        ok, _ = verify_constraint_property(K, L, 2, res.coloring)
+        ok = verify_constraint_property(K, L, 2, res.coloring)
         claimed = {"property_holds": True}
         computed = {"property_holds": ok, "chi": res.chi}
         out.append(
@@ -827,63 +827,7 @@ def verify_nonprimepower(r: int = 6, k: int = 2) -> ExperimentReport:
     )
 
 
-# -- generic bound pipeline ---------------------------------------------
-
-
-def verify_bound_pipeline(
-    K: SimplicialComplex,
-    r: int,
-    placement: PointConfiguration,
-    claimed: Optional[dict] = None,
-    name: str = "bound-pipeline",
-    max_vertices: int = DEFAULT_VERTEX_LIMIT,
-    cap: int = DEFAULT_SEARCH_CAP,
-) -> ExperimentReport:
-    """Absence search plus all three bounds for one complex and placement.
-
-    If the restricted search certifies absence, the floor formula is a
-    valid lower bound for the exact chromatic number and the report
-    asserts that inequality; if a partition certificate shows up
-    instead, the bound is reported as not applicable for this placement.
-    The greedy and fractional-width bounds are always reported. The
-    dimension d is the placement's.
-    """
-    t0 = time.perf_counter()
-    d = placement.d
-    certified = certified_lower_bound(K, placement, r, cap=cap)
-    absence = isinstance(certified, LowerBound)
-    N = K.n - 1
-    H = generalized_kneser(K, simplex_complex(N), r)
-    chi = _chi(H, max_vertices)[0]
-    greedy = greedy_least_label(H, r, N)
-    w = width(K, r)
-    kb = Fraction(w, r - 1)
-    computed = {
-        "absence_verified": absence,
-        "bound_applicable": absence,
-        "floor_formula": bound_floor_formula(N, r, d),
-        "chi": chi,
-        "bound_respected": (chi >= certified.bound) if absence else None,
-        "width": w,
-        "kriz": str(kb),
-        "kriz_ceiling": ceil(kb),
-        "greedy_colors": greedy.colors_used,
-        "greedy_proper": greedy.proper,
-        "vertices": H.n_vertices,
-        "edges": H.n_edges,
-    }
-    if not absence:
-        computed["certificate_parts"] = [sorted(p) for p in certified.parts]
-    if claimed is None:
-        claimed = {"bound_respected": True} if absence else {"bound_applicable": False}
-    return _finish(
-        name,
-        {"r": r, "d": d, "ground": K.n},
-        claimed,
-        computed,
-        t0,
-        provenance="placement certified floor bound",
-    )
+# -- bound pipeline -------------------------------------------------------
 
 
 def pipeline_instance(name: str) -> tuple[SimplicialComplex, int, PointConfiguration, dict]:
@@ -936,9 +880,49 @@ def pipeline_instance(name: str) -> tuple[SimplicialComplex, int, PointConfigura
 def verify_pipeline(
     instance: str, max_vertices: int = DEFAULT_VERTEX_LIMIT, cap: int = DEFAULT_SEARCH_CAP
 ) -> ExperimentReport:
-    K, r, P, claimed = pipeline_instance(instance)
-    return verify_bound_pipeline(
-        K, r, P, claimed, name=f"pipeline-{instance}", max_vertices=max_vertices, cap=cap
+    """Absence search plus all three bounds for one built-in complex and placement.
+
+    If the restricted search certifies absence, the floor formula is a
+    valid lower bound for the exact chromatic number and the report
+    asserts that inequality; if a partition certificate shows up
+    instead, the bound is reported as not applicable for this placement.
+    The greedy and fractional-width bounds are always reported. The
+    dimension d is the placement's.
+    """
+    K, r, placement, claimed = pipeline_instance(instance)
+    t0 = time.perf_counter()
+    d = placement.d
+    certified = certified_lower_bound(K, placement, r, cap=cap)
+    absence = isinstance(certified, LowerBound)
+    N = K.n - 1
+    H = generalized_kneser(K, simplex_complex(N), r)
+    chi = _chi(H, max_vertices)[0]
+    greedy = greedy_least_label(H, r, N)
+    w = width(K, r)
+    kb = Fraction(w, r - 1)
+    computed = {
+        "absence_verified": absence,
+        "bound_applicable": absence,
+        "floor_formula": bound_floor_formula(N, r, d),
+        "chi": chi,
+        "bound_respected": (chi >= certified.bound) if absence else None,
+        "width": w,
+        "kriz": str(kb),
+        "kriz_ceiling": ceil(kb),
+        "greedy_colors": greedy.colors_used,
+        "greedy_proper": greedy.proper,
+        "vertices": H.n_vertices,
+        "edges": H.n_edges,
+    }
+    if not absence:
+        computed["certificate_parts"] = [sorted(p) for p in certified.parts]
+    return _finish(
+        f"pipeline-{instance}",
+        {"r": r, "d": d, "ground": K.n},
+        claimed,
+        computed,
+        t0,
+        provenance="placement certified floor bound",
     )
 
 

@@ -1063,12 +1063,6 @@ def strong_general_position_report(
     return bad is None, bad, checked
 
 
-def is_strong_general_position(P: PointConfiguration, r: int) -> bool:
-    """Whether the configuration is in strong general position for r parts."""
-    holds, _, _ = strong_general_position_report(P, r)
-    return holds
-
-
 # -- seeded placements for average-stability instances ----------------
 
 

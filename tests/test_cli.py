@@ -169,32 +169,6 @@ def test_tverberg_restricted(capsys):
     assert data["found"] is False and data["restricted"] is True
 
 
-def test_tverberg_sgp_report(capsys):
-    code = main(["tverberg", "--sgp", "--moment", "1,2,3,4,5,6", "-d", "4"])
-    assert code == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["strong_general_position"] is False
-    assert data["violating_tuple"] == [[1, 6], [2, 3, 4, 5]]
-
-
-def test_tverberg_sgp_report_on_a_passing_configuration(capsys):
-    """A passing scan prints its tuple count; one cap below that count is refused."""
-    from kneser_tverberg.geometry import moment_points, strong_general_position_report
-
-    argv = ["tverberg", "--sgp", "--moment", "1,2,4,8,16,32", "-d", "3"]
-    P = moment_points([1, 2, 4, 8, 16, 32], 3)
-    assert strong_general_position_report(P, 2) == (True, None, 220)
-    assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out) == {
-        "strong_general_position": True,
-        "tuples_checked": 220,
-    }
-    assert main([*argv, "--cap", "219"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "cap" in captured.err
-
-
 def test_tverberg_cap_refusal(capsys):
     code = main(
         ["tverberg", "--moment", ",".join(map(str, range(1, 13))), "-d", "2", "-r", "3", "--cap", "10"]
@@ -207,7 +181,6 @@ def test_tverberg_cap_refusal(capsys):
     "argv, message",
     [
         (["tverberg", "--moment", "1,2,3,4,5", "-d", "1", "--skeleton", "0"], "exactly one of"),
-        (["tverberg", "--moment", "1,2,3,4", "-d", "1", "--sgp", "--simplex", "3"], "--sgp"),
         (["tverberg", "--points", "0,0;1,0;0,1", "-d", "5"], "-d is for --moment"),
         (["chi", "--subsets", "2", "--ground", "5", "--simplex", "3"], "--simplex"),
         (["kneser", "--subsets", "2", "--ground", "5", "--cone"], "--cone"),
@@ -215,7 +188,6 @@ def test_tverberg_cap_refusal(capsys):
     ],
     ids=[
         "tverberg-skeleton",
-        "tverberg-sgp-complex",
         "tverberg-points-dimension",
         "chi-subsets-simplex",
         "kneser-subsets-cone",
@@ -340,7 +312,7 @@ COMMAND_OPTIONS = {
     "--simplex --skeleton --table -d -r",
     "gale": "--dimension --format --oracle --table -d -n",
     "tverberg": "--cap --cone --dimension --facets --forbidden --format --ground --moment "
-    "--parts --points --sgp --simplex --skeleton --table -d -r",
+    "--parts --points --simplex --skeleton --table -d -r",
     "verify": "--cap --format --jobs --max-vertices --seed --table",
 }
 SHARED_DESTS = {"format", "jobs", "seed", "cap", "max_vertices"}
@@ -389,6 +361,7 @@ def test_each_command_takes_only_the_options_it_reads():
         "chi --subsets 2 --ground 5 --cap 10",
         "tverberg --moment 1,2,3,4,5 -d 1 --max-vertices 5",
         "tverberg --moment 1,2,3,4,5 -d 1 --seed 3",
+        "tverberg --sgp --moment 1,2,3,4,5,6 -d 4",
         "complex --simplex 2 --jobs 2",
     ],
 )

@@ -3,9 +3,10 @@
 `verify_constraint_property` now checks only that the coloring is
 proper; its docstring proves that nothing else can fail. The sweep it
 ran before, copied verbatim below (renamed), walks every r-tuple of
-pairwise disjoint faces with nonempty color sets. Both must report
-(True, None) on the solver's colorings of the `constraint` experiment
-instances and on seeded random proper colorings.
+pairwise disjoint faces with nonempty color sets. On the solver's
+colorings of the `constraint` experiment instances and on seeded random
+proper colorings, the sweep must report (True, None) and
+`verify_constraint_property` True.
 """
 
 import random
@@ -98,7 +99,7 @@ def test_solver_colorings_of_the_experiment(name):
     K, n = CONSTRAINT_INSTANCES[name]
     L = simplex_complex(n - 1)
     coloring = chromatic_number(generalized_kneser(K, L, 2)).coloring
-    assert verify_constraint_property(K, L, 2, coloring) == (True, None)
+    assert verify_constraint_property(K, L, 2, coloring) is True
     assert swept_constraint_property(K, L, 2, coloring) == (True, None)
 
 
@@ -144,6 +145,6 @@ def test_random_proper_colorings():
             continue
         coloring = random_proper_coloring(rng, H)
         assert is_proper(H, coloring)[0]
-        assert verify_constraint_property(K, L, r, coloring) == (True, None)
+        assert verify_constraint_property(K, L, r, coloring) is True
         assert swept_constraint_property(K, L, r, coloring) == (True, None)
         checked += 1

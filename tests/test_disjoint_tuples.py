@@ -447,7 +447,7 @@ def _check_floor_search(P, r):
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_size_floor_certifies_degenerate_grid_draws(r, d, s):
     """Seeded draws on the grid [-s, s]^d, where repeated and collinear points are common."""
-    from kneser_tverberg.geometry import is_strong_general_position
+    from kneser_tverberg.geometry import strong_general_position_report
 
     rng = random.Random(f"floor-{r}-{d}-{s}")
     n = (r - 1) * (d + 1) + 1
@@ -456,7 +456,7 @@ def test_size_floor_certifies_degenerate_grid_draws(r, d, s):
         P = PointConfiguration(
             d, {lab: tuple(rng.randint(-s, s) for _ in range(d)) for lab in range(1, n + 1)}
         )
-        degenerate += not is_strong_general_position(P, r)
+        degenerate += not strong_general_position_report(P, r)[0]
         _check_floor_search(P, r)
     assert degenerate > 0
 
@@ -470,10 +470,10 @@ def test_size_floor_certifies_degenerate_grid_draws(r, d, s):
     ],
 )
 def test_size_floor_certifies_configurations_off_strong_general_position(r, points):
-    from kneser_tverberg.geometry import is_strong_general_position
+    from kneser_tverberg.geometry import strong_general_position_report
 
     P = PointConfiguration(len(points[1]), points)
-    assert not is_strong_general_position(P, r)
+    assert not strong_general_position_report(P, r)[0]
     _check_floor_search(P, r)
 
 

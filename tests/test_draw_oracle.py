@@ -8,8 +8,8 @@ which Tverberg's theorem with Caratheodory's covers (see
 verify_tverberg_random, which gives each proof), and on the moment
 curve tverberg_search checks for itself whether a theorem covers its
 prune (see avg_stable_placement). The old loop is
-kept here verbatim as the oracle, with its own bound of SGP_ATTEMPTS
-draws. At seeds 0 to 4 every first draw passed it, so the single draws,
+kept here as the oracle, verbatim but for reading the scan's verdict
+off its report, with its own bound of SGP_ATTEMPTS draws. At seeds 0 to 4 every first draw passed it, so the single draws,
 the placements and the reports must all come out the same.
 """
 
@@ -32,8 +32,8 @@ from kneser_tverberg.experiments import (
 from kneser_tverberg.geometry import (
     PointConfiguration,
     avg_stable_placement,
-    is_strong_general_position,
     moment_points,
+    strong_general_position_report,
 )
 
 SEEDS = range(5)
@@ -52,7 +52,7 @@ def draw_until_sgp(draw: Callable[[], PointConfiguration], r: int) -> PointConfi
     """
     for _ in range(SGP_ATTEMPTS):
         P = draw()
-        if is_strong_general_position(P, r):
+        if strong_general_position_report(P, r)[0]:
             return P
     raise ValueError(
         f"no strong general position configuration found in {SGP_ATTEMPTS} attempts"

@@ -1,13 +1,19 @@
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from kneser_tverberg import experiments, geometry
+from kneser_tverberg.cli import main
+from kneser_tverberg.coloring import Coloring
 from kneser_tverberg.experiments import (
     ALL_EXPERIMENTS,
     FAMILIES,
+    KNESER_INSTANCES,
+    SCHRIJVER_INSTANCES,
     ExperimentReport,
     experiment_tasks,
     run_tasks,
@@ -21,6 +27,7 @@ from kneser_tverberg.experiments import (
     verify_schrijver,
     verify_spherical,
     verify_avg_stable,
+    verify_constraint,
     verify_dismantle,
     verify_stable_faces,
     verify_tverberg_random,
@@ -90,6 +97,26 @@ def test_mismatch_is_reported_not_raised():
     rep = verify_spherical(K, d + 1, "hexagon-wrong-dim")
     assert rep.verdict == "mismatch"
     assert rep.claimed["chi"] != rep.computed["chi"]
+
+
+def test_an_improper_constraint_coloring_is_a_mismatch(monkeypatch, capsys):
+    """A solver witness with one colour fails the property as a verdict, not as a usage error."""
+    solve = experiments.chromatic_number
+
+    def one_colour(H, **kw):
+        res = solve(H, **kw)
+        return replace(res, coloring=Coloring(1, (1,) * H.n_vertices))
+
+    monkeypatch.setattr(experiments, "chromatic_number", one_colour)
+    reports = verify_constraint()
+    assert len(reports) == len(KNESER_INSTANCES) + len(SCHRIJVER_INSTANCES)
+    for rep in reports:
+        assert rep.verdict == "mismatch"
+        assert rep.computed["property_holds"] is False
+    assert main(["verify", "constraint"]) == 1
+    assert [json.loads(line)["verdict"] for line in capsys.readouterr().out.splitlines()] == [
+        "mismatch"
+    ] * len(reports)
 
 
 def _swapped(P, A, q, u, blocks):
@@ -282,12 +309,7 @@ def test_theorem_covered_draws_make_no_scan_call(monkeypatch):
         calls.append(P)
         return False, None, 0
 
-    def never(P, r):
-        calls.append(P)
-        return False
-
     monkeypatch.setattr(geometry, "strong_general_position_report", report)
-    monkeypatch.setattr(geometry, "is_strong_general_position", never)
     rep = verify_tverberg_random(2, 2, count=1, seed=0)
     assert rep.verdict == "match"
     assert verify_avg_stable(3, 4, 7).verdict == "match"
@@ -308,7 +330,6 @@ def test_no_verified_result_calls_the_scan(monkeypatch, family):
         raise AssertionError("strong general position scan called")
 
     monkeypatch.setattr(geometry, "strong_general_position_report", scan)
-    monkeypatch.setattr(geometry, "is_strong_general_position", scan)
     reports = run_tasks(experiment_tasks(family))
     assert len(reports) == len(FAMILIES[family].instances)
     assert [rep.verdict for rep in reports] == ["match"] * len(reports)

@@ -14,7 +14,6 @@ from kneser_tverberg.geometry import (
     gale_facets,
     hull_facets_oracle,
     intertwined_pair,
-    is_strong_general_position,
     moment_points,
     separating_polynomial,
     strong_general_position_report,
@@ -380,7 +379,7 @@ def test_sgp_frozen_counterexample():
     assert not holds
     assert violating == (frozenset({1, 6}), frozenset({2, 3, 4, 5}))
     assert checked == 61
-    assert not is_strong_general_position(P, 2)
+    assert not strong_general_position_report(P, 2)[0]
 
 
 def test_sgp_two_parts_pass_on_the_certificate_alone():
@@ -477,7 +476,7 @@ def test_sgp_generic_rational_points():
             5: (Fraction(5, 2), Fraction(9, 11)),
         },
     )
-    assert is_strong_general_position(P, 2)
+    assert strong_general_position_report(P, 2)[0]
 
 
 def test_sgp_detects_collinear_triple():
@@ -510,7 +509,7 @@ def test_avg_stable_placement_properties():
     K, P = avg_stable_placement(2, 4, 5, 10, seed=0)
     assert P.d == 5
     assert len(P) == 10
-    assert is_strong_general_position(P, 2)
+    assert strong_general_position_report(P, 2)[0]
     # the complex forbids exactly the stable-on-average 4-subsets
     t = Fraction(2 * (4 - 3), 2 * (4 - 1)) + 1
     expected = {
