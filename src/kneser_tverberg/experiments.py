@@ -487,7 +487,7 @@ def verify_stable_faces(n: int, d: int) -> ExperimentReport:
 
 
 def _random_draws(r: int, d: int, seed: int) -> Iterator[PointConfiguration]:
-    """The configurations verify_tverberg_random constructs or searches, in order, without end.
+    """The configurations verify_tverberg_random partitions, in order, without end.
 
     Each has (r-1)(d+1)+1 points with coordinates k/64, |k| <= 4096.
     """
@@ -517,15 +517,21 @@ def verify_tverberg_random(r: int, d: int, count: int = 25, seed: int = 0) -> Ex
       between the i-th smallest and the i-th largest for every i < r,
       since n = 2r-1; those r-1 pairs and {m} are r parts whose
       intervals all hold m.
-    - Otherwise the search from total size n (codim_pruning). The floor
-      hides no partition, degenerate draws included, so the search
-      needs no unpruned fallback. Tverberg's theorem gives the n points
+    - Otherwise (r >= 3, d >= 2) Sarkaria's lifting: the n points lift
+      to n colour classes in Z^n whose hulls hold e_n, and a colourful
+      simplex holding e_n is the partition. A pivot walk finds one, in
+      at most 8 pivots on the draws at (3, 2) and (4, 2), seeds 0-4,
+      against its bound of 4n. A draw it fails on (none of those) goes
+      to the search from total size n (codim_pruning), which refuses
+      where its tuples exceed the cap. The floor hides no partition,
+      degenerate draws included: Tverberg's theorem gives the n points
       an r-partition whose hulls meet, and Caratheodory's theorem
-      shrinks each part to at most d+1 points that still hold the common
-      point. Adding the unused points back keeps the hulls meeting,
-      since hulls only grow, and they always fit, since r(d+1) >= n.
-      That gives a meeting tuple of faces of total exactly n, the only
-      total the search walks.
+      shrinks each part to at most d+1 points that still hold the
+      common point. Adding the unused points back keeps the hulls
+      meeting, since hulls only grow, and they always fit, since
+      r(d+1) >= n. That gives a meeting tuple of faces of total exactly
+      n, the only total the search walks.
+    tverberg_partition gives each proof.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -933,7 +939,7 @@ KNESER_INSTANCES = ((2, 5), (2, 6), (2, 7), (3, 7))
 SCHRIJVER_INSTANCES = ((2, 5, 1), (2, 6, 0), (3, 7, 0))
 GALE_INSTANCES = ((5, 2), (6, 2), (6, 4), (7, 4), (8, 4), (8, 6))
 STABLE_FACE_INSTANCES = ((6, 1), (7, 2), (8, 2), (9, 3))
-TVERBERG_INSTANCES = ((2, 1), (2, 2), (3, 1), (3, 2))
+TVERBERG_INSTANCES = ((2, 1), (2, 2), (3, 1), (3, 2), (4, 2))
 AVG_STABLE_INSTANCES = ((2, 4, 10), (2, 4, 11), (3, 4, 7))
 PIPELINE_INSTANCES = (("cyclic-shift-cone",), ("kriz-line",), ("k5-plane",))
 SPHERICAL_INSTANCES = (("hexagon",), ("cyclic-4-7",), ("tetrahedron",))

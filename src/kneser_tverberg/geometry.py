@@ -18,7 +18,9 @@ coordinate is rejected before any hull test, as is a pair on the moment
 curve with at most d+1 alternation blocks; certificates are checked in
 integers, their denominators cleared), Tverberg partitions built where
 a proof builds them (Radon's null space at two parts, pairs around the
-median on the line, else the search), minimal intertwined pairs on
+median on the line, and elsewhere Sarkaria's lifting solved by a
+colourful pivot walk under a step bound, which falls back to the
+search), minimal intertwined pairs on
 the moment curve by a closed-form integer Radon dependence, no LP, and
 separating polynomials, both built and checked by substitution in
 integers (both read one parameter table, kept once per configuration:
@@ -40,13 +42,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from operator import le
+from operator import le, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .hypergraphs import avg_stability_parameter, is_t_stable_on_average
 # rank is used by no function here; perfbench/selftest.py reads geometry.rank
 # to check that a traced run restores the binding, so the import stays.
-from .linalg import Echelon, extend_echelon, feasible_nonneg, nullspace, rank  # noqa: F401
+from .linalg import (  # noqa: F401
+    Echelon,
+    exchange,
+    extend_echelon,
+    feasible_nonneg,
+    inverse,
+    nullspace,
+    rank,
+)
 from .simplicial import SimplicialComplex, Simplex, _disjoint_tuples, complex_from_forbidden
 
 Point = tuple[Fraction, ...]
@@ -640,6 +650,47 @@ def tverberg_search(
     )
 
 
+def _colourful_walk(P: PointConfiguration, r: int) -> Optional[tuple[list[dict[int, Fraction]], Point]]:
+    """Sarkaria's lifting of P's first n = (r-1)(d+1)+1 points, solved by pivots.
+
+    The parts as {label: weight} and their common point, or None when
+    the first colourful matrix is singular or the walk makes 4n pivots
+    without reaching lambda >= 0. tverberg_partition gives the proof.
+    """
+    d = P.d
+    n = (r - 1) * (d + 1) + 1
+    scale, ipts = _integer_points(P)
+    labels = P.labels[:n]
+    w = [[int(s == j) for s in range(r - 1)] for j in range(r - 1)] + [[-1] * (r - 1)]
+    # lifts[i][j] = (x_i (x) w_j, 1) with x_i = (L p_i, L)
+    lifts = [
+        [[xt * ws for xt in x for ws in wj] + [1] for wj in w]
+        for x in ([*ipts[lab], scale] for lab in labels)
+    ]
+    colour = [i % r for i in range(n)]
+    found = inverse([lifts[i][colour[i]] for i in range(n)])
+    if found is None:
+        return None
+    B, D = found
+    for _ in range(4 * n):
+        # lambda = M^-1 e_n, the last column of B over D > 0; the most negative entry, lowest index on ties
+        i = min(range(n), key=lambda k: B[k][-1])
+        if B[i][-1] >= 0:
+            break
+        values = [sum(map(mul, B[i], v)) for v in lifts[i]]
+        colour[i] = values.index(min(values))
+        entering = lifts[i][colour[i]]
+        B, D = exchange(B, D, [sum(map(mul, row, entering)) for row in B], i)
+    else:
+        return None
+    parts: list[dict[int, Fraction]] = [{} for _ in range(r)]
+    for lab, c, row in zip(labels, colour, B):
+        parts[c][lab] = Fraction(r * row[-1], D)
+    common = [(row[-1], ipts[lab]) for lab, c, row in zip(labels, colour, B) if c == colour[0]]
+    point = tuple(Fraction(r * sum(lam * x[t] for lam, x in common), D * scale) for t in range(d))
+    return parts, point
+
+
 def tverberg_partition(P: PointConfiguration, r: int) -> TverbergCertificate:
     """An r-partition of P whose hulls meet, verified; P needs (r-1)(d+1)+1 points or more.
 
@@ -657,8 +708,42 @@ def tverberg_partition(P: PointConfiguration, r: int) -> TverbergCertificate:
       smallest m is the last part. n >= 2r-1 puts m between each pair,
       so each pair's interval holds m, with weights that give exactly
       m (1/2 each where the pair shares a coordinate).
-    - Otherwise tverberg_search(P, r, codim_pruning=True), which its
-      case (a) covers, returns the first meeting tuple at the floor.
+    - r >= 3, d >= 2: Sarkaria's lifting ("Tverberg's theorem via number
+      fields", 1992) of the first n = (r-1)(d+1)+1 points, in label
+      order. With L the common scale of _integer_points, point i lifts
+      to x_i = (L p_i, L) in Z^(d+1); with w_j = e_j for j < r-1 and
+      w_(r-1) = -(1, ..., 1) in Z^(r-1), it gives the colour class
+      v_ij = (x_i (x) w_j, 1) in Z^n, j < r, since (d+1)(r-1) = n-1.
+      A colouring c picks one vector per point; M is the n x n matrix
+      of the columns v_(i, c_i), and lambda = M^-1 e_n.
+      Lemma: if lambda >= 0, the classes I_j = {i : c_i = j} are r
+      parts whose hulls meet, with weights r * lambda_i. Proof: the
+      last row gives sum lambda_i = 1, and the others give
+      sum_j y_j (x) w_j = 0 for y_j = sum over I_j of lambda_i x_i.
+      The only linear relation among the w_j is their sum, so the y_j
+      are all equal: sum_j<r-1 (y_j - y_(r-1)) (x) e_j = 0. Their last
+      coordinates L * sum over I_j of lambda_i are then equal, so each
+      is L / r: every part is nonempty, its weights r * lambda_i sum to
+      1, and its weighted average y_j r / L, read in the first d
+      coordinates, is the same point for every j. A label with
+      lambda_i = 0 stays in its part with weight 0.
+      The walk starts from c_i = i mod r and inverts M once, exactly
+      (linalg.inverse, which says None when M is singular). While some
+      lambda_i < 0, it takes the most negative one (lowest i on ties)
+      and a = row i of M^-1, so a.v_(k, c_k) = 0 for k != i and
+      a.e_n = lambda_i. The mean of the v_ij over j is e_n, since the
+      w_j sum to 0, so min_j a.v_ij <= lambda_i < 0 < 1 = a.v_(i, c_i),
+      and c_i moves to the argmin (lowest j on ties), a different
+      colour. That column enters at row i (linalg.exchange, one integer
+      pivot); its coordinate there, a.v_ij < 0, is nonzero, so M stays
+      invertible. The rule has no termination proof, so the walk gives
+      up after 4n pivots, and a singular first M (repeated or collinear
+      points, say) ends it at once.
+      Either way the answer is tverberg_search(P, r, codim_pruning=True),
+      complete by its case (a): Tverberg's theorem with Caratheodory's
+      puts a meeting tuple at the floor, so the walk's failure never
+      decides anything. Where the search's tuples exceed its cap it
+      raises SearchSpaceError, a refusal, never an unverified answer.
     Parts and weights are laid out as the search lays them out. A
     search absence or a construction that fails verify raises
     ArithmeticError: neither can happen, so either is a fault.
@@ -690,10 +775,13 @@ def tverberg_partition(P: PointConfiguration, r: int) -> TverbergCertificate:
             parts.append({a: w, b: 1 - w})
         point = (m,)
     else:
-        out = tverberg_search(P, r, codim_pruning=True)
-        if isinstance(out, AbsenceReport):
-            raise ArithmeticError(f"the search found no {r}-partition of {n} points in R^{d}")
-        return out
+        lifted = _colourful_walk(P, r)
+        if lifted is None:
+            out = tverberg_search(P, r, codim_pruning=True)
+            if isinstance(out, AbsenceReport):
+                raise ArithmeticError(f"the search found no {r}-partition of {n} points in R^{d}")
+            return out
+        parts, point = lifted
     parts.sort(key=sorted)
     cert = TverbergCertificate(
         tuple(map(frozenset, parts)), point, tuple(tuple(sorted(p.items())) for p in parts)

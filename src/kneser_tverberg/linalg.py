@@ -10,8 +10,11 @@ ranks and pivot columns are its leading columns, and integer null
 spaces are read from it by back substitution. Nonnegative feasibility
 is decided by one null space when the system has at most one solution
 and otherwise by a phase-1 simplex with Bland's rule, pivoting on an
-integer tableau. Denominators are cleared before any of these loops
-runs; Fractions appear only in what is returned.
+integer tableau. The same integer pivot keeps an exact inverse, as an
+integer matrix over a positive determinant: inverse builds it from the
+identity one column at a time, and exchange swaps one column in.
+Denominators are cleared before any of these loops runs; Fractions
+appear only in what is returned.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 Number = Fraction | int
@@ -147,6 +151,52 @@ def _pivot_row(row: list[int], prow: list[int], p: int, f: int, div: int) -> lis
             raise ArithmeticError("integer pivoting produced a non-integer")
         out.append(q)
     return out
+
+
+Inverse = tuple[list[list[int]], int]
+
+
+def exchange(B: list[list[int]], D: int, z: Sequence[int], k: int) -> Inverse:
+    """The inverse (B', D') after a column a with B a = z replaces column k.
+
+    (B, D) stands for A^-1 = B / D with D = |det A| > 0, so B is the
+    adjugate of the integer matrix A up to sign. The new column's
+    coordinates in the old basis are z / D, and the exchange needs
+    z[k] != 0. This is the simplex's integer pivot (Edmonds): every
+    other row becomes (p * row - z[m] * B[k]) / D, which divides
+    exactly, row k stays, and D' = p, for p = z[k]. The determinant
+    scales by z[k] / D, so D' = |det A'|; a negative pivot has row k
+    and every other row negated, which keeps D' positive.
+    """
+    s = 1 if z[k] > 0 else -1
+    p, prow = s * z[k], B[k]
+    return [
+        [s * x for x in prow] if m == k else _pivot_row(row, prow, p, s * z[m], D)
+        for m, row in enumerate(B)
+    ], p
+
+
+def inverse(columns: Sequence[Sequence[int]]) -> Optional[Inverse]:
+    """(B, D) with A^-1 = B / D and D = |det A|, or None if A is singular.
+
+    A is the square integer matrix with these columns. Starting from the
+    identity (B = I, D = 1), each column in turn is exchanged in at the
+    first row still held by a unit vector where its coordinates z = B a
+    are nonzero (Gauss-Jordan by exchange). If there is none, a lies in
+    the span of the columns already in, and A is singular. The rows are
+    then put in column order, so that row i of B pairs with column i.
+    """
+    n = len(columns)
+    B, D = [[int(i == j) for j in range(n)] for i in range(n)], 1
+    held: list[Optional[int]] = [None] * n
+    for i, a in enumerate(columns):
+        z = [sum(map(mul, row, a)) for row in B]
+        k = next((k for k in range(n) if held[k] is None and z[k]), None)
+        if k is None:
+            return None
+        B, D = exchange(B, D, z, k)
+        held[k] = i
+    return [row for _, row in sorted(zip(held, B))], D
 
 
 def feasible_nonneg(rows: Sequence[Row], rhs: Sequence[Number]) -> Optional[list[Fraction]]:

@@ -139,8 +139,9 @@ def test_criterion_09_cyclic_missing_faces_are_stable(verify_all_run):
 def test_criterion_10_random_partition_certificates(verify_all_run):
     reps = _named(verify_all_run, *TVERBERG_NAMES)
     total = sum(rep["computed"]["certificates"] for rep in reps)
-    ok = total == 100 and all(rep["verdict"] == "match" for rep in reps)
-    _conclude(10, ok, _runtime(reps), 120, f"certificates={total}/100")
+    want = 25 * len(TVERBERG_INSTANCES)
+    ok = total == want and all(rep["verdict"] == "match" for rep in reps)
+    _conclude(10, ok, _runtime(reps), 120, f"certificates={total}/{want}")
 
 
 def test_criterion_11_intertwined_pairs_exhaustive(verify_all_run):

@@ -17,7 +17,15 @@ from typing import Sequence
 import pytest
 
 from kneser_tverberg.geometry import PointConfiguration, hull_facets_oracle, moment_points
-from kneser_tverberg.linalg import extend_echelon, feasible_nonneg, nullspace, pivot_columns, rank
+from kneser_tverberg.linalg import (
+    exchange,
+    extend_echelon,
+    feasible_nonneg,
+    inverse,
+    nullspace,
+    pivot_columns,
+    rank,
+)
 
 
 def test_rank_hand_cases():
@@ -488,6 +496,54 @@ def test_kernels_match_the_bareiss_oracle_on_lifted_moment_curves():
                 for U in rng.sample(subsets, min(3, len(subsets))):
                     _assert_kernels_agree(list(U))
                     _assert_kernels_agree(list(zip(*U)))
+
+
+def _integer_square(rng: random.Random) -> list[list[int]]:
+    """A seeded square _differential_matrix with each row's denominators cleared, so singular iff it was."""
+    while True:
+        A = _differential_matrix(rng, 2)
+        if len(A) == len(A[0]):
+            return [list(row) for row in oracle_integer_rows(A)[0]]
+
+
+def test_inverse_matches_the_bareiss_determinant():
+    """B A = D I with D = |det A| > 0, or None exactly when the oracle's rank is short."""
+    rng = random.Random(34)
+    singular = 0
+    for _ in range(600):
+        A = _integer_square(rng)
+        n = len(A)
+        found = inverse([list(col) for col in zip(*A)])
+        if oracle_rank(A) < n:
+            assert found is None
+            singular += 1
+            continue
+        B, D = found
+        assert D == abs(oracle_det(A)) and D > 0
+        assert [[sum(b * a for b, a in zip(row, col)) for col in zip(*A)] for row in B] == [
+            [D * (i == j) for j in range(n)] for i in range(n)
+        ]
+    assert 100 < singular < 500
+
+
+def test_exchange_gives_the_inverse_of_the_new_matrix():
+    """Replacing column k by a, with z = B a nonzero at k, matches inverse() of the new columns."""
+    rng = random.Random(35)
+    exchanged = 0
+    while exchanged < 300:
+        cols = [list(col) for col in zip(*_integer_square(rng))]
+        found = inverse(cols)
+        if found is None:
+            continue
+        B, D = found
+        k = rng.randrange(len(cols))
+        a = [rng.randint(-5, 5) for _ in cols]
+        z = [sum(b * x for b, x in zip(row, a)) for row in B]
+        if z[k] == 0:
+            assert inverse([*cols[:k], a, *cols[k + 1:]]) is None
+            continue
+        assert exchange(B, D, z, k) == inverse([*cols[:k], a, *cols[k + 1:]])
+        exchanged += 1
 
 
 def _hull_configurations(rng: random.Random, d: int):

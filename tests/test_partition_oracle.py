@@ -1,10 +1,14 @@
 """tverberg_partition's constructions against the search and the hull LP.
 
-Radon's null space (two parts) and the pairs around the median (the
-line) are checked three ways: the certificate verifies, conv_intersect
-finds the parts' hulls meeting on its own, and the parts are laid out as
-the search lays them out. Where neither construction applies the result
-must be the search's own certificate. Mutated certificates must fail.
+Radon's null space (two parts), the pairs around the median (the line)
+and Sarkaria's lifting, solved by the colourful pivot walk (r >= 3 in
+the plane and above), are checked three ways: the certificate verifies,
+conv_intersect finds the parts' hulls meeting on its own, and the parts
+are laid out as the search lays them out. At the default (r, d) of
+tverberg-random the search's own certificate verifies too; the two need
+not be the same. Where the walk gives up (a singular first matrix, or
+its step bound) the result must be the search's own certificate.
+Mutated certificates must fail.
 """
 
 import random
@@ -14,10 +18,11 @@ from itertools import islice
 import pytest
 
 from kneser_tverberg import geometry
-from kneser_tverberg.experiments import _random_draws, verify_tverberg_random
+from kneser_tverberg.experiments import TVERBERG_INSTANCES, _random_draws, verify_tverberg_random
 from kneser_tverberg.geometry import (
     AbsenceReport,
     PointConfiguration,
+    SearchSpaceError,
     TverbergCertificate,
     conv_intersect,
     tverberg_partition,
@@ -25,7 +30,9 @@ from kneser_tverberg.geometry import (
 )
 from kneser_tverberg.linalg import nullspace
 
-SHAPES = [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (2, 6), (4, 1), (5, 1)]
+SHAPES = [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (2, 6), (4, 1), (5, 1), (3, 3), (4, 2), (5, 2), (3, 4)]
+# where the search is cheap enough to run on every draw: the shapes tverberg-random ran before (4, 2)
+SEARCHED = [(2, 1), (2, 2), (3, 1), (3, 2)]
 
 
 def check(P, r):
@@ -41,18 +48,34 @@ def check(P, r):
     return cert
 
 
-def constructed(r, d):
-    """Whether tverberg_partition builds the partition rather than searching for it."""
-    return r == 2 or d == 1
+def searched(P, r):
+    """tverberg_partition's certificate, and whether it came from tverberg_search."""
+    calls = []
+    real = geometry.tverberg_search
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "tverberg_search", recording)
+        cert = check(P, r)
+    return cert, bool(calls)
+
+
+def singular(*args):
+    return None
 
 
 @pytest.mark.parametrize("r, d", SHAPES)
 def test_random_draws_partition_and_verify(r, d):
     for seed in range(5):
         for P in islice(_random_draws(r, d, seed), 5):
-            cert = check(P, r)
-            if not constructed(r, d):
-                assert cert == tverberg_search(P, r, codim_pruning=True)
+            assert not searched(P, r)[1]
+            if (r, d) in SEARCHED:
+                # both verify; they need not be the same certificate
+                found = tverberg_search(P, r, codim_pruning=True)
+                assert isinstance(found, TverbergCertificate) and found.verify(P)
 
 
 def test_constructions_make_no_search(monkeypatch):
@@ -61,26 +84,42 @@ def test_constructions_make_no_search(monkeypatch):
 
     monkeypatch.setattr(geometry, "tverberg_search", refuse)
     for r, d in SHAPES:
-        if constructed(r, d):
-            for P in islice(_random_draws(r, d, 0), 5):
-                check(P, r)
+        for P in islice(_random_draws(r, d, 0), 5):
+            check(P, r)
 
 
-def test_only_the_searched_instance_searches(monkeypatch):
-    """tverberg-random-3-2 still searches once per draw, with the search's certificates; the others never."""
-    seen = []
-    real = geometry.tverberg_search
+def test_no_default_pair_searches(monkeypatch):
+    """Every tverberg-random instance, 25 draws at each of seeds 0-4, with the search refused."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched")
 
-    def recording(P, r, **kwargs):
-        seen.append(real(P, r, **kwargs))
-        return seen[-1]
+    monkeypatch.setattr(geometry, "tverberg_search", refuse)
+    assert (4, 2) in TVERBERG_INSTANCES
+    for seed in range(5):
+        for r, d in TVERBERG_INSTANCES:
+            assert verify_tverberg_random(r, d, seed=seed).verdict == "match"
 
-    monkeypatch.setattr(geometry, "tverberg_search", recording)
-    for r, d in [(2, 1), (2, 2), (3, 1)]:
-        assert verify_tverberg_random(r, d, count=5).verdict == "match"
-    assert seen == []
-    assert verify_tverberg_random(3, 2, count=3).verdict == "match"
-    assert seen == [real(P, 3, codim_pruning=True) for P in islice(_random_draws(3, 2, 0), 3)]
+
+def test_a_singular_solve_falls_back_to_the_search(monkeypatch):
+    draws = list(islice(_random_draws(3, 2, 0), 3))
+    want = [tverberg_search(P, 3, codim_pruning=True) for P in draws]
+    monkeypatch.setattr(geometry, "inverse", singular)
+    assert [tverberg_partition(P, 3) for P in draws] == want
+
+
+def test_the_step_bound_falls_back_to_the_search(monkeypatch):
+    """An exchange that leaves the inverse as it was never reaches lambda >= 0; the bound ends the walk."""
+    steps = []
+
+    def stuck(B, D, z, k):
+        steps.append(k)
+        return B, D
+
+    draws = list(islice(_random_draws(3, 2, 0), 3))
+    want = [tverberg_search(P, 3, codim_pruning=True) for P in draws]
+    monkeypatch.setattr(geometry, "exchange", stuck)
+    assert [tverberg_partition(P, 3) for P in draws] == want
+    assert len(steps) == 3 * 4 * 7
 
 
 def test_radon_reads_the_first_null_vector():
@@ -118,14 +157,30 @@ DEGENERATE = [
     (2, PointConfiguration(3, {1: (0, 0, 0), 2: (1, 1, 1), 3: (2, 2, 2), 4: (3, 3, 3), 5: (0, 0, 7)})),
     # collinear in the plane
     (2, PointConfiguration(2, {1: (0, 0), 2: (1, 1), 3: (2, 2), 4: (3, 3)})),
+    (3, PointConfiguration(2, {lab: (lab, 2 * lab - 3) for lab in range(1, 8)})),
 ]
+# the inputs above whose first colourful matrix is singular
+SINGULAR = [2, 5, 9]
 
 
-@pytest.mark.parametrize("r, P", DEGENERATE, ids=range(len(DEGENERATE)))
-def test_degenerate_inputs_partition(r, P):
-    cert = check(P, r)
-    if not constructed(r, P.d):
+@pytest.mark.parametrize("i", range(len(DEGENERATE)))
+def test_degenerate_inputs_partition(i):
+    r, P = DEGENERATE[i]
+    cert, fell_back = searched(P, r)
+    assert fell_back == (i in SINGULAR)
+    if fell_back:
         assert cert == tverberg_search(P, r, codim_pruning=True)
+
+
+def test_singular_lifts_take_the_fallback(monkeypatch):
+    """Repeated, equal and collinear points: the walk stops before its first pivot."""
+    def refuse(*args):
+        raise AssertionError("pivoted")
+
+    monkeypatch.setattr(geometry, "exchange", refuse)
+    for i in SINGULAR:
+        r, P = DEGENERATE[i]
+        assert geometry._colourful_walk(P, r) is None
 
 
 def test_the_collinear_triple_alone_is_below_the_floor():
@@ -147,9 +202,7 @@ def test_more_points_than_the_floor():
                     for lab in range(1, floor + extra + 1)
                 },
             )
-            # the search's face count grows fast with n; a few points over the floor suffice for it
-            if constructed(r, d) or extra < 5:
-                check(P, r)
+            assert not searched(P, r)[1]
 
 
 def test_radon_reads_the_first_null_vector_of_all_columns():
@@ -187,14 +240,23 @@ def test_refusals():
 def test_a_search_absence_fails_closed(monkeypatch):
     P = next(_random_draws(3, 2, 0))
     absent = AbsenceReport(r=3, n_faces=0, tuples_examined=0, min_total_size=7, restricted=False, codim_pruning=True)
+    monkeypatch.setattr(geometry, "inverse", singular)
     monkeypatch.setattr(geometry, "tverberg_search", lambda *args, **kwargs: absent)
     with pytest.raises(ArithmeticError):
         tverberg_partition(P, 3)
 
 
+def test_a_refused_fallback_fails_closed(monkeypatch):
+    """At (4, 2) the search's tuples exceed its cap, so a fallback there is a refusal."""
+    P = next(_random_draws(4, 2, 0))
+    monkeypatch.setattr(geometry, "inverse", singular)
+    with pytest.raises(SearchSpaceError, match="exceed the cap"):
+        tverberg_partition(P, 4)
+
+
 def test_a_construction_that_fails_verify_fails_closed(monkeypatch):
     monkeypatch.setattr(TverbergCertificate, "verify", lambda self, P: False)
-    for r, d in [(2, 2), (3, 1)]:
+    for r, d in [(2, 2), (3, 1), (3, 2), (4, 2)]:
         with pytest.raises(ArithmeticError):
             tverberg_partition(next(_random_draws(r, d, 0)), r)
 
@@ -225,17 +287,17 @@ def shifted_point(cert):
 
 
 def constructed_certificates():
-    out = [(P, tverberg_partition(P, r)) for r, P in DEGENERATE if constructed(r, P.d)]
+    """Every certificate that no search made: the degenerate inputs that construct, and five draws of each shape."""
+    out = [(P, tverberg_partition(P, r)) for i, (r, P) in enumerate(DEGENERATE) if i not in SINGULAR]
     for r, d in SHAPES:
-        if constructed(r, d):
-            out += [(P, tverberg_partition(P, r)) for P in islice(_random_draws(r, d, 0), 5)]
+        out += [(P, tverberg_partition(P, r)) for P in islice(_random_draws(r, d, 0), 5)]
     return out
 
 
 @pytest.mark.parametrize("mutate", [moved_label, negated_weight, shifted_point])
 def test_mutated_constructions_fail_verify(mutate):
     certs = constructed_certificates()
-    assert len(certs) >= 30
+    assert len(certs) >= 60
     for P, cert in certs:
         assert cert.verify(P)
         assert not mutate(cert).verify(P)
