@@ -5,13 +5,13 @@ hyperedge is monochromatic. The exact chromatic number is found by
 resolving feasibility for increasing k with one of two backtracking
 kernels, both saturation-guided (DSATUR): one over neighbor masks for
 graphs, and one for arity three and up that forward-checks edge rests
-against color-class bitmasks. chromatic_number then runs a third,
-static-order search in vertex id order at chi, for the
-lexicographically least proper coloring, which makes its witness
-reproducible across runs and platforms. Callers that read only chi or
-the node counts run the decision ladder alone (_chi), and a single
-feasibility decision (_decide) settles whether a vertex deletion still
-needs chi colors.
+against color-class bitmasks. Both masks are the one bitmask view of
+the hypergraph (_kernel_inputs). chromatic_number then searches the
+same view in vertex id order at chi, for the lexicographically least
+proper coloring, which makes its witness reproducible across runs and
+platforms. Callers that read only chi or the node counts run the
+decision ladder alone (_chi), and a single feasibility decision
+(_decide) settles whether a vertex deletion still needs chi colors.
 
 A certified lower bound from the main theorem lets the solver skip the
 exhaustive refutation below chi: place a complex in R^d so that no r
@@ -169,14 +169,6 @@ class ChromaticResult:
         return out
 
 
-def _adjacency_masks(H: Hypergraph) -> list[int]:
-    adj = [0] * H.n_vertices
-    for a, b in H.edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return adj
-
-
 def _greedy_clique_size(adj: Sequence[int], order: Sequence[int]) -> int:
     clique_mask = 0
     size = 0
@@ -258,33 +250,22 @@ def _first_coloring(H: Hypergraph, k: int, order: Sequence[int], budget: _Budget
     chromatic_number runs it in vertex id order for its witness; the
     feasibility decisions are _decide's. Vertices are colored in
     `order`, trying colors in ascending order, at most one beyond those
-    already in use. Each edge is attached once, to its vertex that comes
-    last in `order`, as the mask of its other vertices (for graphs these
-    fold into one neighbor mask per vertex).
-    cls[c] is the mask of the vertices holding color c, and c is refused
-    at v when an attached rest lies inside it, that is, when v would
-    complete a monochromatic edge. An edge with an uncolored vertex cannot
-    be monochromatic yet, so this refuses exactly what checking every
+    already in use. cls[c] is the mask of the vertices holding color c,
+    and c is refused at v when v would complete a monochromatic edge:
+    when v's neighbor mask (graphs) meets cls[c], or one of v's edge
+    rests (arity three and up) lies inside it, both read from
+    _kernel_inputs. Only colored vertices are in cls[c], so an edge
+    with an uncolored vertex is never inside it: the full rests refuse
+    exactly what the rests of the edges whose last vertex in `order` is
+    v would refuse, in any order, and so exactly what checking every
     incident edge refuses. Under the identity order the result is the
     lexicographically least proper k-coloring: that coloring introduces
     its colors in increasing order, so the one-beyond rule never skips it.
     """
     n = H.n_vertices
-    rank = [0] * n
-    for i, v in enumerate(order):
-        rank[v] = i
-    near = [0] * n
-    far: list[list[int]] = [[] for _ in range(n)]
-    if H.r == 2:
-        for a, b in H.edges:
-            if rank[a] < rank[b]:
-                near[b] |= 1 << a
-            else:
-                near[a] |= 1 << b
-    else:
-        for e in H.edges:
-            top = max(e, key=rank.__getitem__)
-            far[top].append(sum(1 << u for u in e if u != top))
+    masks, _ = _kernel_inputs(H)
+    near = masks if H.r == 2 else [0] * n
+    far = [()] * n if H.r == 2 else masks
     cls = [0] * (k + 1)
     colors = [0] * n
 
@@ -389,7 +370,10 @@ def _kernel_inputs(H: Hypergraph) -> tuple[list, list[int]]:
     degrees: neighbors for graphs, incident edges otherwise.
     """
     if H.r == 2:
-        adj = _adjacency_masks(H)
+        adj = [0] * H.n_vertices
+        for a, b in H.edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
         return adj, [a.bit_count() for a in adj]
     rests: list[list[int]] = [[] for _ in range(H.n_vertices)]
     for e in H.edges:

@@ -494,6 +494,22 @@ class AbsenceReport:
 DEFAULT_SEARCH_CAP = 1 << 22
 
 
+def _certified(P: PointConfiguration, parts: list[dict[int, Fraction]], point: Point) -> TverbergCertificate:
+    """The certificate of parts given as {label: weight} meeting at point, verified against P.
+
+    Parts are laid out by their sorted labels, and each part's weights
+    by label. A certificate that fails verify raises ArithmeticError:
+    every caller has proved its parts meet, so that is a fault.
+    """
+    parts = sorted(parts, key=sorted)
+    cert = TverbergCertificate(
+        tuple(map(frozenset, parts)), point, tuple(tuple(sorted(p.items())) for p in parts)
+    )
+    if not cert.verify(P):
+        raise ArithmeticError("a partition certificate failed its own verification")
+    return cert
+
+
 def tverberg_search(
     P: PointConfiguration,
     r: int,
@@ -633,18 +649,8 @@ def tverberg_search(
             found = _hull_weights([face_ipts[i] for i in t], scale)
             if found is None:
                 continue
-            part_sets = [face_sets[i] for i in t]
-            order = sorted(range(r), key=lambda i: tuple(sorted(part_sets[i])))
-            parts = tuple(part_sets[i] for i in order)
-            weights = tuple(
-                tuple(zip(sorted(part_sets[i]), found[i]))
-                for i in order
-            )
-            point = _witness_point(found[0], face_ipts[t[0]], scale)
-            cert = TverbergCertificate(parts, point, weights)
-            if not cert.verify(P):
-                raise ArithmeticError("internal certificate failed its own verification")
-            return cert
+            parts = [dict(zip(sorted(face_sets[i]), w)) for i, w in zip(t, found)]
+            return _certified(P, parts, _witness_point(found[0], face_ipts[t[0]], scale))
     return AbsenceReport(
         r, nf, examined, threshold, restrict_to is not None, codim_pruning
     )
@@ -744,8 +750,8 @@ def tverberg_partition(P: PointConfiguration, r: int) -> TverbergCertificate:
       puts a meeting tuple at the floor, so the walk's failure never
       decides anything. Where the search's tuples exceed its cap it
       raises SearchSpaceError, a refusal, never an unverified answer.
-    Parts and weights are laid out as the search lays them out. A
-    search absence or a construction that fails verify raises
+    _certified lays out and verifies the parts, as it does the search's.
+    A search absence or a construction that fails verify raises
     ArithmeticError: neither can happen, so either is a fault.
     """
     n, d = len(P), P.d
@@ -782,13 +788,7 @@ def tverberg_partition(P: PointConfiguration, r: int) -> TverbergCertificate:
                 raise ArithmeticError(f"the search found no {r}-partition of {n} points in R^{d}")
             return out
         parts, point = lifted
-    parts.sort(key=sorted)
-    cert = TverbergCertificate(
-        tuple(map(frozenset, parts)), point, tuple(tuple(sorted(p.items())) for p in parts)
-    )
-    if not cert.verify(P):
-        raise ArithmeticError("constructed certificate failed its own verification")
-    return cert
+    return _certified(P, parts, point)
 
 
 # -- intertwined pairs on the moment curve ----------------------------

@@ -9,10 +9,11 @@ time. Searches that stack rows level by level extend it directly;
 ranks and pivot columns are its leading columns, and integer null
 spaces are read from it by back substitution. Nonnegative feasibility
 is decided by one null space when the system has at most one solution
-and otherwise by a phase-1 simplex with Bland's rule, pivoting on an
-integer tableau. The same integer pivot keeps an exact inverse, as an
-integer matrix over a positive determinant: inverse builds it from the
-identity one column at a time, and exchange swaps one column in.
+and otherwise by a phase-1 simplex with Bland's rule. One integer
+pivot, exchange, serves the simplex, which pivots its integer tableau
+through it, and the exact inverse, an integer matrix over a positive
+determinant: inverse builds it from the identity one column at a time,
+and exchange swaps one column in.
 Denominators are cleared before any of these loops runs; Fractions
 appear only in what is returned.
 """
@@ -157,16 +158,18 @@ Inverse = tuple[list[list[int]], int]
 
 
 def exchange(B: list[list[int]], D: int, z: Sequence[int], k: int) -> Inverse:
-    """The inverse (B', D') after a column a with B a = z replaces column k.
+    """One integer pivot (Edmonds) on B, an integer matrix kept over D > 0.
 
-    (B, D) stands for A^-1 = B / D with D = |det A| > 0, so B is the
-    adjugate of the integer matrix A up to sign. The new column's
-    coordinates in the old basis are z / D, and the exchange needs
-    z[k] != 0. This is the simplex's integer pivot (Edmonds): every
-    other row becomes (p * row - z[m] * B[k]) / D, which divides
-    exactly, row k stays, and D' = p, for p = z[k]. The determinant
-    scales by z[k] / D, so D' = |det A'|; a negative pivot has row k
-    and every other row negated, which keeps D' positive.
+    z is the pivot column, with z[k] != 0. Every other row becomes
+    (p * row - z[m] * B[k]) / D, row k stays, and D' = p, for p = z[k];
+    a negative pivot has row k and every other row negated, which keeps
+    D' positive. For an inverse A^-1 = B / D with D = |det A| and
+    z = B a, the result is the inverse after the column a replaces
+    column k, and D' = |det A'|. For a simplex tableau with its
+    objective row, D times the rational one, and z its entering column,
+    it is the tableau after that pivot. Either way the entries are
+    minors of the starting matrix, so every division is exact; one that
+    is not raises ArithmeticError.
     """
     s = 1 if z[k] > 0 else -1
     p, prow = s * z[k], B[k]
@@ -234,10 +237,9 @@ def feasible_nonneg(rows: Sequence[Row], rhs: Sequence[Number]) -> Optional[list
     Bland's choices do not move; a row-by-row scaling would change the
     column sums and with them the entering choice. The integer tableau
     is D times the rational one, D being the determinant of the current
-    basis, positive because every pivot is. A pivot on p updates every
-    other row, the reduced costs and the objective to
-    (p * entry - entry_in_pivot_column * pivot_row_entry) / D, which
-    divides exactly, and sets D to p; the pivot row stays as it is.
+    basis, positive because every pivot is. The reduced costs and the
+    objective are its last row, and each pivot is one exchange of the
+    whole tableau, which divides exactly and sets D to the pivot.
     Signs and ratio orders are those of the rational tableau, so every
     pivot step is the same, and x is read out as the basic values
     over D.
@@ -268,7 +270,8 @@ def feasible_nonneg(rows: Sequence[Row], rhs: Sequence[Number]) -> Optional[list
         common = lcm(*[x.denominator for row in fracs for x in row])
         aug = [[x.numerator * (common // x.denominator) for x in row] for row in fracs]
 
-    # Tableau columns: n structural, m artificial, then the rhs.
+    # Tableau columns: n structural, m artificial, then the rhs; the
+    # objective is row m.
     total = n + m
     tab: list[list[int]] = []
     for i, row in enumerate(aug):
@@ -284,11 +287,11 @@ def feasible_nonneg(rows: Sequence[Row], rhs: Sequence[Number]) -> Optional[list
     # sums and the basic artificial columns start at 1 - 1 = 0. The last
     # entry is the objective value, the sum of the rhs. Basic columns keep
     # a reduced cost of exactly zero, so only nonbasic ones can enter.
-    z = [sum(t[j] for t in tab) for j in range(n)] + [0] * m + [sum(t[total] for t in tab)]
+    tab.append([sum(t[j] for t in tab) for j in range(n)] + [0] * m + [sum(t[total] for t in tab)])
     D = 1
 
     while True:
-        enter = next((j for j in range(total) if z[j] > 0), -1)
+        enter = next((j for j in range(total) if tab[m][j] > 0), -1)
         if enter < 0:
             break
         # Ratio test by cross-multiplication, ties to the smaller basic index.
@@ -307,17 +310,10 @@ def feasible_nonneg(rows: Sequence[Row], rhs: Sequence[Number]) -> Optional[list
             # The artificial objective is bounded below by zero, so an
             # unbounded column cannot occur; guard anyway.
             raise ArithmeticError("phase-1 objective unbounded")
-        prow = tab[leave]
-        p = prow[enter]
-        for i in range(m):
-            f = tab[i][enter]
-            if i != leave and (f or p != D):
-                tab[i] = _pivot_row(tab[i], prow, p, f, D)
-        z = _pivot_row(z, prow, p, z[enter], D)
-        D = p
+        tab, D = exchange(tab, D, [t[enter] for t in tab], leave)
         basis[leave] = enter
 
-    if z[total] != 0:
+    if tab[m][total] != 0:
         return None
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):

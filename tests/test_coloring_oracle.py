@@ -18,25 +18,32 @@ held against the paths they replaced: `old_chromatic_number` is the
 solver from before the ladder and the witness were split, and
 `old_criticality` the loop `verify_schrijver` ran before it decided each
 deletion at chi - 1 alone, both copied verbatim.
+
+`_first_coloring` below, with the `_adjacency_masks` it and
+`old_chromatic_number` call, is the witness search as it was before it
+read the decision kernels' masks: it attached each edge to its vertex
+that comes last in the order. The solver's `coloring._first_coloring`
+checks every edge rest at a vertex instead, and must return the same
+coloring after the same number of nodes, in any order and at every k
+from 1 to chi + 1.
 """
 
 import random
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 import pytest
 
+from kneser_tverberg import coloring
 from kneser_tverberg.coloring import (
     DEFAULT_VERTEX_LIMIT,
     ChromaticResult,
     Coloring,
     LowerBound,
     _Budget,
-    _adjacency_masks,
     _chi,
     _decide,
     _feasible_graph,
-    _first_coloring,
     _greedy_clique_size,
     certified_lower_bound,
     chromatic_number,
@@ -53,6 +60,73 @@ from kneser_tverberg.hypergraphs import (
     s_stable_subsets,
 )
 from kneser_tverberg.simplicial import simplex_complex
+
+
+def _adjacency_masks(H: Hypergraph) -> list[int]:
+    adj = [0] * H.n_vertices
+    for a, b in H.edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def _first_coloring(H: Hypergraph, k: int, order: Sequence[int], budget: _Budget) -> Optional[list[int]]:
+    """First proper k-coloring met by a depth-first search in a static vertex order.
+
+    chromatic_number runs it in vertex id order for its witness; the
+    feasibility decisions are _decide's. Vertices are colored in
+    `order`, trying colors in ascending order, at most one beyond those
+    already in use. Each edge is attached once, to its vertex that comes
+    last in `order`, as the mask of its other vertices (for graphs these
+    fold into one neighbor mask per vertex).
+    cls[c] is the mask of the vertices holding color c, and c is refused
+    at v when an attached rest lies inside it, that is, when v would
+    complete a monochromatic edge. An edge with an uncolored vertex cannot
+    be monochromatic yet, so this refuses exactly what checking every
+    incident edge refuses. Under the identity order the result is the
+    lexicographically least proper k-coloring: that coloring introduces
+    its colors in increasing order, so the one-beyond rule never skips it.
+    """
+    n = H.n_vertices
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    near = [0] * n
+    far: list[list[int]] = [[] for _ in range(n)]
+    if H.r == 2:
+        for a, b in H.edges:
+            if rank[a] < rank[b]:
+                near[b] |= 1 << a
+            else:
+                near[a] |= 1 << b
+    else:
+        for e in H.edges:
+            top = max(e, key=rank.__getitem__)
+            far[top].append(sum(1 << u for u in e if u != top))
+    cls = [0] * (k + 1)
+    colors = [0] * n
+
+    def rec(pos: int, used: int) -> bool:
+        budget.nodes += 1
+        if pos == n:
+            return True
+        v = order[pos]
+        nv, fv, bit = near[v], far[v], 1 << v
+        for c in range(1, min(used + 1, k) + 1):
+            cc = cls[c]
+            if nv & cc or any(rest & cc == rest for rest in fv):
+                continue
+            colors[v] = c
+            cls[c] = cc | bit
+            if rec(pos + 1, max(used, c)):
+                return True
+            cls[c] = cc
+        return False
+
+    try:
+        return colors if rec(0, 0) else None
+    finally:
+        del rec  # rec refers to itself; break the cycle so what it closes over is freed on return
 
 
 def _feasible_uniform(H: Hypergraph, k: int, budget: _Budget) -> Optional[list[int]]:
@@ -180,10 +254,10 @@ def assert_same_searches(H: Hypergraph, name: str = "") -> None:
                 old = _feasible_uniform(H, k, old_budget)
                 old_nodes = old_budget.nodes
             new_budget = _Budget()
-            new = _first_coloring(H, k, order, new_budget)
+            new = coloring._first_coloring(H, k, order, new_budget)
             assert new == old, (name, H.r, n, k)
             assert new_budget.nodes == old_nodes, (name, H.r, n, k)
-    new_witness = _first_coloring(H, res.chi, range(n), _Budget())
+    new_witness = coloring._first_coloring(H, res.chi, range(n), _Budget())
     assert new_witness == _lex_least_coloring(H, res.chi) == list(res.coloring.colors)
 
 
@@ -222,12 +296,42 @@ def test_family_instances(name):
     assert_same_searches(FAMILY_HYPERGRAPHS[name], name)
 
 
+ORDERS = {
+    "identity": lambda H: list(range(H.n_vertices)),
+    "degree": degree_order,
+    "reversed": lambda H: list(reversed(range(H.n_vertices))),
+}
+
+
+def assert_same_witness_searches(H: Hypergraph) -> None:
+    """The witness search against the verbatim one, in every order of ORDERS, for k from 1 to chi + 1."""
+    chi = chromatic_number(H).chi
+    for name, order_of in ORDERS.items():
+        order = order_of(H)
+        for k in range(1, chi + 2):
+            old_budget, new_budget = _Budget(), _Budget()
+            old = _first_coloring(H, k, order, old_budget)
+            new = coloring._first_coloring(H, k, order, new_budget)
+            assert (new, new_budget.nodes) == (old, old_budget.nodes), (name, H.r, H.n_vertices, k)
+
+
+@pytest.mark.parametrize("r", [2, 3], ids=["graphs", "3-uniform"])
+def test_witness_search_matches_the_last_vertex_masks(r):
+    rng = random.Random(6000 + r)  # the hypergraphs of test_random_hypergraphs
+    for _ in range(150):
+        assert_same_witness_searches(random_hypergraph(rng, r))
+
+
+def test_witness_search_matches_the_last_vertex_masks_at_arity_four():
+    assert_same_witness_searches(kneser_hypergraph(4, 2, 10))
+
+
 def assert_same_verdicts(H: Hypergraph) -> None:
     """_decide against _first_coloring in degree order, for every k from 1 to chi."""
     order = degree_order(H)
     for k in range(1, chromatic_number(H).chi + 1):
         new = _decide(H, k, _Budget())
-        old = _first_coloring(H, k, order, _Budget())
+        old = coloring._first_coloring(H, k, order, _Budget())
         assert (new is None) == (old is None), (H.r, H.n_vertices, k)
         for found in (new, old):
             if found is not None:

@@ -119,6 +119,23 @@ def test_an_improper_constraint_coloring_is_a_mismatch(monkeypatch, capsys):
     ] * len(reports)
 
 
+def test_constraint_builds_each_hypergraph_once(monkeypatch):
+    """The propriety check reads the hypergraph the solver colored; a second build would double the count."""
+    from kneser_tverberg import coloring, hypergraphs
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return hypergraphs.generalized_kneser(*args)
+
+    monkeypatch.setattr(experiments, "generalized_kneser", counting)
+    monkeypatch.setattr(coloring, "generalized_kneser", counting)
+    reports = verify_constraint()
+    assert len(reports) == 7
+    assert len(built) == 7
+
+
 def _swapped(P, A, q, u, blocks):
     """The true dependence with its parts in the wrong roles."""
     picks, w = geometry._intertwined_from_blocks(P, A, q, u, blocks)

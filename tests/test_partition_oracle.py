@@ -8,7 +8,8 @@ are laid out as the search lays them out. At the default (r, d) of
 tverberg-random the search's own certificate verifies too; the two need
 not be the same. Where the walk gives up (a singular first matrix, or
 its step bound) the result must be the search's own certificate.
-Mutated certificates must fail.
+Mutated certificates must fail, and a certificate that fails verify
+must raise, whether a construction or the search made it.
 """
 
 import random
@@ -18,7 +19,7 @@ from itertools import islice
 import pytest
 
 from kneser_tverberg import geometry
-from kneser_tverberg.experiments import TVERBERG_INSTANCES, _random_draws, verify_tverberg_random
+from kneser_tverberg.experiments import TVERBERG_INSTANCES, _random_draws, pipeline_instance, verify_tverberg_random
 from kneser_tverberg.geometry import (
     AbsenceReport,
     PointConfiguration,
@@ -259,6 +260,15 @@ def test_a_construction_that_fails_verify_fails_closed(monkeypatch):
     for r, d in [(2, 2), (3, 1), (3, 2), (4, 2)]:
         with pytest.raises(ArithmeticError):
             tverberg_partition(next(_random_draws(r, d, 0)), r)
+
+
+def test_a_search_certificate_that_fails_verify_fails_closed(monkeypatch):
+    """The search shares the constructions' check: on an input whose faces meet it raises, never returns."""
+    K, r, P, _ = pipeline_instance("k5-plane")
+    assert tverberg_search(P, r, restrict_to=K).verify(P)
+    monkeypatch.setattr(TverbergCertificate, "verify", lambda self, P: False)
+    with pytest.raises(ArithmeticError):
+        tverberg_search(P, r, restrict_to=K)
 
 
 # -- mutations ----------------------------------------------------------
